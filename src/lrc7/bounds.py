@@ -52,6 +52,19 @@ def ceil_log(q: int, x: int) -> int:
     return u
 
 
+def _check_params(n: Optional[int], k: Optional[int], d: Optional[int], r: Optional[int]) -> None:
+    """Raise ValueError unless 1 <= k <= n, 1 <= d <= n and 1 <= r <= k.
+
+    A parameter given as None drops out of every rule it appears in.
+    """
+    if k is not None and (k < 1 or (n is not None and k > n)):
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if d is not None and (d < 1 or (n is not None and d > n)):
+        raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
+    if r is not None and (r < 1 or (k is not None and r > k)):
+        raise ValueError(f"need 1 <= r <= k, got r={r}, k={k}")
+
+
 @dataclass(frozen=True)
 class CodeParams:
     """Code parameters (n, k, d, r) over GF(q); d may be unknown (None)."""
@@ -63,12 +76,7 @@ class CodeParams:
     q: int
 
     def __post_init__(self):
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-        if self.d is not None and not 1 <= self.d <= self.n:
-            raise ValueError(f"need 1 <= d <= n, got d={self.d}")
-        if not 1 <= self.r <= self.k:
-            raise ValueError(f"need 1 <= r <= k, got r={self.r}, k={self.k}")
+        _check_params(self.n, self.k, self.d, self.r)
         if not is_prime_power(self.q):
             raise ValueError(f"q must be a prime power, got {self.q}")
 
@@ -233,7 +241,12 @@ def bounds_report(
     r: Optional[int] = None,
     q: Optional[int] = None,
 ) -> BoundsReport:
-    """Assemble a BoundsReport from whatever parameters are supplied."""
+    """Assemble a BoundsReport from whatever parameters are supplied.
+
+    Raises ValueError when the supplied parameters break 1 <= k <= n,
+    1 <= d <= n or 1 <= r <= k.
+    """
+    _check_params(n, k, d, r)
     singleton = singleton_like(n, k, r) if None not in (n, k, r) else None
     eq2 = eq2_holds(n, k, d, r) if None not in (n, k, d, r) else None
     eq3 = None

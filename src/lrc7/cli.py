@@ -19,7 +19,7 @@ import io
 import json
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields as dc_fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -32,7 +32,7 @@ from .codec import (
     simulate_repairs,
 )
 from .construct import assemble_parity_check, run_algorithm1, verify_conditions
-from .fields import FieldSpec
+from .fields import FieldSpec, write_json
 from .linalg import load_matrix_json, matrix_to_json_dict
 
 EXIT_OK = 0
@@ -87,6 +87,16 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _field_from_flags(q: int, modulus: Optional[Sequence[int]]) -> FieldSpec:
     p, e = _factor_prime_power(q)
     return FieldSpec(p, e, modulus)
@@ -101,25 +111,11 @@ def _resolve_matrix_path(token: str) -> Path:
 
 
 def _print_report_text(rep: BoundsReport) -> None:
-    rows = [
-        ("n", rep.n),
-        ("k", rep.k),
-        ("d", rep.d),
-        ("r", rep.r),
-        ("q", rep.q),
-        ("singleton_d_max", rep.singleton_d_max),
-        ("eq2_holds", rep.eq2_holds),
-        ("eq3_k_max", rep.eq3_k_max),
-        ("eq5_n_max", rep.eq5_n_max),
-        ("wang_k_max", None if rep.wang_k_max is None else f"{rep.wang_k_max:.6f}"),
-        ("wang_k_max_floor", rep.wang_k_max_floor),
-        ("guruswami_n_max", rep.guruswami_n_max),
-        ("chen_n_max", rep.chen_n_max),
-        ("cor1_d_max", rep.cor1_d_max),
-        ("classification", rep.classification),
-    ]
-    width = max(len(name) for name, _ in rows)
-    for name, val in rows:
+    rows = rep.to_json_dict()
+    if rep.wang_k_max is not None:
+        rows["wang_k_max"] = f"{rep.wang_k_max:.6f}"
+    width = max(len(name) for name in rows)
+    for name, val in rows.items():
         print(f"{name:<{width}}  {'-' if val is None else val}")
 
 
@@ -151,62 +147,48 @@ def cmd_construct(
         seq, trace = run_algorithm1(field, policy=policy, seed=seed)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
+    artifacts = {"sequence.json": seq.to_json_dict(), "trace.json": trace.to_json_dict()}
     if seq.L < 3:
         # short runs happen only without the q >= 4 guarantee; report and stop
         print(f"construction stopped after L = {seq.L} < 3 rounds; no code assembled")
-        if out is not None:
-            outdir = Path(out)
-            outdir.mkdir(parents=True, exist_ok=True)
-            extra = {"config": cfg.to_dict()}
-            for name, payload in (("sequence.json", seq.to_json_dict()), ("trace.json", trace.to_json_dict())):
-                payload.update(extra)
-                (outdir / name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return EXIT_OK
-    report = verify_conditions(seq)
-    if not report.ok:
-        print(f"verification failed: sequence conditions do not hold: {report}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    H = assemble_parity_check(seq, check=False)
-    code = code_from_parity_check(H)
-    d = min_distance(code, cap=distance_cap)
-    n, k = code.n, code.k
-    if d not in (7, 8):
-        print(f"verification failed: computed distance {d} not in {{7, 8}}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    rep = bounds_report(n=n, k=k, d=d, r=2, q=q)
-    attained = k == dim_bound_eq3(n, 2, q)
-    payload = {
-        "config": cfg.to_dict(),
-        "L": seq.L,
-        "n": n,
-        "k": k,
-        "d": d,
-        "r": 2,
-        "q": q,
-        "classification": rep.classification,
-        "attains_dim_bound": attained,
-    }
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(f"({n}, {k}, {d}, 2)_{q}  L={seq.L}  policy={policy}" + (f" seed={seed}" if seed is not None else ""))
-        print(f"classification: {rep.classification}")
-        print(f"attains dimension bound: {'yes' if attained else 'no'}")
+        report = verify_conditions(seq)
+        if not report.ok:
+            print(f"verification failed: sequence conditions do not hold: {report}", file=sys.stderr)
+            return EXIT_VERIFICATION
+        H = assemble_parity_check(seq, check=False)
+        code = code_from_parity_check(H)
+        d = min_distance(code, cap=distance_cap)
+        n, k = code.n, code.k
+        if d not in (7, 8):
+            print(f"verification failed: computed distance {d} not in {{7, 8}}", file=sys.stderr)
+            return EXIT_VERIFICATION
+        rep = bounds_report(n=n, k=k, d=d, r=2, q=q)
+        attained = k == dim_bound_eq3(n, 2, q)
+        payload = {
+            "config": cfg.to_dict(),
+            "L": seq.L,
+            "n": n,
+            "k": k,
+            "d": d,
+            "r": 2,
+            "q": q,
+            "classification": rep.classification,
+            "attains_dim_bound": attained,
+        }
+        if fmt == "json":
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            print(f"({n}, {k}, {d}, 2)_{q}  L={seq.L}  policy={policy}" + (f" seed={seed}" if seed is not None else ""))
+            print(f"classification: {rep.classification}")
+            print(f"attains dimension bound: {'yes' if attained else 'no'}")
+        artifacts["matrix.json"] = matrix_to_json_dict(H, {"params": {"n": n, "k": k, "d": d, "r": 2}})
+        artifacts["bounds.json"] = rep.to_json_dict()
     if out is not None:
         outdir = Path(out)
         outdir.mkdir(parents=True, exist_ok=True)
-        extra = {"config": cfg.to_dict()}
-        seq_d = seq.to_json_dict()
-        seq_d.update(extra)
-        (outdir / "sequence.json").write_text(json.dumps(seq_d, indent=2, sort_keys=True) + "\n")
-        tr_d = trace.to_json_dict()
-        tr_d.update(extra)
-        (outdir / "trace.json").write_text(json.dumps(tr_d, indent=2, sort_keys=True) + "\n")
-        mat = matrix_to_json_dict(H, {"params": {"n": n, "k": k, "d": d, "r": 2}, **extra})
-        (outdir / "matrix.json").write_text(json.dumps(mat, indent=2, sort_keys=True) + "\n")
-        bounds_d = rep.to_json_dict()
-        bounds_d.update(extra)
-        (outdir / "bounds.json").write_text(json.dumps(bounds_d, indent=2, sort_keys=True) + "\n")
+        for name, artifact in artifacts.items():
+            write_json(outdir / name, {**artifact, "config": cfg.to_dict()})
     return EXIT_OK
 
 
@@ -303,14 +285,8 @@ def cmd_bounds(
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if grid or fmt == "csv":
-        fieldnames = [
-            "n", "k", "d", "r", "q",
-            "singleton_d_max", "eq2_holds", "eq3_k_max", "eq5_n_max",
-            "wang_k_max", "wang_k_max_floor", "guruswami_n_max", "chen_n_max",
-            "cor1_d_max", "classification",
-        ]
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fieldnames)
+        writer = csv.DictWriter(buf, fieldnames=[f.name for f in dc_fields(BoundsReport)])
         writer.writeheader()
         for rep in reports:
             writer.writerow({key: ("" if v is None else v) for key, v in rep.to_json_dict().items()})
@@ -322,11 +298,10 @@ def cmd_bounds(
         return EXIT_OK
     rep = reports[0]
     if fmt == "json":
-        text = json.dumps(rep.to_json_dict(), indent=2, sort_keys=True)
         if out:
-            Path(out).write_text(text + "\n")
+            write_json(out, rep.to_json_dict())
         else:
-            print(text)
+            print(json.dumps(rep.to_json_dict(), indent=2, sort_keys=True))
     else:
         _print_report_text(rep)
     return EXIT_OK
@@ -361,23 +336,11 @@ def cmd_simulate(
     summary = {"config": cfg.to_dict(), **stats.summary_dict()}
     print(json.dumps(summary, indent=2, sort_keys=True))
     if out:
-        Path(out).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        write_json(out, summary)
     if jsonl:
         with open(jsonl, "w") as fh:
             for rec in stats.records:
-                fh.write(
-                    json.dumps(
-                        {
-                            "trial": rec.trial,
-                            "erased": list(rec.erased),
-                            "mode": rec.mode,
-                            "success": rec.success,
-                            "helpers": rec.helpers,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+                fh.write(json.dumps(asdict(rec), sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -410,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run the erasure-repair simulator")
     p_sim.add_argument("matrix", type=str, help="matrix JSON path, or a fixture name (h1, h2)")
-    p_sim.add_argument("--trials", type=int, required=True)
+    p_sim.add_argument("--trials", type=_positive_int, required=True)
     p_sim.add_argument("--failure-model", type=str, required=True,
                        help="single-uniform | multi-uniform(f) | group-burst")
     p_sim.add_argument("--seed", type=int, default=0)

@@ -53,28 +53,6 @@ class EnumerationBudgetError(ValueError):
     """q^k exceeds the codeword-enumeration budget."""
 
 
-@dataclass(frozen=True)
-class ErasurePattern:
-    """A set of erased coordinate indices (0-based)."""
-
-    erased: tuple[int, ...]
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.erased)
-        if len(set(idx)) != len(idx):
-            raise ValueError("erasure pattern contains a duplicate index")
-        if any(i < 0 for i in idx):
-            raise ValueError("erasure indices must be non-negative")
-        object.__setattr__(self, "erased", tuple(sorted(idx)))
-
-    def validate(self, n: int) -> None:
-        if self.erased and self.erased[-1] >= n:
-            raise ValueError(f"erasure index {self.erased[-1]} out of range for length {n}")
-
-    def __len__(self) -> int:
-        return len(self.erased)
-
-
 class LrcCode:
     """A linear code with locality-2 repair groups of size 3."""
 
@@ -474,6 +452,8 @@ def simulate_repairs(code: LrcCode, trials: int, failure_model: str, seed: int =
     erasure; otherwise one global repair covers the whole pattern.  All
     randomness derives from the seed, one child stream per trial.
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     kind, f = parse_failure_model(failure_model)
     field = code.field
     n, k, q = code.n, code.k, field.q

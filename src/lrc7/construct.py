@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import FieldSpec
+from .fields import FieldSpec, field_from_header, field_header, write_json
 from .linalg import MatrixF, VectorF, reduce_against, small_rank, solve_columns
 from .spread import ProjectivePoint, Spread, build_2_spread, canonical_rep, projective_points
 
@@ -82,9 +82,6 @@ class VectorSequence:
         """(u0, u1, u2) of pair i (0-based)."""
         return (self.u0(i), self.u1(i), self.u2(i))
 
-    def pair_vectors(self, i: int) -> tuple[VectorF, VectorF]:
-        return VectorF(self.field, self.pairs[i][0]), VectorF(self.field, self.pairs[i][1])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorSequence):
             return NotImplemented
@@ -95,20 +92,17 @@ class VectorSequence:
 
     def to_json_dict(self) -> dict:
         return {
-            "p": self.field.p,
-            "e": self.field.e,
-            "modulus": list(self.field.modulus),
+            **field_header(self.field),
             "q": self.field.q,
             "pairs": [[list(u1), list(u2)] for u1, u2 in self.pairs],
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "VectorSequence":
-        field = FieldSpec(int(d["p"]), int(d["e"]), d["modulus"])
-        return cls(field, [(u1, u2) for u1, u2 in d["pairs"]])
+        return cls(field_from_header(d), [(u1, u2) for u1, u2 in d["pairs"]])
 
     def save_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load_json(cls, path) -> "VectorSequence":
@@ -178,9 +172,7 @@ class ConstructionTrace:
 
     def to_json_dict(self) -> dict:
         return {
-            "p": self.p,
-            "e": self.e,
-            "modulus": list(self.modulus),
+            **field_header(self),
             "q": self.q,
             "policy": self.policy,
             "seed": self.seed,
@@ -211,10 +203,11 @@ class ConstructionTrace:
             )
             for rd in d["rounds"]
         )
+        field = field_from_header(d)
         return cls(
-            p=int(d["p"]),
-            e=int(d["e"]),
-            modulus=tuple(int(c) for c in d["modulus"]),
+            p=field.p,
+            e=field.e,
+            modulus=field.modulus,
             q=int(d["q"]),
             policy=d["policy"],
             seed=d["seed"],
@@ -222,7 +215,7 @@ class ConstructionTrace:
         )
 
     def save_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load_json(cls, path) -> "ConstructionTrace":
@@ -443,6 +436,17 @@ def verify_conditions(seq: VectorSequence) -> ConditionReport:
 # -- the full greedy run -------------------------------------------------------
 
 
+def _greedy_round(family: CandidateFamily, pairs: list, i: int, plane_id: int, points, policy: str, rng):
+    """Round i: choose a triple among points of plane plane_id, append its
+    pair (u1, u2) to pairs, and trim.  Returns (family, TraceRound)."""
+    field = family.field
+    u0, u1, u2 = choose_triple([ProjectivePoint(field, t) for t in points], policy, rng)
+    chosen = tuple(sorted(canonical_rep(field, v.codes) for v in (u0, u1, u2)))
+    pairs.append((u1.codes, u2.codes))
+    family, removals, discarded = _trim_round(family.without(plane_id), VectorSequence(field, pairs), i)
+    return family, TraceRound(plane_id, chosen, removals, discarded)
+
+
 def run_algorithm1(field: FieldSpec, policy: str = "lex", seed: Optional[int] = None):
     """Run the greedy choose/trim loop to exhaustion.
 
@@ -465,27 +469,17 @@ def run_algorithm1(field: FieldSpec, policy: str = "lex", seed: Optional[int] = 
     else:
         seed = None
         rng = None
-    spread = build_2_spread(field)
-    family = CandidateFamily.from_spread(spread)
+    family = CandidateFamily.from_spread(build_2_spread(field))
     pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     rounds: list[TraceRound] = []
-    i = 0
     while family.sets:
-        i += 1
         if policy == "lex":
             pid = min(family.plane_ids())
         else:
             pid = rng.choice(sorted(family.plane_ids()))
-        pts = [ProjectivePoint(field, t) for t in sorted(family.points_of(pid))]
-        u0, u1, u2 = choose_triple(pts, policy, rng)
-        chosen = tuple(
-            sorted(canonical_rep(field, v.codes) for v in (u0, u1, u2))
-        )
-        pairs.append((u1.codes, u2.codes))
-        family = family.without(pid)
-        family, removals, discarded = _trim_round(family, VectorSequence(field, pairs), i)
-        rounds.append(TraceRound(pid, chosen, removals, discarded))
-    seq = VectorSequence(field, pairs)
+        points = sorted(family.points_of(pid))
+        family, rd = _greedy_round(family, pairs, len(rounds) + 1, pid, points, policy, rng)
+        rounds.append(rd)
     trace = ConstructionTrace(
         p=field.p,
         e=field.e,
@@ -495,7 +489,7 @@ def run_algorithm1(field: FieldSpec, policy: str = "lex", seed: Optional[int] = 
         seed=seed,
         rounds=tuple(rounds),
     )
-    return seq, trace
+    return VectorSequence(field, pairs), trace
 
 
 def replay_trace(trace: ConstructionTrace) -> VectorSequence:
@@ -505,8 +499,7 @@ def replay_trace(trace: ConstructionTrace) -> VectorSequence:
     the recomputation; otherwise returns the identical VectorSequence.
     """
     field = FieldSpec(trace.p, trace.e, trace.modulus)
-    spread = build_2_spread(field)
-    family = CandidateFamily.from_spread(spread)
+    family = CandidateFamily.from_spread(build_2_spread(field))
     pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for i, rd in enumerate(trace.rounds, start=1):
         try:
@@ -515,14 +508,9 @@ def replay_trace(trace: ConstructionTrace) -> VectorSequence:
             raise ReplayError(f"round {i}: plane {rd.plane_id} is not available") from exc
         if not set(rd.points) <= available:
             raise ReplayError(f"round {i}: recorded points are not all available")
-        u0, u1, u2 = choose_triple([ProjectivePoint(field, t) for t in rd.points], "lex")
-        pairs.append((u1.codes, u2.codes))
-        family = family.without(rd.plane_id)
-        family, removals, discarded = _trim_round(family, VectorSequence(field, pairs), i)
-        if removals != rd.removals:
-            raise ReplayError(f"round {i}: removals differ from the recording")
-        if discarded != rd.discarded:
-            raise ReplayError(f"round {i}: discards differ from the recording")
+        family, again = _greedy_round(family, pairs, i, rd.plane_id, rd.points, "lex", None)
+        if again != rd:
+            raise ReplayError(f"round {i}: the recomputed round differs from the recording")
     if family.sets:
         raise ReplayError("recorded rounds end before the family is empty")
     return VectorSequence(field, pairs)

@@ -16,6 +16,8 @@ operations and the numpy array operations use them.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -521,21 +523,22 @@ def field_create(p: int, e: int = 1, modulus: Optional[Sequence[int]] = None) ->
     return FieldSpec(p, e, modulus)
 
 
-_ARITH_OPS = ("add", "sub", "mul", "div")
+# -- JSON ------------------------------------------------------------------
 
 
-def field_arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Apply one of add/sub/mul/div to two elements of the same field."""
-    if not isinstance(a, FieldElement) or not isinstance(b, FieldElement):
-        raise TypeError("field_arith expects FieldElement operands")
-    if a.field != b.field:
-        raise ValueError("operands belong to different fields")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}; expected one of {_ARITH_OPS}")
+def field_header(field) -> dict:
+    """The ``p``/``e``/``modulus`` header that every JSON format opens with.
+
+    Takes a FieldSpec, or any record carrying the same three attributes.
+    """
+    return {"p": field.p, "e": field.e, "modulus": list(field.modulus)}
+
+
+def field_from_header(d: dict) -> FieldSpec:
+    """Rebuild the field named by a JSON header (see `field_header`)."""
+    return FieldSpec(int(d["p"]), int(d["e"]), d["modulus"])
+
+
+def write_json(path, payload: dict) -> None:
+    """Write payload as indented JSON with sorted keys and a final newline."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import FieldElement, FieldSpec
+from .fields import FieldElement, FieldSpec, field_from_header, field_header, write_json
 
 
 class AmbiguousSystemError(ValueError):
@@ -281,9 +281,7 @@ def small_rank(field: FieldSpec, rows) -> int:
 
 def matrix_to_json_dict(M: MatrixF, extra: Optional[dict] = None) -> dict:
     d = {
-        "p": M.field.p,
-        "e": M.field.e,
-        "modulus": list(M.field.modulus),
+        **field_header(M.field),
         "rows": M.rows,
         "cols": M.cols,
         "entries": [[int(x) for x in row] for row in M.array],
@@ -299,7 +297,7 @@ def matrix_to_json_dict(M: MatrixF, extra: Optional[dict] = None) -> dict:
 def matrix_from_json_dict(d: dict) -> tuple[MatrixF, dict]:
     """Parse the matrix format; returns the matrix and any extra keys."""
     try:
-        field = FieldSpec(int(d["p"]), int(d["e"]), d["modulus"])
+        field = field_from_header(d)
         entries = d["entries"]
         rows, cols = int(d["rows"]), int(d["cols"])
     except KeyError as exc:
@@ -312,7 +310,7 @@ def matrix_from_json_dict(d: dict) -> tuple[MatrixF, dict]:
 
 
 def save_matrix_json(path, M: MatrixF, extra: Optional[dict] = None) -> None:
-    Path(path).write_text(json.dumps(matrix_to_json_dict(M, extra), indent=2, sort_keys=True) + "\n")
+    write_json(path, matrix_to_json_dict(M, extra))
 
 
 def load_matrix_json(path) -> tuple[MatrixF, dict]:

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import FieldSpec
-from .linalg import VectorF, small_rank
+from .fields import FieldSpec, field_from_header, field_header, write_json
+from .linalg import small_rank
 
 
 def canonical_rep(field: FieldSpec, codes) -> tuple[int, ...]:
@@ -79,9 +79,6 @@ class Plane:
         self.field = field
         self.basis = (b1, b2)
         self.id = plane_id
-
-    def basis_vectors(self) -> tuple[VectorF, VectorF]:
-        return VectorF(self.field, self.basis[0]), VectorF(self.field, self.basis[1])
 
     def contains(self, codes) -> bool:
         return small_rank(self.field, [self.basis[0], self.basis[1], tuple(codes)]) == 2
@@ -172,38 +169,32 @@ def verify_spread(s: Spread) -> bool:
     """Check the three spread axioms: size q^2 + 1, pairwise trivial
     intersection, full coverage of GF(q)^4.
 
-    For q <= 16 every one of the q^4 vectors is enumerated; for larger q the
-    pairwise check uses stacked-basis ranks and coverage follows by counting.
+    Each plane of rank 2 holds q^2 - 1 distinct nonzero vectors.  They are
+    enumerated plane by plane into a q^4-entry seen-mask: a vector marked
+    twice is a nontrivial intersection, and one never marked is uncovered.
     """
     field = s.field
     q = field.q
     if len(s.planes) != q * q + 1:
         return False
+    al = np.arange(q, dtype=np.int32)
+    seen = np.zeros(q**4, dtype=bool)
+    seen[0] = True
     for pl in s.planes:
         if small_rank(field, [pl.basis[0], pl.basis[1]]) != 2:
             return False
-    if q <= 16:
-        qq = q**4
-        al = np.arange(q, dtype=np.int32)
-        chunks = []
-        for pl in s.planes:
-            b1 = np.asarray(pl.basis[0], dtype=np.int32)
-            b2 = np.asarray(pl.basis[1], dtype=np.int32)
-            pts = field.arr_add(
-                field.arr_mul(al[:, None, None], b1[None, None, :]),
-                field.arr_mul(al[None, :, None], b2[None, None, :]),
-            ).astype(np.int64)
-            idx = ((pts[..., 3] * q + pts[..., 2]) * q + pts[..., 1]) * q + pts[..., 0]
-            chunks.append(idx.ravel())
-        counts = np.bincount(np.concatenate(chunks), minlength=qq)
-        return counts[0] == q * q + 1 and bool((counts[1:] == 1).all())
-    for i in range(len(s.planes)):
-        for j in range(i + 1, len(s.planes)):
-            stacked = [*s.planes[i].basis, *s.planes[j].basis]
-            if small_rank(field, stacked) != 4:
-                return False
-    # q^2 + 1 pairwise disjoint planes hold (q^2+1)(q^2-1) + 1 = q^4 vectors
-    return True
+        b1 = np.asarray(pl.basis[0], dtype=np.int32)
+        b2 = np.asarray(pl.basis[1], dtype=np.int32)
+        pts = field.arr_add(
+            field.arr_mul(al[:, None, None], b1[None, None, :]),
+            field.arr_mul(al[None, :, None], b2[None, None, :]),
+        ).astype(np.int64)
+        idx = ((pts[..., 3] * q + pts[..., 2]) * q + pts[..., 1]) * q + pts[..., 0]
+        idx = idx[idx != 0]
+        if seen[idx].any():
+            return False
+        seen[idx] = True
+    return bool(seen.all())
 
 
 def projective_points(pl: Plane) -> list[ProjectivePoint]:
@@ -222,22 +213,20 @@ def projective_points(pl: Plane) -> list[ProjectivePoint]:
 
 def spread_to_json_dict(s: Spread) -> dict:
     return {
-        "p": s.field.p,
-        "e": s.field.e,
-        "modulus": list(s.field.modulus),
+        **field_header(s.field),
         "q": s.field.q,
         "planes": [[list(pl.basis[0]), list(pl.basis[1])] for pl in s.planes],
     }
 
 
 def spread_from_json_dict(d: dict) -> Spread:
-    field = FieldSpec(int(d["p"]), int(d["e"]), d["modulus"])
+    field = field_from_header(d)
     planes = [Plane(field, b1, b2, pid) for pid, (b1, b2) in enumerate(d["planes"])]
     return Spread(field, planes)
 
 
 def save_spread_json(path, s: Spread) -> None:
-    Path(path).write_text(json.dumps(spread_to_json_dict(s), indent=2, sort_keys=True) + "\n")
+    write_json(path, spread_to_json_dict(s))
 
 
 def load_spread_json(path) -> Spread:

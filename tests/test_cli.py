@@ -202,6 +202,12 @@ def test_bounds_invalid_combination(capsys):
     assert "prime power" in stderr
 
 
+def test_bounds_rejects_k_above_n(capsys):
+    code, _, stderr = run_cli(capsys, "bounds", "--n", "9", "--k", "20", "--r", "2")
+    assert code == 2
+    assert stderr == "error: need 1 <= k <= n, got k=20, n=9\n"
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -242,6 +248,16 @@ def test_simulate_bad_model(capsys):
     code, _, stderr = run_cli(capsys, "simulate", "h1", "--trials", "10", "--failure-model", "meteor")
     assert code == 1
     assert "unknown failure model" in stderr
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_simulate_rejects_fewer_than_one_trial(trials, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "h1", "--trials", trials, "--failure-model", "single-uniform"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --trials: must be at least 1, got {trials}" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

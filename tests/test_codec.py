@@ -6,7 +6,6 @@ import pytest
 from lrc7.bounds import classify
 from lrc7.codec import (
     EnumerationBudgetError,
-    ErasurePattern,
     GroupDetectionError,
     LocalRepairError,
     LrcCode,
@@ -300,18 +299,6 @@ def test_weight7_support_unrecoverable(h1_code):
         repair_global(h1_code, word)
 
 
-def test_erasure_pattern_validation():
-    p = ErasurePattern((3, 1, 2))
-    assert p.erased == (1, 2, 3)
-    p.validate(9)
-    with pytest.raises(ValueError):
-        ErasurePattern((1, 1))
-    with pytest.raises(ValueError):
-        ErasurePattern((-1,))
-    with pytest.raises(ValueError):
-        ErasurePattern((9,)).validate(9)
-
-
 # ---------------------------------------------------------------------------
 # simulator
 # ---------------------------------------------------------------------------
@@ -362,6 +349,12 @@ def test_simulator_determinism(h1_code):
     assert a == b
     c = simulate_repairs(h1_code, trials=100, failure_model="multi-uniform(3)", seed=10)
     assert a != c
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_simulator_rejects_fewer_than_one_trial(h1_code, trials):
+    with pytest.raises(ValueError, match="at least one trial"):
+        simulate_repairs(h1_code, trials=trials, failure_model="single-uniform")
 
 
 def test_simulator_mixed_pattern_routing(h1_code):

@@ -49,19 +49,41 @@ def test_every_nonzero_vector_in_exactly_one_plane(spreads):
     assert all(len(owners) == 1 for owners in hits.values())
 
 
-def test_duplicated_plane_fails_verification(spreads):
+@pytest.fixture(scope="module")
+def spread_at(spreads):
+    """The small-q spreads plus one at q = 17."""
+    return {**spreads, 17: build_2_spread(field_create(17))}
+
+
+@pytest.mark.parametrize("q", [4, 17])
+def test_duplicated_plane_fails_verification(q, spread_at):
     from lrc7.spread import verify_spread
 
-    s = spreads[4]
+    s = spread_at[q]
     broken = Spread(s.field, s.planes[:-1] + (s.planes[0],))
     assert not verify_spread(broken)
 
 
-def test_deleted_plane_fails_verification(spreads):
+@pytest.mark.parametrize("q", [4, 17])
+def test_deleted_plane_fails_verification(q, spread_at):
     from lrc7.spread import verify_spread
 
-    s = spreads[4]
+    s = spread_at[q]
     broken = Spread(s.field, s.planes[:-1])
+    assert not verify_spread(broken)
+
+
+@pytest.mark.parametrize("q", [4, 17])
+def test_overlapping_plane_fails_verification(q, spread_at):
+    """Plane 1 replaced by span{b1(plane 0), b1(plane 1)}: the count stays
+    q^2 + 1, but the new plane meets plane 0 in a nonzero vector."""
+    from lrc7.spread import verify_spread
+
+    s = spread_at[q]
+    p0, p1 = s.planes[0], s.planes[1]
+    overlap = Plane(s.field, p0.basis[0], p1.basis[0], 1)
+    broken = Spread(s.field, (p0, overlap) + s.planes[2:])
+    assert len(broken) == q * q + 1
     assert not verify_spread(broken)
 
 
@@ -135,10 +157,10 @@ def test_spread_json_roundtrip(spreads):
     assert [pl.basis for pl in s2.planes] == [pl.basis for pl in s.planes]
 
 
-def test_large_q_structural_path():
-    """q = 17 skips the exhaustive check; the pairwise-rank path must agree."""
+def test_large_q_structural_path(spread_at):
+    """A q = 17 spread verifies through the same seen-mask check as small q."""
     from lrc7.spread import verify_spread
 
-    s = build_2_spread(field_create(17))
+    s = spread_at[17]
     assert len(s) == 17 * 17 + 1
     assert verify_spread(s)
