@@ -4,8 +4,10 @@ Each case runs `lrc7.cli.main` in process inside an empty directory, with
 relative output paths (the `config` block of each artifact embeds `out`),
 and compares the exit code and the sha256 of stdout and of every file left
 behind with `tests/golden.json`.  A refactor that changes any byte fails
-here.  `PYTHONPATH=src python tests/test_golden.py` records the hashes
-anew; do that only for a change that is meant to alter the output.
+here.  The `algorithm1-*` cases do the same for `run_algorithm1` at q = 16
+and 27, beyond the CLI cases: the sha256 of the sequence and trace JSON.
+`PYTHONPATH=src python tests/test_golden.py` records the hashes anew; do
+that only for a change that is meant to alter the output.
 """
 
 import hashlib
@@ -19,6 +21,8 @@ from pathlib import Path
 import pytest
 
 from lrc7.cli import main
+from lrc7.construct import run_algorithm1
+from lrc7.fields import field_create
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -48,6 +52,14 @@ CASES = {
 }
 
 
+# case -> (p, e, policy, seed) of a direct run_algorithm1 call
+ALGORITHM1 = {
+    "algorithm1-lex-q16": (2, 4, "lex", None),
+    **{f"algorithm1-seeded-q16-s{s}": (2, 4, "seeded", s) for s in (0, 1, 2)},
+    "algorithm1-lex-q27": (3, 3, "lex", None),
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -69,6 +81,19 @@ def test_golden_output(case, tmp_path, monkeypatch, capsys):
     assert got == json.loads(GOLDEN.read_text())[case]
 
 
+def _algorithm1_digest(p: int, e: int, policy: str, seed) -> dict:
+    seq, trace = run_algorithm1(field_create(p, e), policy, seed)
+    return {
+        name: _sha(json.dumps(obj.to_json_dict(), sort_keys=True).encode())
+        for name, obj in (("sequence", seq), ("trace", trace))
+    }
+
+
+@pytest.mark.parametrize("case", sorted(ALGORITHM1))
+def test_golden_algorithm1(case):
+    assert _algorithm1_digest(*ALGORITHM1[case]) == json.loads(GOLDEN.read_text())[case]
+
+
 def _record() -> None:
     golden = {}
     cwd = os.getcwd()
@@ -82,6 +107,8 @@ def _record() -> None:
                 golden[case] = _digest(Path(tmp), rc, buf.getvalue())
             finally:
                 os.chdir(cwd)
+    for case, args in ALGORITHM1.items():
+        golden[case] = _algorithm1_digest(*args)
     GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
 
 
