@@ -11,7 +11,6 @@ Example:
 
 import argparse
 import collections
-import json
 import sys
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from lrc7.construct import (  # noqa: E402
     run_algorithm1,
     verify_conditions,
 )
-from lrc7.fields import FieldSpec  # noqa: E402
+from lrc7.fields import FieldSpec, write_json  # noqa: E402
 from lrc7.linalg import matrix_to_json_dict  # noqa: E402
 
 
@@ -55,7 +54,7 @@ def sweep(q: int, seeds: int, out: str | None) -> None:
         seq.save_json(outdir / "sequence.json")
         trace.save_json(outdir / "trace.json")
         payload = matrix_to_json_dict(H, {"params": {"n": code.n, "k": code.k, "d": d, "r": 2}})
-        (outdir / "matrix.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_json(outdir / "matrix.json", payload)
         print(f"  saved ({code.n}, {code.k}, {d}, 2)_{q} to {outdir}/")
 
 

@@ -30,14 +30,6 @@ def is_prime_power(m: int) -> bool:
     return True  # m itself is prime
 
 
-def phi(x: int) -> int:
-    """Smallest prime power >= x."""
-    m = max(2, int(x))
-    while not is_prime_power(m):
-        m += 1
-    return m
-
-
 def ceil_log(q: int, x: int) -> int:
     """Least u >= 0 with q**u >= x, by exact integer comparison."""
     if q < 2:

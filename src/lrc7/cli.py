@@ -29,6 +29,7 @@ from .codec import (
     code_from_parity_check,
     load_fixture,
     min_distance,
+    parse_failure_model,
     simulate_repairs,
 )
 from .construct import assemble_parity_check, run_algorithm1, verify_conditions
@@ -97,6 +98,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _failure_model(text: str) -> str:
+    """Validate a --failure-model spec at parsing; the raw text is kept."""
+    try:
+        parse_failure_model(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
+def _shown_distance(d: Optional[int], cap: int):
+    """d, or '>=cap+1' when a search capped at cap found no dependency."""
+    return d if d is not None else f">={cap + 1}"
+
+
 def _field_from_flags(q: int, modulus: Optional[Sequence[int]]) -> FieldSpec:
     p, e = _factor_prime_power(q)
     return FieldSpec(p, e, modulus)
@@ -160,17 +175,19 @@ def cmd_construct(
         code = code_from_parity_check(H)
         d = min_distance(code, cap=distance_cap)
         n, k = code.n, code.k
-        if d not in (7, 8):
+        # a search capped below 8 that finds nothing only shows d >= cap + 1
+        if d not in (7, 8) and not (d is None and distance_cap < 8):
             print(f"verification failed: computed distance {d} not in {{7, 8}}", file=sys.stderr)
             return EXIT_VERIFICATION
         rep = bounds_report(n=n, k=k, d=d, r=2, q=q)
         attained = k == dim_bound_eq3(n, 2, q)
+        shown = _shown_distance(d, distance_cap)
         payload = {
             "config": cfg.to_dict(),
             "L": seq.L,
             "n": n,
             "k": k,
-            "d": d,
+            "d": shown,
             "r": 2,
             "q": q,
             "classification": rep.classification,
@@ -179,10 +196,11 @@ def cmd_construct(
         if fmt == "json":
             print(json.dumps(payload, indent=2, sort_keys=True))
         else:
-            print(f"({n}, {k}, {d}, 2)_{q}  L={seq.L}  policy={policy}" + (f" seed={seed}" if seed is not None else ""))
+            print(f"({n}, {k}, {shown}, 2)_{q}  L={seq.L}  policy={policy}" + (f" seed={seed}" if seed is not None else ""))
             print(f"classification: {rep.classification}")
             print(f"attains dimension bound: {'yes' if attained else 'no'}")
-        artifacts["matrix.json"] = matrix_to_json_dict(H, {"params": {"n": n, "k": k, "d": d, "r": 2}})
+        params = {"n": n, "k": k, "r": 2} if d is None else {"n": n, "k": k, "d": d, "r": 2}
+        artifacts["matrix.json"] = matrix_to_json_dict(H, {"params": params})
         artifacts["bounds.json"] = rep.to_json_dict()
     if out is not None:
         outdir = Path(out)
@@ -213,11 +231,11 @@ def cmd_verify(matrix_path: str, fmt: str = "text", distance_cap: int = 8) -> in
     else:
         # the search only established d >= cap + 1
         six_independent = True if distance_cap >= 6 else None
-    rep = bounds_report(n=n, k=k, d=d, r=2, q=q) if d is not None else bounds_report(n=n, k=k, r=2, q=q)
+    rep = bounds_report(n=n, k=k, d=d, r=2, q=q)
     payload = {
         "n": n,
         "k": k,
-        "d": d if d is not None else f">={distance_cap + 1}",
+        "d": _shown_distance(d, distance_cap),
         "r": 2,
         "q": q,
         "groups": [list(g) for g in code.groups],
@@ -235,7 +253,7 @@ def cmd_verify(matrix_path: str, fmt: str = "text", distance_cap: int = 8) -> in
             if key == "d" and d is None:
                 # inconclusive search: the declared value must only exceed the cap
                 if declared[key] <= distance_cap:
-                    mismatches[key] = (declared[key], f">={distance_cap + 1}")
+                    mismatches[key] = (declared[key], _shown_distance(d, distance_cap))
                 continue
             if declared[key] != computed[key]:
                 mismatches[key] = (declared[key], computed[key])
@@ -374,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run the erasure-repair simulator")
     p_sim.add_argument("matrix", type=str, help="matrix JSON path, or a fixture name (h1, h2)")
     p_sim.add_argument("--trials", type=_positive_int, required=True)
-    p_sim.add_argument("--failure-model", type=str, required=True,
+    p_sim.add_argument("--failure-model", type=_failure_model, required=True,
                        help="single-uniform | multi-uniform(f) | group-burst")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", type=str, default=None)

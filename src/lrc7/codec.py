@@ -435,7 +435,10 @@ def parse_failure_model(spec: str) -> tuple[str, Optional[int]]:
                 if not body.endswith(closer):
                     break
                 body = body[: -len(closer)]
-            f = int(body)
+            try:
+                f = int(body)
+            except ValueError:
+                break
             if f < 1:
                 raise ValueError("multi-uniform needs at least one erasure")
             return "multi-uniform", f

@@ -26,8 +26,16 @@ from typing import Optional
 import numpy as np
 
 from .fields import FieldSpec, field_from_header, field_header, write_json
-from .linalg import MatrixF, VectorF, reduce_against, small_rank, solve_columns
-from .spread import ProjectivePoint, Spread, build_2_spread, canonical_rep, projective_points
+from .linalg import MatrixF, VectorF, small_rank, solve_columns
+from .spread import (
+    ProjectivePoint,
+    Spread,
+    build_2_spread,
+    canonical_rep,
+    point_codes,
+    span_point_index,
+    spread_point_index,
+)
 
 POLICIES = ("lex", "seeded")
 
@@ -109,41 +117,47 @@ class VectorSequence:
         return cls.from_json_dict(json.loads(Path(path).read_text()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateFamily:
     """Surviving point sets, one per not-yet-ruled-out plane.
 
-    Sets with fewer than three points are never present.
+    Held as an owner array over the PG(3, q) point index (see
+    `spread.point_index`): owner[x] is the plane id of point x, or -1 once
+    x is removed.  Sets with fewer than three points are never present.
     """
 
     field: FieldSpec
-    sets: tuple[tuple[int, frozenset[tuple[int, ...]]], ...]
-    initial_size: int
+    owner: np.ndarray
 
     @classmethod
     def from_spread(cls, s: Spread) -> "CandidateFamily":
-        sets = tuple(
-            (pl.id, frozenset(pt.codes for pt in projective_points(pl))) for pl in s.planes
-        )
-        return cls(s.field, sets, len(s.planes))
+        q = s.field.q
+        owner = np.full((q**4 - 1) // (q - 1), -1, dtype=np.int32)
+        owner[spread_point_index(s)] = [[pl.id] for pl in s.planes]
+        return cls(s.field, owner)
+
+    @property
+    def sets(self) -> tuple[tuple[int, frozenset[tuple[int, ...]]], ...]:
+        """(plane id, its surviving points) for every plane, by ascending id."""
+        return tuple((pid, self.points_of(pid)) for pid in self.plane_ids())
 
     def plane_ids(self) -> list[int]:
-        return [pid for pid, _ in self.sets]
+        return np.flatnonzero(np.bincount(self.owner[self.owner >= 0])).tolist()
 
     def points_of(self, plane_id: int) -> frozenset[tuple[int, ...]]:
-        for pid, pts in self.sets:
-            if pid == plane_id:
-                return pts
-        raise KeyError(f"plane {plane_id} is not in the family")
+        idx = np.flatnonzero(self.owner == plane_id)
+        if plane_id < 0 or idx.size == 0:
+            raise KeyError(f"plane {plane_id} is not in the family")
+        return frozenset(map(tuple, point_codes(self.field.q, idx).tolist()))
 
     def without(self, plane_id: int) -> "CandidateFamily":
-        kept = tuple((pid, pts) for pid, pts in self.sets if pid != plane_id)
-        if len(kept) == len(self.sets):
+        hit = self.owner == plane_id
+        if plane_id < 0 or not hit.any():
             raise KeyError(f"plane {plane_id} is not in the family")
-        return CandidateFamily(self.field, kept, self.initial_size)
+        return CandidateFamily(self.field, np.where(hit, -1, self.owner))
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self.plane_ids())
 
 
 @dataclass(frozen=True)
@@ -273,82 +287,28 @@ def choose_triple(points, policy: str = "lex", rng: Optional[random.Random] = No
 # -- trimming ----------------------------------------------------------------
 
 
-def _span_reducer(field: FieldSpec, u, v):
-    """Normalized echelon rows of span{u, v}; requires u, v independent."""
-    u = list(u)
-    c1 = next(i for i, x in enumerate(u) if x)
-    iv = field.inv(u[c1])
-    if iv != 1:
-        u = [field.mul(iv, x) for x in u]
-    v = reduce_against(field, list(v), [(c1, u)])
-    c2 = next((i for i, x in enumerate(v) if x), None)
-    if c2 is None:
-        raise ValueError("span vectors are linearly dependent")
-    iv = field.inv(v[c2])
-    if iv != 1:
-        v = [field.mul(iv, x) for x in v]
-    return (c1, np.asarray(u, dtype=np.int32)), (c2, np.asarray(v, dtype=np.int32))
-
-
-def _in_span_mask(field: FieldSpec, pts: np.ndarray, reducer) -> np.ndarray:
-    """Boolean mask of the rows of pts lying in the reducer's span.
-
-    Membership is a rank test: the point reduces to zero against the span's
-    echelon rows exactly when the 3-row stack has rank 2.
-    """
-    (c1, r1), (c2, r2) = reducer
-    f = pts[:, c1]
-    red = field.arr_sub(pts, field.arr_mul(f[:, None], r1[None, :]))
-    f = red[:, c2]
-    red = field.arr_sub(red, field.arr_mul(f[:, None], r2[None, :]))
-    return ~red.any(axis=1)
-
-
 def _trim_round(family: CandidateFamily, seq: VectorSequence, i: int):
     """Apply round i's removals; returns (family, removals, discarded)."""
-    if i < 2 or not family.sets:
+    if i < 2 or not len(family):
         return family, (), ()
-    field = family.field
-    ids = []
-    rows = []
-    for pid, pts in family.sets:
-        for pt in sorted(pts):
-            ids.append(pid)
-            rows.append(pt)
-    P = np.array(rows, dtype=np.int32)
-    I = np.array(ids, dtype=np.int64)
-    alive = np.ones(len(rows), dtype=bool)
-    cur = seq.triple(i - 1)
-    for j in range(i - 1):
-        old = seq.triple(j)
-        for a in range(3):
-            for b in range(3):
-                live = np.nonzero(alive)[0]
-                if live.size == 0:
-                    break
-                reducer = _span_reducer(field, cur[a], old[b])
-                mask = _in_span_mask(field, P[live], reducer)
-                alive[live[mask]] = False
+    cur = np.array(seq.triple(i - 1), dtype=np.int32)
+    old = np.array([seq.triple(j) for j in range(i - 1)], dtype=np.int32).reshape(-1, 4)
+    # the q + 1 points of every span{cur[a], old[b]}, in sorted index order
+    idx = np.unique(span_point_index(family.field, np.repeat(cur, len(old), axis=0), np.tile(old, (3, 1))))
+    owner = family.owner.copy()
+    gone = idx[owner[idx] >= 0]
+    gone_pids = owner[gone]
+    owner[gone] = -1
+    codes = point_codes(family.field.q, gone).tolist()
     removed_by_plane: dict[int, list[tuple[int, ...]]] = {}
-    for idx in np.nonzero(~alive)[0]:
-        removed_by_plane.setdefault(int(I[idx]), []).append(tuple(int(x) for x in P[idx]))
-    removals = tuple(
-        sorted((pid, tuple(sorted(pts))) for pid, pts in removed_by_plane.items())
-    )
-    new_sets = []
-    discarded = []
-    for pid, pts in family.sets:
-        gone = set(removed_by_plane.get(pid, ()))
-        kept = frozenset(pts - gone) if gone else pts
-        if len(kept) < 3:
-            discarded.append(pid)
-        else:
-            new_sets.append((pid, kept))
-    return (
-        CandidateFamily(field, tuple(new_sets), family.initial_size),
-        removals,
-        tuple(sorted(discarded)),
-    )
+    for pid, pt in zip(gone_pids.tolist(), codes):
+        removed_by_plane.setdefault(pid, []).append(tuple(pt))
+    removals = tuple(sorted((pid, tuple(pts)) for pid, pts in removed_by_plane.items()))
+    touched = np.unique(gone_pids)
+    left = np.bincount(owner[owner >= 0], minlength=owner.size)  # plane ids < owner.size
+    discarded = touched[left[touched] < 3]
+    owner[np.isin(owner, discarded)] = -1
+    return CandidateFamily(family.field, owner), removals, tuple(discarded.tolist())
 
 
 def trim(m: CandidateFamily, seq: VectorSequence, i: int) -> CandidateFamily:
@@ -472,11 +432,9 @@ def run_algorithm1(field: FieldSpec, policy: str = "lex", seed: Optional[int] = 
     family = CandidateFamily.from_spread(build_2_spread(field))
     pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     rounds: list[TraceRound] = []
-    while family.sets:
-        if policy == "lex":
-            pid = min(family.plane_ids())
-        else:
-            pid = rng.choice(sorted(family.plane_ids()))
+    while len(family):
+        ids = family.plane_ids()
+        pid = ids[0] if policy == "lex" else rng.choice(ids)
         points = sorted(family.points_of(pid))
         family, rd = _greedy_round(family, pairs, len(rounds) + 1, pid, points, policy, rng)
         rounds.append(rd)
@@ -511,7 +469,7 @@ def replay_trace(trace: ConstructionTrace) -> VectorSequence:
         family, again = _greedy_round(family, pairs, i, rd.plane_id, rd.points, "lex", None)
         if again != rd:
             raise ReplayError(f"round {i}: the recomputed round differs from the recording")
-    if family.sets:
+    if len(family):
         raise ReplayError("recorded rounds end before the family is empty")
     return VectorSequence(field, pairs)
 

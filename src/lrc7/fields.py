@@ -6,12 +6,13 @@ sum(c_i * p**i).  Codes are canonical, so two elements are equal exactly
 when their codes are equal, and the code doubles as the serialization
 format used by the JSON/CSV exports.
 
-Multiplication, inversion and powers go through discrete-log tables over a
-fixed generator of the multiplicative group; addition is digit-wise modulo
-p (a plain XOR in characteristic 2).  Everything is exact integer
-arithmetic -- there is no floating point anywhere.  For fields with
-q <= 512, dense lookup tables are built as well, and both the scalar
-operations and the numpy array operations use them.
+Every field gets dense q x q lookup tables for addition, subtraction and
+multiplication, plus negation and inversion tables; both the scalar
+operations and the numpy array operations read them.  The tables are built
+from discrete logs over a fixed generator of the multiplicative group
+(which `pow` also uses) and digit-wise addition modulo p (a plain XOR in
+characteristic 2).  Everything is exact integer arithmetic -- there is no
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-#: Hard cap on constructible field orders.  The greedy constructor touches
-#: q^2 + 1 candidate planes, so this keeps every table and enumeration small.
-MAX_FIELD_ORDER = 1 << 16
-
-_DENSE_TABLE_MAX = 512
+#: Hard cap on constructible field orders: the dense tables hold q^2
+#: entries each, and past this size the spread (q^2 + 1 planes), its check
+#: and the constructor's point index ((q^4 - 1)/(q - 1) points) are
+#: impractical anyway.
+MAX_FIELD_ORDER = 512
 
 
 def _is_prime(n: int) -> bool:
@@ -183,7 +184,7 @@ class FieldSpec:
                 return g
         raise ArithmeticError("no multiplicative generator found")
 
-    def _add_slow(self, a: int, b: int) -> int:
+    def _add_digits(self, a: int, b: int) -> int:
         p, e = self.p, self.e
         if p == 2:
             return a ^ b
@@ -195,7 +196,7 @@ class FieldSpec:
             out += ((a // pw % p) + (b // pw % p)) % p * pw
         return out
 
-    def _neg_slow(self, a: int) -> int:
+    def _neg_digits(self, a: int) -> int:
         p, e = self.p, self.e
         if p == 2:
             return a
@@ -207,7 +208,7 @@ class FieldSpec:
             out += (p - (a // pw % p)) % p * pw
         return out
 
-    def _mul_slow(self, a: int, b: int) -> int:
+    def _mul_log(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         return self._exp[self._log[a] + self._log[b]]
@@ -227,59 +228,42 @@ class FieldSpec:
         self.generator = g
         self._exp = exp + exp  # doubled so scalar products need no reduction
         self._log = log
-        self._exp_np = np.asarray(exp, dtype=np.int32)
-        self._log_np = np.asarray(log, dtype=np.int32)
-        if q <= _DENSE_TABLE_MAX:
-            add = [0] * (q * q)
-            mul = [0] * (q * q)
-            for a in range(q):
-                base = a * q
-                for b in range(q):
-                    add[base + b] = self._add_slow(a, b)
-                    mul[base + b] = self._mul_slow(a, b)
-            neg = [self._neg_slow(a) for a in range(q)]
-            sub = [add[a * q + neg[b]] for a in range(q) for b in range(q)]
-            inv = [0] + [exp[(q - 1 - log[a]) % (q - 1)] for a in range(1, q)]
-            self._ADD, self._SUB, self._MUL = add, sub, mul
-            self._NEG, self._INV = neg, inv
-            self._ADD_NP = np.asarray(add, dtype=np.int32).reshape(q, q)
-            self._SUB_NP = np.asarray(sub, dtype=np.int32).reshape(q, q)
-            self._MUL_NP = np.asarray(mul, dtype=np.int32).reshape(q, q)
-            self._NEG_NP = np.asarray(neg, dtype=np.int32)
-            self._INV_NP = np.asarray(inv, dtype=np.int32)
-            self._dense = True
-        else:
-            self._dense = False
+        add = [0] * (q * q)
+        mul = [0] * (q * q)
+        for a in range(q):
+            base = a * q
+            for b in range(q):
+                add[base + b] = self._add_digits(a, b)
+                mul[base + b] = self._mul_log(a, b)
+        neg = [self._neg_digits(a) for a in range(q)]
+        sub = [add[a * q + neg[b]] for a in range(q) for b in range(q)]
+        inv = [0] + [exp[(q - 1 - log[a]) % (q - 1)] for a in range(1, q)]
+        self._ADD, self._SUB, self._MUL = add, sub, mul
+        self._NEG, self._INV = neg, inv
+        self._ADD_NP = np.asarray(add, dtype=np.int32).reshape(q, q)
+        self._SUB_NP = np.asarray(sub, dtype=np.int32).reshape(q, q)
+        self._MUL_NP = np.asarray(mul, dtype=np.int32).reshape(q, q)
+        self._NEG_NP = np.asarray(neg, dtype=np.int32)
+        self._INV_NP = np.asarray(inv, dtype=np.int32)
 
     # -- scalar operations on codes --------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self._dense:
-            return self._ADD[a * self.q + b]
-        return self._add_slow(a, b)
+        return self._ADD[a * self.q + b]
 
     def sub(self, a: int, b: int) -> int:
-        if self._dense:
-            return self._SUB[a * self.q + b]
-        return self._add_slow(a, self._neg_slow(b))
+        return self._SUB[a * self.q + b]
 
     def neg(self, a: int) -> int:
-        if self._dense:
-            return self._NEG[a]
-        return self._neg_slow(a)
+        return self._NEG[a]
 
     def mul(self, a: int, b: int) -> int:
-        if self._dense:
-            return self._MUL[a * self.q + b]
-        return self._mul_slow(a, b)
+        return self._MUL[a * self.q + b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self._dense:
-            return self._INV[a]
-        q = self.q
-        return self._exp[(q - 1 - self._log[a]) % (q - 1)]
+        return self._INV[a]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -297,57 +281,22 @@ class FieldSpec:
     # -- vectorized operations on numpy arrays of codes ------------------
 
     def arr_add(self, a, b) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int32)
-        b = np.asarray(b, dtype=np.int32)
-        if self._dense:
-            return self._ADD_NP[a, b]
-        if self.p == 2:
-            return np.bitwise_xor(a, b)
-        if self.e == 1:
-            return (a + b) % self.p
-        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int32)
-        for i in range(self.e):
-            pw = self._ppow[i]
-            out += (a // pw % self.p + b // pw % self.p) % self.p * pw
-        return out
+        return self._ADD_NP[np.asarray(a, dtype=np.int32), np.asarray(b, dtype=np.int32)]
 
     def arr_neg(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int32)
-        if self._dense:
-            return self._NEG_NP[a]
-        if self.p == 2:
-            return a.copy()
-        if self.e == 1:
-            return (self.p - a) % self.p
-        out = np.zeros(a.shape, dtype=np.int32)
-        for i in range(self.e):
-            pw = self._ppow[i]
-            out += (self.p - a // pw % self.p) % self.p * pw
-        return out
+        return self._NEG_NP[np.asarray(a, dtype=np.int32)]
 
     def arr_sub(self, a, b) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int32)
-        b = np.asarray(b, dtype=np.int32)
-        if self._dense:
-            return self._SUB_NP[a, b]
-        return self.arr_add(a, self.arr_neg(b))
+        return self._SUB_NP[np.asarray(a, dtype=np.int32), np.asarray(b, dtype=np.int32)]
 
     def arr_mul(self, a, b) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int32)
-        b = np.asarray(b, dtype=np.int32)
-        if self._dense:
-            return self._MUL_NP[a, b]
-        mask = (a == 0) | (b == 0)
-        prod = self._exp_np[(self._log_np[a] + self._log_np[b]) % (self.q - 1)]
-        return np.where(mask, 0, prod).astype(np.int32)
+        return self._MUL_NP[np.asarray(a, dtype=np.int32), np.asarray(b, dtype=np.int32)]
 
     def arr_inv(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.int32)
         if (a == 0).any():
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self._dense:
-            return self._INV_NP[a]
-        return self._exp_np[(self.q - 1 - self._log_np[a]) % (self.q - 1)]
+        return self._INV_NP[a]
 
     # -- element construction and inspection ------------------------------
 

@@ -165,47 +165,81 @@ def build_2_spread(field: FieldSpec) -> Spread:
     return Spread(field, planes)
 
 
+def _lead_shift(q: int) -> np.ndarray:
+    """Per leading position k: index minus the base-q value of a canonical
+    vector whose first nonzero coordinate (a 1) sits at position k."""
+    return np.array([(q ** (3 - k) - 1) // (q - 1) - q ** (3 - k) for k in range(4)], dtype=np.int64)
+
+
+def point_index(field: FieldSpec, V) -> np.ndarray:
+    """PG(3, q) index of the point spanned by each nonzero vector V[..., :].
+
+    The (q^4 - 1)/(q - 1) canonical points are numbered in ascending tuple
+    order: (0,0,0,1) -> 0, (0,0,1,c) -> 1 + c, (0,1,b,c) -> 1 + q + bq + c,
+    (1,a,b,c) -> 1 + q + q^2 + aq^2 + bq + c.  `point_codes` inverts it.
+    """
+    V = np.asarray(V, dtype=np.int32)
+    nonzero = V != 0
+    if not nonzero.any(axis=-1).all():
+        raise ValueError("the zero vector spans no projective point")
+    k = nonzero.argmax(axis=-1)
+    lead = np.take_along_axis(V, k[..., None], axis=-1)
+    W = field.arr_mul(field.arr_inv(lead), V).astype(np.int64)
+    q = field.q
+    return ((W[..., 0] * q + W[..., 1]) * q + W[..., 2]) * q + W[..., 3] + _lead_shift(q)[k]
+
+
+def point_codes(q: int, idx) -> np.ndarray:
+    """The canonical tuples (shape (..., 4)) of PG(3, q) point indices."""
+    idx = np.asarray(idx, dtype=np.int64)
+    k = 3 - np.searchsorted([1, 1 + q, 1 + q + q * q], idx, side="right")
+    value = idx - _lead_shift(q)[k]
+    return value[..., None] // q ** np.arange(3, -1, -1, dtype=np.int64) % q
+
+
+def span_point_index(field: FieldSpec, B1, B2) -> np.ndarray:
+    """PG(3, q) indices (shape (m, q + 1)) of the points of the m planes
+    span{B1[i], B2[i]}: <B2[i]> and <B1[i] + t*B2[i]> for every t in GF(q).
+
+    Raises ValueError when some B1[i], B2[i] are linearly dependent, since
+    one of those vectors is then zero.
+    """
+    B1 = np.asarray(B1, dtype=np.int32)
+    B2 = np.asarray(B2, dtype=np.int32)
+    t = np.arange(field.q, dtype=np.int32)
+    V = field.arr_add(B1[:, None, :], field.arr_mul(t[None, :, None], B2[:, None, :]))
+    return point_index(field, np.concatenate([B2[:, None, :], V], axis=1))
+
+
+def spread_point_index(s: Spread) -> np.ndarray:
+    """PG(3, q) indices (shape (len(s), q + 1)) of the points of every plane."""
+    B = np.array([pl.basis for pl in s.planes], dtype=np.int32).reshape(-1, 2, 4)
+    return span_point_index(s.field, B[:, 0], B[:, 1])
+
+
 def verify_spread(s: Spread) -> bool:
     """Check the three spread axioms: size q^2 + 1, pairwise trivial
     intersection, full coverage of GF(q)^4.
 
-    Each plane of rank 2 holds q^2 - 1 distinct nonzero vectors.  They are
-    enumerated plane by plane into a q^4-entry seen-mask: a vector marked
-    twice is a nontrivial intersection, and one never marked is uncovered.
+    Each plane of rank 2 holds q + 1 projective points, and q^2 + 1 planes
+    hold as many as PG(3, q) has.  So the planes form a spread exactly when
+    every point index is counted once.
     """
     field = s.field
     q = field.q
     if len(s.planes) != q * q + 1:
         return False
-    al = np.arange(q, dtype=np.int32)
-    seen = np.zeros(q**4, dtype=bool)
-    seen[0] = True
-    for pl in s.planes:
-        if small_rank(field, [pl.basis[0], pl.basis[1]]) != 2:
-            return False
-        b1 = np.asarray(pl.basis[0], dtype=np.int32)
-        b2 = np.asarray(pl.basis[1], dtype=np.int32)
-        pts = field.arr_add(
-            field.arr_mul(al[:, None, None], b1[None, None, :]),
-            field.arr_mul(al[None, :, None], b2[None, None, :]),
-        ).astype(np.int64)
-        idx = ((pts[..., 3] * q + pts[..., 2]) * q + pts[..., 1]) * q + pts[..., 0]
-        idx = idx[idx != 0]
-        if seen[idx].any():
-            return False
-        seen[idx] = True
-    return bool(seen.all())
+    if any(small_rank(field, list(pl.basis)) != 2 for pl in s.planes):
+        return False
+    counts = np.bincount(spread_point_index(s).ravel())
+    return bool((counts == 1).all())
 
 
 def projective_points(pl: Plane) -> list[ProjectivePoint]:
     """The q + 1 one-dimensional subspaces of a plane, in canonical order."""
     field = pl.field
-    b1, b2 = pl.basis
-    pts = {canonical_rep(field, b2)}
-    for t in range(field.q):
-        vec = tuple(field.add(x, field.mul(t, y)) for x, y in zip(b1, b2))
-        pts.add(canonical_rep(field, vec))
-    return [ProjectivePoint(field, codes) for codes in sorted(pts)]
+    idx = np.sort(span_point_index(field, [pl.basis[0]], [pl.basis[1]])[0])
+    return [ProjectivePoint(field, codes) for codes in point_codes(field.q, idx).tolist()]
 
 
 # -- serialization ---------------------------------------------------------

@@ -15,7 +15,6 @@ from lrc7.bounds import (
     eq2_holds,
     is_prime_power,
     length_bound_eq5,
-    phi,
     prior_length_bounds,
     singleton_like,
     wang_bound,
@@ -228,14 +227,6 @@ def test_cor1_distance_cap():
         cor1_distance_cap(9, 3, 4)
     with pytest.raises(ValueError):
         cor1_distance_cap(9, 2, 4, r=3)
-
-
-def test_phi():
-    assert phi(10) == 11
-    assert phi(8) == 8
-    assert phi(1) == 2
-    assert phi(26) == 27
-    assert phi(33) == 37
 
 
 def test_is_prime_power():

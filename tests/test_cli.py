@@ -133,6 +133,22 @@ def test_verify_missing_file(capsys):
     assert "cannot load" in stderr
 
 
+def test_construct_low_distance_cap_is_inconclusive(tmp_path, capsys):
+    # cap 5 only establishes d >= 6: reported, not failed, and d is left
+    # out of the declared parameters, so the matrix still verifies
+    out = tmp_path / "run"
+    code, stdout, _ = run_cli(capsys, "construct", "--q", "4", "--distance-cap", "5", "--out", str(out))
+    assert code == 0
+    assert stdout.startswith("(12, 4, >=6, 2)_4")
+    params = json.loads((out / "matrix.json").read_text())["params"]
+    assert params == {"n": 12, "k": 4, "r": 2}
+    code, stdout, _ = run_cli(capsys, "construct", "--q", "4", "--distance-cap", "5", "--format", "json")
+    assert code == 0
+    assert json.loads(stdout)["d"] == ">=6"
+    code, _, _ = run_cli(capsys, "verify", str(out / "matrix.json"))
+    assert code == 0
+
+
 def test_verify_with_low_distance_cap_is_inconclusive_not_wrong(capsys):
     # cap 3 only establishes d >= 4: no independence claim, declared d = 7
     # is consistent with the evidence, exit 0
@@ -244,10 +260,14 @@ def test_simulate_multi_uniform_h2(capsys):
     assert payload["success_rate"] == 1.0
 
 
-def test_simulate_bad_model(capsys):
-    code, _, stderr = run_cli(capsys, "simulate", "h1", "--trials", "10", "--failure-model", "meteor")
-    assert code == 1
-    assert "unknown failure model" in stderr
+@pytest.mark.parametrize("model", ["meteor", "multi-uniform(x)"])
+def test_simulate_bad_model(model, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "h1", "--trials", "10", "--failure-model", model])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --failure-model: unknown failure model" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])

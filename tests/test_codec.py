@@ -313,6 +313,9 @@ def test_parse_failure_model():
         parse_failure_model("multi-uniform")
     with pytest.raises(ValueError):
         parse_failure_model("bursty")
+    for spec in ("multi-uniform(x)", "multi-uniform:x", "multi-uniform()"):
+        with pytest.raises(ValueError, match="unknown failure model"):
+            parse_failure_model(spec)
 
 
 def test_single_uniform_all_local(h1_code):

@@ -1,3 +1,6 @@
+import itertools
+
+import numpy as np
 import pytest
 
 from lrc7.fields import field_create
@@ -8,6 +11,8 @@ from lrc7.spread import (
     Spread,
     build_2_spread,
     canonical_rep,
+    point_codes,
+    point_index,
     projective_points,
     spread_from_json_dict,
     spread_to_json_dict,
@@ -33,9 +38,23 @@ def test_spread_verifies_exhaustively(q, spreads):
     assert verify_spread(spreads[q])
 
 
-def test_every_nonzero_vector_in_exactly_one_plane(spreads):
-    import itertools
+@pytest.mark.parametrize("q", sorted(FIELD_ARGS))
+def test_point_index_is_a_lex_ordered_bijection(q):
+    """Index i decodes to the i-th canonical point in ascending tuple order,
+    and every nonzero vector indexes its canonical representative."""
+    field = field_create(*FIELD_ARGS[q])
+    vectors = [v for v in itertools.product(range(q), repeat=4) if any(v)]
+    canon = sorted({canonical_rep(field, v) for v in vectors})
+    n_points = (q**4 - 1) // (q - 1)
+    assert len(canon) == n_points
+    codes = point_codes(q, np.arange(n_points)).tolist()
+    assert [tuple(c) for c in codes] == canon
+    assert point_index(field, codes).tolist() == list(range(n_points))
+    got = point_codes(q, point_index(field, vectors)).tolist()
+    assert [tuple(c) for c in got] == [canonical_rep(field, v) for v in vectors]
 
+
+def test_every_nonzero_vector_in_exactly_one_plane(spreads):
     field = field_create(2, 2)
     s = spreads[4]
     hits = {}
