@@ -107,7 +107,7 @@ def _failure_model(text: str) -> str:
     return text
 
 
-def _shown_distance(d: Optional[int], cap: int):
+def _shown_distance(d: Optional[int], cap: int) -> int | str:
     """d, or '>=cap+1' when a search capped at cap found no dependency."""
     return d if d is not None else f">={cap + 1}"
 

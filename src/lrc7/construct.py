@@ -293,10 +293,10 @@ def _trim_round(family: CandidateFamily, seq: VectorSequence, i: int):
         return family, (), ()
     cur = np.array(seq.triple(i - 1), dtype=np.int32)
     old = np.array([seq.triple(j) for j in range(i - 1)], dtype=np.int32).reshape(-1, 4)
-    # the q + 1 points of every span{cur[a], old[b]}, in sorted index order
-    idx = np.unique(span_point_index(family.field, np.repeat(cur, len(old), axis=0), np.tile(old, (3, 1))))
+    spanned = np.zeros(family.owner.size, dtype=bool)
+    spanned[span_point_index(family.field, np.repeat(cur, len(old), axis=0), np.tile(old, (3, 1)))] = True
     owner = family.owner.copy()
-    gone = idx[owner[idx] >= 0]
+    gone = np.flatnonzero(spanned & (owner >= 0))  # ascending index: ascending tuples
     gone_pids = owner[gone]
     owner[gone] = -1
     codes = point_codes(family.field.q, gone).tolist()
@@ -304,11 +304,11 @@ def _trim_round(family: CandidateFamily, seq: VectorSequence, i: int):
     for pid, pt in zip(gone_pids.tolist(), codes):
         removed_by_plane.setdefault(pid, []).append(tuple(pt))
     removals = tuple(sorted((pid, tuple(pts)) for pid, pts in removed_by_plane.items()))
-    touched = np.unique(gone_pids)
     left = np.bincount(owner[owner >= 0], minlength=owner.size)  # plane ids < owner.size
-    discarded = touched[left[touched] < 3]
-    owner[np.isin(owner, discarded)] = -1
-    return CandidateFamily(family.field, owner), removals, tuple(discarded.tolist())
+    discarded = tuple(pid for pid, _ in removals if left[pid] < 3)
+    for pid in discarded:
+        owner[owner == pid] = -1
+    return CandidateFamily(family.field, owner), removals, discarded
 
 
 def trim(m: CandidateFamily, seq: VectorSequence, i: int) -> CandidateFamily:

@@ -192,7 +192,7 @@ def point_index(field: FieldSpec, V) -> np.ndarray:
 def point_codes(q: int, idx) -> np.ndarray:
     """The canonical tuples (shape (..., 4)) of PG(3, q) point indices."""
     idx = np.asarray(idx, dtype=np.int64)
-    k = 3 - np.searchsorted([1, 1 + q, 1 + q + q * q], idx, side="right")
+    k = 3 - (idx >= 1) - (idx >= 1 + q) - (idx >= 1 + q + q * q)
     value = idx - _lead_shift(q)[k]
     return value[..., None] // q ** np.arange(3, -1, -1, dtype=np.int64) % q
 
