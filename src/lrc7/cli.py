@@ -347,10 +347,11 @@ def cmd_simulate(
     try:
         M, _ = load_matrix_json(_resolve_matrix_path(matrix_path))
         code = code_from_parity_check(M)
-        stats = simulate_repairs(code, trials=trials, failure_model=failure_model, seed=seed)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    # outside the try: its ValueErrors are usage errors, which main exits 2 on
+    stats = simulate_repairs(code, trials=trials, failure_model=failure_model, seed=seed)
     summary = {"config": cfg.to_dict(), **stats.summary_dict()}
     print(json.dumps(summary, indent=2, sort_keys=True))
     if out:
@@ -376,12 +377,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--seed", type=int, default=None)
     p_con.add_argument("--out", type=str, default=None, help="directory for sequence/trace/matrix/bounds JSON")
     p_con.add_argument("--format", choices=("text", "json"), default="text")
-    p_con.add_argument("--distance-cap", type=int, default=8)
+    p_con.add_argument("--distance-cap", type=_positive_int, default=8)
 
     p_ver = sub.add_parser("verify", help="recompute parameters of a stored matrix")
     p_ver.add_argument("matrix", type=str, help="matrix JSON path, or a fixture name (h1, h2)")
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
-    p_ver.add_argument("--distance-cap", type=int, default=8)
+    p_ver.add_argument("--distance-cap", type=_positive_int, default=8)
 
     p_bnd = sub.add_parser("bounds", help="evaluate parameter bounds (grid inputs emit CSV)")
     for flag in ("n", "k", "d", "r", "q"):

@@ -25,6 +25,7 @@ from .linalg import (
     AmbiguousSystemError,
     MatrixF,
     VectorF,
+    _echelon_step,
     kernel_basis,
     matmul,
     matrix_from_json_dict,
@@ -169,30 +170,18 @@ def _dependent_at_most(field: FieldSpec, cols, w: int) -> bool:
 
     Depth-first enumeration in index order; the echelon form of the growing
     prefix is carried down the recursion, so each candidate column costs one
-    reduction.
+    `_echelon_step`.
     """
     n = len(cols)
-    sub = field.sub
-    mul = field.mul
-    inv = field.inv
 
     def rec(start: int, ech, depth: int) -> bool:
         last = depth == w - 1
         for c in range(start, n - (w - 1 - depth)):
-            vec = list(cols[c])
-            for piv, row in ech:
-                f = vec[piv]
-                if f:
-                    vec = [sub(x, mul(f, y)) for x, y in zip(vec, row)]
-            piv = next((i for i, x in enumerate(vec) if x), None)
-            if piv is None:
+            step = _echelon_step(field, cols[c], ech)
+            if step is None:
                 return True
-            if not last:
-                iv = inv(vec[piv])
-                if iv != 1:
-                    vec = [mul(iv, x) for x in vec]
-                if rec(c + 1, ech + [(piv, vec)], depth + 1):
-                    return True
+            if not last and rec(c + 1, ech + [step], depth + 1):
+                return True
         return False
 
     return rec(0, [], 0)

@@ -20,13 +20,14 @@ import json
 import random
 import warnings
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .fields import FieldSpec, field_from_header, field_header, write_json
-from .linalg import MatrixF, VectorF, small_rank, solve_columns
+from .linalg import MatrixF, VectorF, _echelon_step, small_rank, solve_columns
 from .spread import (
     ProjectivePoint,
     Spread,
@@ -354,43 +355,34 @@ def verify_conditions(seq: VectorSequence) -> ConditionReport:
         raise ValueError("sequence is empty")
     field = seq.field
     L = seq.L
-    c1_ok, c1_w = True, None
-    for i in range(L):
-        if small_rank(field, [seq.u1(i), seq.u2(i)]) != 2:
-            c1_ok, c1_w = False, i
-            break
-    c2_ok, c2_w = True, None
-    for i in range(L):
-        for j in range(i + 1, L):
-            stacked = [seq.u1(i), seq.u2(i), seq.u1(j), seq.u2(j)]
-            if small_rank(field, stacked) != 4:
-                c2_ok, c2_w = False, (i, j)
-                break
-        if not c2_ok:
-            break
-    c3_ok, c3_w = True, None
+    c1_w = next((i for i in range(L) if small_rank(field, seq.pairs[i]) != 2), None)
+    c2_w = next(
+        ((i, j) for i, j in combinations(range(L), 2) if small_rank(field, seq.pairs[i] + seq.pairs[j]) != 4),
+        None,
+    )
+    c3_w = None
     triples = [seq.triple(i) for i in range(L)]
-    for i in range(L):
-        for j in range(i + 1, L):
-            for t in range(j + 1, L):
-                for a in range(3):
-                    for b in range(3):
-                        for c in range(3):
-                            rows = [triples[i][a], triples[j][b], triples[t][c]]
-                            if small_rank(field, rows) != 3:
-                                c3_ok, c3_w = False, (i, j, t, a, b, c)
-                                break
-                        if not c3_ok:
-                            break
-                    if not c3_ok:
-                        break
-                if not c3_ok:
-                    break
-            if not c3_ok:
-                break
-        if not c3_ok:
+    for i, j in combinations(range(L), 2):
+        # echelon rows of u_a(i), u_b(j) for (a, b) in row-major order; None when dependent
+        echs = []
+        for x in triples[i]:
+            for y in triples[j]:
+                first = _echelon_step(field, x, [])
+                second = first and _echelon_step(field, y, [first])
+                echs.append(second and [first, second])
+        c3_w = next(
+            (
+                (i, j, t, *divmod(ab, 3), c)
+                for t in range(j + 1, L)
+                for ab, ech in enumerate(echs)
+                for c in range(3)
+                if ech is None or _echelon_step(field, triples[t][c], ech) is None
+            ),
+            None,
+        )
+        if c3_w is not None:
             break
-    return ConditionReport(c1_ok, c2_ok, c3_ok, c1_w, c2_w, c3_w)
+    return ConditionReport(c1_w is None, c2_w is None, c3_w is None, c1_w, c2_w, c3_w)
 
 
 # -- the full greedy run -------------------------------------------------------

@@ -249,30 +249,32 @@ def matmul(A: MatrixF, B: MatrixF) -> MatrixF:
 # -- small pure-Python eliminations (hot paths on short tuples) -----------
 
 
-def reduce_against(field: FieldSpec, vec: list[int], echelon) -> list[int]:
-    """Subtract multiples of normalized echelon rows to clear their pivots."""
-    sub = field.sub
-    mul = field.mul
-    for piv, row in echelon:
+def _echelon_step(field: FieldSpec, vec, ech):
+    """Reduce vec against echelon rows (pivot, inverse of the lead, row).
+
+    Returns vec's own row (pivot, inverse of its lead, reduced vec), or None
+    when vec lies in the span of ech.  Rows are never normalised; the step
+    reads the tables behind FieldSpec.sub/mul/inv directly.
+    """
+    q, sub, mul = field.q, field._SUB, field._MUL
+    for piv, ilead, row in ech:
         f = vec[piv]
         if f:
-            vec = [sub(x, mul(f, y)) for x, y in zip(vec, row)]
-    return vec
+            f = mul[f * q + ilead] * q
+            vec = [sub[x * q + mul[f + y]] for x, y in zip(vec, row)]
+    for piv, x in enumerate(vec):
+        if x:
+            return piv, field._INV[x], vec
+    return None
 
 
 def small_rank(field: FieldSpec, rows) -> int:
     """Rank of a short list of code tuples (pure-Python elimination)."""
-    ech: list[tuple[int, list[int]]] = []
+    ech = []
     for vec in rows:
-        vec = reduce_against(field, list(vec), ech)
-        piv = next((i for i, x in enumerate(vec) if x), None)
-        if piv is None:
-            continue
-        iv = field.inv(vec[piv])
-        if iv != 1:
-            mul = field.mul
-            vec = [mul(iv, x) for x in vec]
-        ech.append((piv, vec))
+        step = _echelon_step(field, vec, ech)
+        if step is not None:
+            ech.append(step)
     return len(ech)
 
 

@@ -106,40 +106,21 @@ class Spread:
         return f"Spread(q={self.field.q}, planes={len(self.planes)})"
 
 
-class _QuadExt:
-    """Arithmetic of GF(q^2) on packed codes a + q*b over the base field.
+def _irreducible_quadratic(field: FieldSpec) -> tuple[int, int]:
+    """(g0, g1) of the first y^2 + g1*y + g0 without a root in GF(q), g0
+    varying fastest, mirroring the base-field default modulus."""
+    q, add, mul = field.q, field.add, field.mul
+    for idx in range(q * q):
+        g0, g1 = idx % q, idx // q
+        if all(add(add(mul(t, t), mul(g1, t)), g0) for t in range(q)):
+            return g0, g1
+    raise ArithmeticError("no irreducible quadratic found")
 
-    The modulus y^2 + g1*y + g0 is the first irreducible monic quadratic in
-    the deterministic coefficient order, mirroring the base-field default.
-    """
 
-    def __init__(self, base: FieldSpec):
-        q = base.q
-        for idx in range(q * q):
-            g0, g1 = idx % q, idx // q
-            if not self._has_root(base, g0, g1):
-                self.g0, self.g1 = g0, g1
-                break
-        else:
-            raise ArithmeticError("no irreducible quadratic found")
-        self.base = base
-        self.q = q
-
-    @staticmethod
-    def _has_root(base: FieldSpec, g0: int, g1: int) -> bool:
-        for t in range(base.q):
-            if base.add(base.add(base.mul(t, t), base.mul(g1, t)), g0) == 0:
-                return True
-        return False
-
-    def mul(self, x: int, y: int) -> int:
-        F, q = self.base, self.q
-        a, b = x % q, x // q
-        c, d = y % q, y // q
-        bd = F.mul(b, d)
-        lo = F.sub(F.mul(a, c), F.mul(self.g0, bd))
-        hi = F.sub(F.add(F.mul(a, d), F.mul(b, c)), F.mul(self.g1, bd))
-        return lo + q * hi
+def _times_y(field: FieldSpec, g0: int, g1: int, x: int) -> int:
+    # y * (a + b*y) = -g0*b + (a - g1*b)*y in GF(q^2), packed as a + q*b
+    a, b = x % field.q, x // field.q
+    return field.neg(field.mul(g0, b)) + field.q * field.sub(a, field.mul(g1, b))
 
 
 def _embed(q: int, x: int, y: int) -> tuple[int, int, int, int]:
@@ -153,14 +134,13 @@ def build_2_spread(field: FieldSpec) -> Spread:
     Plane ids follow the canonical order of the q^2 + 1 projective points of
     the GF(q^2)-line: (0, 1) first, then (1, c) by ascending code of c.
     """
-    ext = _QuadExt(field)
+    g0, g1 = _irreducible_quadratic(field)
     q = field.q
-    beta = q  # the adjoined element: pair (0, 1)
     reps = [(0, 1)] + [(1, c) for c in range(q * q)]
     planes = []
     for pid, (x, y) in enumerate(reps):
         b1 = _embed(q, x, y)
-        b2 = _embed(q, ext.mul(beta, x), ext.mul(beta, y))
+        b2 = _embed(q, _times_y(field, g0, g1, x), _times_y(field, g0, g1, y))
         planes.append(Plane(field, b1, b2, pid))
     return Spread(field, planes)
 

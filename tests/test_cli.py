@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from lrc7 import cli
 from lrc7.cli import main
 from lrc7.codec import fixture_path
 from lrc7.linalg import load_matrix_json
@@ -165,6 +166,22 @@ def test_verify_with_low_distance_cap_is_inconclusive_not_wrong(capsys):
     assert payload["six_column_independence"] is True
 
 
+@pytest.mark.parametrize("argv", [["construct", "--q", "4"], ["verify", "h1"]], ids=["construct", "verify"])
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_distance_cap_below_one_is_rejected_at_parsing(argv, cap, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a usage error must stop before any construction or loading")
+
+    monkeypatch.setattr(cli, "run_algorithm1", no_work)
+    monkeypatch.setattr(cli, "load_matrix_json", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--distance-cap", cap])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --distance-cap: must be at least 1, got {cap}" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
@@ -268,6 +285,15 @@ def test_simulate_bad_model(model, capsys):
     err = capsys.readouterr().err
     assert "argument --failure-model: unknown failure model" in err
     assert "Traceback" not in err
+
+
+def test_simulate_erasing_more_than_n_is_a_usage_error(capsys):
+    # the count is checked once the matrix is loaded (h1 has n = 9)
+    code, stdout, stderr = run_cli(capsys, "simulate", "h1", "--trials", "10", "--failure-model", "multi-uniform(99)")
+    assert code == 2
+    assert stdout == ""
+    assert "error: cannot erase 99 of 9 symbols" in stderr
+    assert "Traceback" not in stderr
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])

@@ -17,7 +17,7 @@ from lrc7.construct import (
     verify_conditions,
 )
 from lrc7.fields import field_create
-from lrc7.linalg import MatrixF, columns_dependent, small_rank
+from lrc7.linalg import MatrixF, columns_dependent, rank, small_rank
 from lrc7.spread import ProjectivePoint, build_2_spread
 
 GF4 = field_create(2, 2)
@@ -223,6 +223,74 @@ def test_dependent_pair_breaks_c1():
     rep = verify_conditions(VectorSequence(GF7, pairs))
     assert not rep.c1_ok
     assert rep.c1_witness == 0
+
+
+def _conditions_by_rank(seq):
+    """First c1/c2/c3 witnesses in verify_conditions' order, each set
+    checked with the numpy elimination behind `rank`."""
+    field, L = seq.field, seq.L
+
+    def r(rows):
+        return rank(MatrixF(field, rows))
+
+    tr = [seq.triple(i) for i in range(L)]
+    c1 = next((i for i in range(L) if r([seq.u1(i), seq.u2(i)]) != 2), None)
+    c2 = next(
+        ((i, j) for i in range(L) for j in range(i + 1, L) if r([seq.u1(i), seq.u2(i), seq.u1(j), seq.u2(j)]) != 4),
+        None,
+    )
+    c3 = next(
+        (
+            (i, j, t, a, b, c)
+            for i in range(L)
+            for j in range(i + 1, L)
+            for t in range(j + 1, L)
+            for a in range(3)
+            for b in range(3)
+            for c in range(3)
+            if r([tr[i][a], tr[j][b], tr[t][c]]) != 3
+        ),
+        None,
+    )
+    return c1, c2, c3
+
+
+def _mutate(field, pairs, kind, rng):
+    """Overwrite one vector of a random pair; each kind aims at a condition."""
+    q, L = field.q, len(pairs)
+    pairs = [list(p) for p in pairs]
+    i, s = rng.randrange(L), rng.randrange(2)
+    if kind == "random":  # may be zero or land anywhere
+        vec = tuple(rng.randrange(q) for _ in range(4))
+    elif kind == "scaled-partner":  # c1
+        c = rng.randrange(q)
+        vec = tuple(field.mul(c, x) for x in pairs[i][1 - s])
+    elif kind == "copied":  # c2
+        vec = pairs[rng.randrange(L)][rng.randrange(2)]
+    else:  # "combination" of vectors from two other pairs: c3
+        j, t = rng.sample([x for x in range(L) if x != i], 2)
+        c = rng.randrange(1, q)
+        vec = tuple(field.add(x, field.mul(c, y)) for x, y in zip(pairs[j][rng.randrange(2)], pairs[t][rng.randrange(2)]))
+    pairs[i][s] = vec
+    return VectorSequence(field, pairs)
+
+
+@pytest.mark.parametrize("field", [GF4, GF5, GF7], ids=lambda f: f"q{f.q}")
+@pytest.mark.parametrize("seed", [0, 11, 2024])
+def test_verify_conditions_matches_rank_reference_on_mutations(field, seed):
+    seq, _ = run_algorithm1(field, "seeded", seed)
+    rng = random.Random(seed)
+    kinds = ("random", "scaled-partner", "copied", "combination")
+    cases = [seq] + [_mutate(field, seq.pairs, kinds[m % 4], rng) for m in range(24)]
+    failed = set()
+    for mutated in cases:
+        rep = verify_conditions(mutated)
+        c1, c2, c3 = _conditions_by_rank(mutated)
+        assert (rep.c1_ok, rep.c2_ok, rep.c3_ok) == (c1 is None, c2 is None, c3 is None)
+        assert (rep.c1_witness, rep.c2_witness, rep.c3_witness) == (c1, c2, c3)
+        failed.update(name for name, w in (("c1", c1), ("c2", c2), ("c3", c3)) if w is not None)
+    assert verify_conditions(seq).ok
+    assert failed == {"c1", "c2", "c3"}
 
 
 def test_verify_conditions_rejects_empty():
