@@ -266,7 +266,8 @@ def cmd_verify(matrix_path: str, fmt: str = "text", distance_cap: int = 8) -> in
     else:
         d_str = payload["d"]
         print(f"({n}, {k}, {d_str}, 2)_{q}  groups={len(code.groups)}")
-        print(f"six-column independence: {'yes' if six_independent else 'no'}")
+        shown_six = "unknown" if six_independent is None else "yes" if six_independent else "no"
+        print(f"six-column independence: {shown_six}")
         print(f"classification: {rep.classification}")
         if declared is not None:
             print(f"declared parameters match: {'yes' if ok else 'no'}")

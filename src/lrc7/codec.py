@@ -3,9 +3,10 @@
 An LrcCode bundles the parity-check matrix H, a kernel-derived generator G,
 the detected repair-group structure (disjoint triples, each backed by a
 weight-3 dual check), and the parameters.  On top of it sit exact minimum
-distance (subset enumeration with early exit), an independent minimum-weight
-oracle (full codeword enumeration), local and global erasure repair, and a
-seeded repair simulator.
+distance (for an LrcCode, kernels enumerated over sets of repair groups; for
+a plain matrix, column-subset enumeration with early exit), an independent
+minimum-weight oracle (full codeword enumeration), local and global erasure
+repair, and a seeded repair simulator.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -26,6 +28,7 @@ from .linalg import (
     MatrixF,
     VectorF,
     _echelon_step,
+    _rref,
     kernel_basis,
     matmul,
     matrix_from_json_dict,
@@ -161,10 +164,6 @@ def code_from_parity_check(H: MatrixF, group_spec: Optional[Sequence[Sequence[in
 # -- minimum distance ----------------------------------------------------------
 
 
-def _matrix_of(code_or_matrix: Union[LrcCode, MatrixF]) -> MatrixF:
-    return code_or_matrix.H if isinstance(code_or_matrix, LrcCode) else code_or_matrix
-
-
 def _dependent_at_most(field: FieldSpec, cols, w: int) -> bool:
     """True iff some subset of at most w columns is linearly dependent.
 
@@ -187,19 +186,71 @@ def _dependent_at_most(field: FieldSpec, cols, w: int) -> bool:
     return rec(0, [], 0)
 
 
+def _projective_points(q: int, dim: int):
+    """Coefficient rows, one per point of PG(dim - 1, q) (leading entry 1),
+    in blocks of at most 2^15 rows, so memory stays bounded at any q."""
+    chunk = 1 << 15
+    for lead in range(dim):
+        tail = dim - 1 - lead
+        for lo in range(0, q**tail, chunk):
+            idx = np.arange(lo, min(lo + chunk, q**tail))
+            block = np.zeros((idx.size, dim), dtype=np.int32)
+            block[:, lead] = 1
+            for s in range(tail):
+                block[:, dim - 1 - s] = idx // q**s % q
+            yield block
+
+
+def _group_set_distance(code: LrcCode, cap: int) -> Optional[int]:
+    """min_distance of an LrcCode, searched over sets of repair groups.
+
+    Every position has an in-group dual check, so no codeword touches a
+    group in exactly one position: a codeword touching m groups has weight
+    at least 2m and lies in the kernel of H restricted to their columns.
+    Once every m-set's kernel is enumerated (one vector per projective
+    point; scaling keeps the weight), every codeword not yet seen touches
+    more than m groups and so has weight at least 2m + 2: the least weight
+    seen is d as soon as it is at most 2m + 2.
+    """
+    field, H, L = code.field, code.H.array, len(code.groups)
+    best = code.n + 1
+    for m in range(1, L + 1):
+        for T in combinations(code.groups, m):
+            cols = [j for g in T for j in g]
+            R, pivots = _rref(field, H[:, cols])
+            free = [j for j in range(len(cols)) if j not in pivots]
+            if not free:
+                continue
+            basis = np.zeros((len(free), len(cols)), dtype=np.int32)
+            basis[np.arange(len(free)), free] = 1
+            basis[:, pivots] = field.arr_neg(R[: len(pivots)][:, free].T)
+            for coeffs in _projective_points(field.q, len(free)):
+                words = np.zeros((coeffs.shape[0], len(cols)), dtype=np.int32)
+                for r, row in enumerate(basis):
+                    words = field.arr_add(words, field.arr_mul(coeffs[:, r : r + 1], row[None, :]))
+                best = min(best, int(np.count_nonzero(words, axis=1).min()))
+        if best <= 2 * m + 2 or m == L:
+            return best if best <= cap else None
+        if 2 * m + 1 >= cap:
+            return None
+
+
 def min_distance(code: Union[LrcCode, MatrixF], cap: int = 8) -> Optional[int]:
     """Exact minimum distance, i.e. the smallest number of linearly
     dependent parity-check columns, searched up to ``cap``.
 
     Returns None when every subset of at most ``cap`` columns is
-    independent (distance >= cap + 1).
+    independent (distance >= cap + 1).  An LrcCode is searched over sets of
+    its repair groups (`_group_set_distance`); a plain matrix, which has no
+    groups, by depth-first enumeration of column subsets.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    H = _matrix_of(code)
-    field = H.field
-    cols = [tuple(int(x) for x in H.array[:, j]) for j in range(H.cols)]
-    for w in range(1, min(cap, H.cols) + 1):
+    if isinstance(code, LrcCode):
+        return _group_set_distance(code, cap)
+    field = code.field
+    cols = [tuple(int(x) for x in code.array[:, j]) for j in range(code.cols)]
+    for w in range(1, min(cap, code.cols) + 1):
         if _dependent_at_most(field, cols, w):
             return w
     return None

@@ -166,6 +166,14 @@ def test_verify_with_low_distance_cap_is_inconclusive_not_wrong(capsys):
     assert payload["six_column_independence"] is True
 
 
+def test_verify_text_reports_inconclusive_independence_as_unknown(capsys):
+    code, stdout, _ = run_cli(capsys, "verify", "h1", "--distance-cap", "3")
+    assert code == 0
+    assert stdout.splitlines()[:2] == ["(9, 2, >=4, 2)_4  groups=3", "six-column independence: unknown"]
+    code, stdout, _ = run_cli(capsys, "verify", "h1", "--distance-cap", "6")
+    assert "six-column independence: yes" in stdout.splitlines()
+
+
 @pytest.mark.parametrize("argv", [["construct", "--q", "4"], ["verify", "h1"]], ids=["construct", "verify"])
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_distance_cap_below_one_is_rejected_at_parsing(argv, cap, capsys, monkeypatch):

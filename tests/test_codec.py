@@ -1,4 +1,6 @@
+import functools
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from lrc7.codec import (
     simulate_repairs,
     wilson_interval,
 )
+from lrc7.construct import VectorSequence, assemble_parity_check, run_algorithm1
 from lrc7.fields import field_create
 from lrc7.linalg import MatrixF, VectorF, kernel_basis, matmul, rank
 
@@ -78,7 +81,7 @@ def test_group_detection_failure():
 
 
 def test_group_spec_path(h1_code):
-    # strip the indicator rows; the groups must then be supplied explicitly
+    # groups supplied explicitly: their checks come from G, not from H's rows
     f = h1_code.field
     H, _ = load_fixture("h1")
     code = code_from_parity_check(H, group_spec=[(0, 1, 2), (3, 4, 5), (6, 7, 8)])
@@ -103,6 +106,15 @@ def test_h1_distance_and_oracle(h1_code):
 
 def test_h2_distance(h2_code):
     assert min_distance(h2_code) == 7
+
+
+def test_group_spec_code_distance_matches_dfs_and_oracle():
+    H, _ = load_fixture("h1")
+    code = code_from_parity_check(H, group_spec=[(6, 7, 8), (0, 1, 2), (3, 4, 5)])
+    assert code.groups == ((6, 7, 8), (0, 1, 2), (3, 4, 5))
+    for cap in (6, 7, 9):
+        assert min_distance(code, cap) == min_distance(H, cap)
+    assert min_distance(code) == min_weight_oracle(code) == 7
 
 
 def test_distance_cap_reporting(h1_code):
@@ -168,6 +180,64 @@ def test_oracle_on_random_small_codes():
         d_oracle = min_weight_oracle(H)
         assert d_subset == d_oracle
         done += 1
+
+
+@pytest.mark.parametrize("q, dim", [(2, 1), (3, 3), (4, 4), (16, 5)])
+def test_projective_points_are_one_per_point(q, dim):
+    from lrc7.codec import _projective_points
+
+    blocks = list(_projective_points(q, dim))
+    assert max(len(b) for b in blocks) <= 1 << 15  # q = 16, dim = 5 needs two blocks
+    rows = np.concatenate(blocks)
+    assert len(rows) == (q**dim - 1) // (q - 1)
+    assert len({tuple(r) for r in rows}) == len(rows)
+    leads = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    assert (leads == 1).all()  # normalised, so distinct rows are distinct points
+
+
+# The group-set search (min_distance on an LrcCode) against the column-subset
+# DFS (min_distance on its H), which shares no code with it.  Corpus: the
+# seeded constructor output at each q truncated to 3..6 pairs, each with one
+# copy whose random pair vector is replaced by a random vector; and codes
+# whose H is the group indicators over 6 random rows, which reach d = 8 and 9
+# with 5 groups, so the search runs past the 3-group sets (after the m-group
+# sets it settles any d <= 2m + 2).
+_CROSS_CHECK_FIELDS = {4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
+_CROSS_CHECK_SEED = 6  # at q = 9, its first 3 pairs give d = 8
+# q = 7, seed 5: d = 8, yet every codeword inside 3 groups has weight 9
+_RANDOM_ROW_SEEDS = {5: (7, 8, 9), 7: (5, 7, 8, 9)}
+
+
+@functools.lru_cache(maxsize=None)
+def _cross_check_codes(q):
+    field = field_create(*_CROSS_CHECK_FIELDS[q])
+    seq, _ = run_algorithm1(field, "seeded", _CROSS_CHECK_SEED)
+    rng = random.Random(_CROSS_CHECK_SEED)
+    codes = []
+    for L in range(3, min(6, seq.L) + 1):
+        pairs = [list(p) for p in seq.pairs[:L]]
+        codes.append(code_from_parity_check(assemble_parity_check(VectorSequence(field, pairs), check=False)))
+        pairs[rng.randrange(L)][rng.randrange(2)] = tuple(rng.randrange(q) for _ in range(4))
+        codes.append(code_from_parity_check(assemble_parity_check(VectorSequence(field, pairs), check=False)))
+    for row_seed in _RANDOM_ROW_SEEDS.get(q, ()):
+        rows = np.random.default_rng(row_seed).integers(0, q, size=(6, 15))
+        H = np.concatenate([np.kron(np.eye(5, dtype=np.int32), np.ones((1, 3), dtype=np.int32)), rows])
+        codes.append(code_from_parity_check(MatrixF(field, H)))
+    return codes
+
+
+@pytest.mark.parametrize("q", sorted(_CROSS_CHECK_FIELDS))
+def test_group_set_distance_matches_dfs(q):
+    for code in _cross_check_codes(q):
+        for cap in [*range(1, 10), code.n]:
+            assert min_distance(code, cap) == min_distance(code.H, cap), (code, cap)
+
+
+def test_group_set_cross_check_corpus_reaches_every_exit():
+    found = [(min_distance(code, code.n), len(code.groups)) for q in _CROSS_CHECK_FIELDS for code in _cross_check_codes(q)]
+    assert any(d <= 6 for d, _ in found)  # settled by the 2-group sets or earlier
+    assert (8, 3) in found  # settled by the whole code
+    assert any(d >= 9 and L >= 5 for d, L in found)  # settled by the 4-group sets or later
 
 
 def test_oracle_budget():
