@@ -197,7 +197,7 @@ def cmd_construct(
             print(json.dumps(payload, indent=2, sort_keys=True))
         else:
             print(f"({n}, {k}, {shown}, 2)_{q}  L={seq.L}  policy={policy}" + (f" seed={seed}" if seed is not None else ""))
-            print(f"classification: {rep.classification}")
+            print(f"classification: {rep.classification or '-'}")
             print(f"attains dimension bound: {'yes' if attained else 'no'}")
         params = {"n": n, "k": k, "r": 2} if d is None else {"n": n, "k": k, "d": d, "r": 2}
         artifacts["matrix.json"] = matrix_to_json_dict(H, {"params": params})
@@ -268,7 +268,7 @@ def cmd_verify(matrix_path: str, fmt: str = "text", distance_cap: int = 8) -> in
         print(f"({n}, {k}, {d_str}, 2)_{q}  groups={len(code.groups)}")
         shown_six = "unknown" if six_independent is None else "yes" if six_independent else "no"
         print(f"six-column independence: {shown_six}")
-        print(f"classification: {rep.classification}")
+        print(f"classification: {rep.classification or '-'}")
         if declared is not None:
             print(f"declared parameters match: {'yes' if ok else 'no'}")
     if not ok:

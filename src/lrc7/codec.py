@@ -28,6 +28,7 @@ from .linalg import (
     MatrixF,
     VectorF,
     _echelon_step,
+    _matmul_codes,
     _rref,
     kernel_basis,
     matmul,
@@ -305,11 +306,7 @@ def encode(code: LrcCode, msg) -> VectorF:
     codes = msg.codes if isinstance(msg, VectorF) else tuple(field.element(x).code for x in msg)
     if len(codes) != code.k:
         raise ValueError(f"message length {len(codes)} != k = {code.k}")
-    acc = np.zeros(code.n, dtype=np.int32)
-    for t, c in enumerate(codes):
-        if c:
-            acc = field.arr_add(acc, field.arr_mul(c, code.G.array[t]))
-    return VectorF(field, acc)
+    return VectorF(field, _matmul_codes(field, np.array([codes], dtype=np.int32), code.G.array)[0])
 
 
 Received = Sequence[Union[FieldElement, int, None]]
@@ -322,6 +319,26 @@ def _received_codes(field: FieldSpec, word: Received) -> list[Optional[int]]:
     return out
 
 
+def _local_rule(code: LrcCode, pos: int, erased) -> tuple[int, list[tuple[int, int]]]:
+    """The first check of pos's group that is nonzero at pos and reads no
+    erased position: (its coefficient at pos, [(helper, coefficient)]).
+
+    Raises LocalRepairError when every such check needs an erased partner.
+    """
+    gi = code.group_index_of(pos)
+    group = code.groups[gi]
+    slot = group.index(pos)
+    for check in code._group_checks[gi]:
+        if check[slot] == 0:
+            continue
+        helpers = [(j, check[s]) for s, j in enumerate(group) if s != slot and check[s]]
+        if not any(j in erased for j, _ in helpers):
+            return check[slot], helpers
+    raise LocalRepairError(
+        f"position {pos}: a group partner is also erased; use repair_global"
+    )
+
+
 def _repair_local_info(code: LrcCode, word: Received, pos: int) -> tuple[int, int]:
     """(repaired code, helpers read); raises LocalRepairError on partner loss."""
     field = code.field
@@ -330,23 +347,11 @@ def _repair_local_info(code: LrcCode, word: Received, pos: int) -> tuple[int, in
         raise ValueError(f"word length {len(codes)} != n = {code.n}")
     if codes[pos] is not None:
         raise ValueError(f"position {pos} is not erased")
-    gi = code.group_index_of(pos)
-    group = code.groups[gi]
-    slot = group.index(pos)
-    for check in code._group_checks[gi]:
-        if check[slot] == 0:
-            continue
-        helpers = [(j, check[s]) for s, j in enumerate(group) if s != slot and check[s]]
-        if any(codes[j] is None for j, _ in helpers):
-            continue
-        acc = 0
-        for j, coeff in helpers:
-            acc = field.add(acc, field.mul(coeff, codes[j]))
-        value = field.div(field.neg(acc), check[slot])
-        return value, len(helpers)
-    raise LocalRepairError(
-        f"position {pos}: a group partner is also erased; use repair_global"
-    )
+    lead, helpers = _local_rule(code, pos, {j for j, c in enumerate(codes) if c is None})
+    acc = 0
+    for j, coeff in helpers:
+        acc = field.add(acc, field.mul(coeff, codes[j]))
+    return field.div(field.neg(acc), lead), len(helpers)
 
 
 def repair_local(code: LrcCode, word: Received, pos: int) -> FieldElement:
@@ -374,19 +379,16 @@ def repair_global(code: LrcCode, word: Received) -> VectorF:
     if not erased:
         return VectorF(field, codes)
     H = code.H.array
-    syndrome = np.zeros(code.H.rows, dtype=np.int32)
-    for j, c in enumerate(codes):
-        if c:
-            syndrome = field.arr_add(syndrome, field.arr_mul(c, H[:, j]))
-    rhs = field.arr_neg(syndrome)
+    received = np.array([[c or 0 for c in codes]], dtype=np.int32)
+    syndrome = _matmul_codes(field, received, H.T)
     try:
-        x = solve_columns(field, H[:, erased], rhs)
+        x = solve_columns(field, H[:, erased], field.arr_neg(syndrome.T))
     except AmbiguousSystemError as exc:
         raise UnrecoverableErasureError(
             f"{len(erased)} erasures do not determine the codeword uniquely"
         ) from exc
     for idx, j in enumerate(erased):
-        codes[j] = int(x[idx])
+        codes[j] = int(x[idx, 0])
     return VectorF(field, codes)
 
 
@@ -494,6 +496,12 @@ def simulate_repairs(code: LrcCode, trials: int, failure_model: str, seed: int =
     A trial is repaired locally when every touched group has exactly one
     erasure; otherwise one global repair covers the whole pattern.  All
     randomness derives from the seed, one child stream per trial.
+
+    The messages are encoded in one product through G.  Each distinct
+    erasure pattern's repair rule is derived once (a group check per erased
+    position, or one elimination of H over the erased columns against the
+    syndromes of all its trials) and every trial's repaired symbols are
+    compared with its own codeword.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -502,59 +510,68 @@ def simulate_repairs(code: LrcCode, trials: int, failure_model: str, seed: int =
     n, k, q = code.n, code.k, field.q
     if kind == "multi-uniform" and f > n:
         raise ValueError(f"cannot erase {f} of {n} symbols")
-    root = np.random.SeedSequence(seed)
-    records = []
-    successes = local_trials = erased_symbols = local_symbols = helpers_total = 0
-    for t, child in enumerate(root.spawn(trials)):
+    msgs = np.empty((trials, k), dtype=np.int32)
+    erasures = []
+    patterns: dict[tuple[int, ...], list[int]] = {}
+    for t, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
         rng = np.random.default_rng(child)
-        msg = rng.integers(0, q, size=k)
-        codeword = encode(code, [int(x) for x in msg])
+        msgs[t] = rng.integers(0, q, size=k)
         if kind == "single-uniform":
-            erased = [int(rng.integers(0, n))]
+            erased = (int(rng.integers(0, n)),)
         elif kind == "multi-uniform":
-            erased = sorted(int(x) for x in rng.choice(n, size=f, replace=False))
+            erased = tuple(sorted(int(x) for x in rng.choice(n, size=f, replace=False)))
         else:
-            g = int(rng.integers(0, len(code.groups)))
-            erased = list(code.groups[g])
-        word: list[Optional[int]] = list(codeword.codes)
+            erased = code.groups[int(rng.integers(0, len(code.groups)))]
+        erasures.append(erased)
+        patterns.setdefault(erased, []).append(t)
+    words = _matmul_codes(field, msgs, code.G.array)
+
+    ok = np.zeros(trials, dtype=bool)
+    local = np.zeros(trials, dtype=bool)
+    helpers = np.zeros(trials, dtype=np.int64)
+    received = words.copy()  # erased symbols read as 0 in the syndromes
+    global_patterns = []
+    for erased, rows in patterns.items():
+        rows = np.array(rows)
+        if len({code.group_index_of(j) for j in erased}) < len(erased):
+            received[rows[:, None], list(erased)] = 0
+            global_patterns.append((list(erased), rows))
+            continue
+        good = np.ones(rows.size, dtype=bool)
         for j in erased:
-            word[j] = None
-        per_group: dict[int, int] = {}
-        for j in erased:
-            gi = code.group_index_of(j)
-            per_group[gi] = per_group.get(gi, 0) + 1
-        all_single = all(c == 1 for c in per_group.values())
-        if all_single:
-            mode = "local"
-            helpers = 0
-            ok = True
-            for j in erased:
-                value, h = _repair_local_info(code, word, j)
-                helpers += h
-                if value != codeword.codes[j]:
-                    ok = False
-            local_trials += 1
-            local_symbols += len(erased)
-        else:
-            mode = "global"
-            helpers = n - len(erased)
-            try:
-                repaired = repair_global(code, word)
-                ok = repaired == codeword
-            except UnrecoverableErasureError:
-                ok = False
-        successes += ok
-        erased_symbols += len(erased)
-        helpers_total += helpers
-        records.append(TrialRecord(t, tuple(erased), mode, bool(ok), helpers))
+            lead, rule = _local_rule(code, j, erased)
+            acc = np.zeros(rows.size, dtype=np.int32)
+            for h, coeff in rule:
+                acc = field.arr_add(acc, field.arr_mul(coeff, words[rows, h]))
+            good &= field.arr_mul(field.arr_neg(acc), field.inv(lead)) == words[rows, j]
+            helpers[rows] += len(rule)
+        ok[rows] = good
+        local[rows] = True
+
+    H = code.H.array
+    if global_patterns:  # the syndromes of every trial in one product
+        rhs = field.arr_neg(_matmul_codes(field, received, H.T))
+    for cols, rows in global_patterns:
+        helpers[rows] = n - len(cols)
+        try:
+            x = solve_columns(field, H[:, cols], rhs[rows].T)
+        except AmbiguousSystemError:
+            continue  # the pattern does not determine the codeword: every trial fails
+        ok[rows] = (x.T == words[rows][:, cols]).all(axis=1)
+
+    records = tuple(
+        TrialRecord(t, erased, "local" if is_local else "global", good, h)
+        for t, (erased, is_local, good, h) in enumerate(zip(erasures, local.tolist(), ok.tolist(), helpers.tolist()))
+    )
+    sizes = np.array([len(e) for e in erasures])
     return RepairStats(
         trials=trials,
-        successes=successes,
-        local_trials=local_trials,
-        erased_symbols=erased_symbols,
-        locally_repaired_symbols=local_symbols,
-        helpers_total=helpers_total,
-        records=tuple(records),
+        successes=int(ok.sum()),
+        local_trials=int(local.sum()),
+        erased_symbols=int(sizes.sum()),
+        locally_repaired_symbols=int(sizes[local].sum()),
+        helpers_total=int(helpers.sum()),
+        records=records,
     )
 
 

@@ -119,15 +119,6 @@ class MatrixF:
     def cols(self) -> int:
         return self.array.shape[1]
 
-    def entry(self, i: int, j: int) -> FieldElement:
-        return FieldElement(self.field, int(self.array[i, j]))
-
-    def row(self, i: int) -> VectorF:
-        return VectorF(self.field, self.array[i])
-
-    def col(self, j: int) -> VectorF:
-        return VectorF(self.field, self.array[:, j])
-
     def transpose(self) -> "MatrixF":
         return MatrixF(self.field, self.array.T.copy())
 
@@ -213,24 +204,31 @@ def columns_dependent(M: MatrixF, subset: Sequence[int]) -> bool:
 
 
 def solve_columns(field: FieldSpec, arr: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve arr @ x = rhs for the unique x (codes).
+    """Solve arr @ X = rhs for the unique X (codes), one column of X per
+    column of a 2-D rhs (a 1-D rhs gives a 1-D x).
 
-    Raises InconsistentSystemError when no solution exists and
-    AmbiguousSystemError when the solution is not unique.
+    Raises InconsistentSystemError when some column has no solution and
+    AmbiguousSystemError when the solutions are not unique.
     """
     arr = np.asarray(arr, dtype=np.int32)
     rhs = np.asarray(rhs, dtype=np.int32)
     ncols = arr.shape[1]
-    aug = np.concatenate([arr, rhs[:, None]], axis=1)
-    R, pivots = _rref(field, aug)
-    if ncols in pivots:
+    R, pivots = _rref(field, np.concatenate([arr, rhs.reshape(arr.shape[0], -1)], axis=1))
+    if pivots and pivots[-1] >= ncols:
         raise InconsistentSystemError("no solution")
     if len(pivots) < ncols:
         raise AmbiguousSystemError("solution is not unique")
-    x = np.zeros(ncols, dtype=np.int32)
-    for i, c in enumerate(pivots):
-        x[c] = R[i, ncols]
-    return x
+    # full column rank: the pivots are columns 0..ncols-1, in order
+    X = R[:ncols, ncols:]
+    return X if rhs.ndim == 2 else X[:, 0]
+
+
+def _matmul_codes(field: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B over the field on raw code arrays, one table lookup per inner index."""
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int32)
+    for t in range(A.shape[1]):
+        out = field.arr_add(out, field.arr_mul(A[:, t][:, None], B[t][None, :]))
+    return out
 
 
 def matmul(A: MatrixF, B: MatrixF) -> MatrixF:
@@ -239,11 +237,7 @@ def matmul(A: MatrixF, B: MatrixF) -> MatrixF:
         raise ValueError("operands belong to different fields")
     if A.cols != B.rows:
         raise ValueError("inner dimensions do not match")
-    field = A.field
-    out = np.zeros((A.rows, B.cols), dtype=np.int32)
-    for t in range(A.cols):
-        out = field.arr_add(out, field.arr_mul(A.array[:, t][:, None], B.array[t][None, :]))
-    return MatrixF(field, out)
+    return MatrixF(A.field, _matmul_codes(A.field, A.array, B.array))
 
 
 # -- small pure-Python eliminations (hot paths on short tuples) -----------

@@ -10,12 +10,9 @@ GF(q^2)-subspaces as a GF(q)-plane.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 
-from .fields import FieldSpec, field_from_header, field_header, write_json
+from .fields import FieldSpec, field_from_header, field_header
 from .linalg import small_rank
 
 
@@ -237,11 +234,3 @@ def spread_from_json_dict(d: dict) -> Spread:
     field = field_from_header(d)
     planes = [Plane(field, b1, b2, pid) for pid, (b1, b2) in enumerate(d["planes"])]
     return Spread(field, planes)
-
-
-def save_spread_json(path, s: Spread) -> None:
-    write_json(path, spread_to_json_dict(s))
-
-
-def load_spread_json(path) -> Spread:
-    return spread_from_json_dict(json.loads(Path(path).read_text()))

@@ -174,6 +174,22 @@ def test_verify_text_reports_inconclusive_independence_as_unknown(capsys):
     assert "six-column independence: yes" in stdout.splitlines()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["construct", "--q", "4", "--distance-cap", "5"], ["verify", "h1", "--distance-cap", "3"]],
+    ids=["construct", "verify"],
+)
+def test_text_output_shows_missing_classification_as_dash(argv, capsys):
+    # without d the bounds report has no classification; JSON gives null
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "classification: -" in stdout.splitlines()
+    assert "None" not in stdout
+    code, stdout, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(stdout)["classification"] is None
+
+
 @pytest.mark.parametrize("argv", [["construct", "--q", "4"], ["verify", "h1"]], ids=["construct", "verify"])
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_distance_cap_below_one_is_rejected_at_parsing(argv, cap, capsys, monkeypatch):

@@ -11,6 +11,8 @@ from lrc7.codec import (
     GroupDetectionError,
     LocalRepairError,
     LrcCode,
+    RepairStats,
+    TrialRecord,
     UnrecoverableErasureError,
     code_from_parity_check,
     encode,
@@ -439,6 +441,109 @@ def test_simulator_mixed_pattern_routing(h1_code):
             assert rec.mode == "local" and rec.helpers == 4
         else:
             assert rec.mode == "global" and rec.helpers == 7
+
+
+# simulate_repairs against a per-trial reference built only from the public
+# encode, repair_local and repair_global, on the same child streams.  Corpus:
+# h1 with its groups given out of order, h2, a seeded q = 5 constructor output,
+# and h2 with one more check, weight 2 inside group 0, so that group has two
+# local checks (each reading one helper).
+_SIM_SEEDS = {"h1-spec": 21, "h2": 22, "q5": 23, "h2-two-checks": 24}
+_SIM_MODELS = ("single-uniform", "group-burst", "multi-uniform(2)", "multi-uniform(6)")
+
+
+@functools.lru_cache(maxsize=None)
+def _sim_code(name):
+    if name == "q5":
+        seq, _ = run_algorithm1(field_create(5), "seeded", _SIM_SEEDS[name])
+        return code_from_parity_check(assemble_parity_check(seq))
+    H, _ = load_fixture("h1" if name == "h1-spec" else "h2")
+    if name == "h1-spec":
+        return code_from_parity_check(H, group_spec=[(6, 7, 8), (0, 1, 2), (3, 4, 5)])
+    if name == "h2":
+        return code_from_parity_check(H)
+    extra = np.zeros((1, H.cols), dtype=np.int32)
+    extra[0, :2] = (4, 1)
+    groups = [tuple(range(i, i + 3)) for i in range(0, H.cols, 3)]
+    return code_from_parity_check(MatrixF(H.field, np.vstack([H.array, extra])), group_spec=groups)
+
+
+def _symbols_read(code, word, pos, value):
+    """Group partners of pos whose value changes repair_local's result."""
+    f = code.field
+    count = 0
+    for j in code.groups[code.group_index_of(pos)]:
+        if word[j] is not None and j != pos:
+            moved = list(word)
+            moved[j] = f.add(word[j], 1)
+            count += repair_local(code, moved, pos) != value
+    return count
+
+
+def _reference_simulation(code, trials, failure_model, seed):
+    kind, f = parse_failure_model(failure_model)
+    n, k, q = code.n, code.k, code.field.q
+    records = []
+    for t, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        rng = np.random.default_rng(child)
+        codeword = encode(code, [int(x) for x in rng.integers(0, q, size=k)])
+        if kind == "single-uniform":
+            erased = (int(rng.integers(0, n)),)
+        elif kind == "multi-uniform":
+            erased = tuple(sorted(int(x) for x in rng.choice(n, size=f, replace=False)))
+        else:
+            erased = tuple(code.groups[int(rng.integers(0, len(code.groups)))])
+        word = [None if j in erased else c for j, c in enumerate(codeword.codes)]
+        if len({code.group_index_of(j) for j in erased}) == len(erased):
+            ok, helpers = True, 0
+            for j in erased:
+                value = repair_local(code, word, j)
+                ok &= value.code == codeword.codes[j]
+                helpers += _symbols_read(code, word, j, value)
+            records.append(TrialRecord(t, erased, "local", ok, helpers))
+        else:
+            try:
+                ok = repair_global(code, word) == codeword
+            except UnrecoverableErasureError:
+                ok = False
+            records.append(TrialRecord(t, erased, "global", ok, n - len(erased)))
+    local = [r for r in records if r.mode == "local"]
+    return RepairStats(
+        trials=trials,
+        successes=sum(r.success for r in records),
+        local_trials=len(local),
+        erased_symbols=sum(len(r.erased) for r in records),
+        locally_repaired_symbols=sum(len(r.erased) for r in local),
+        helpers_total=sum(r.helpers for r in records),
+        records=tuple(records),
+    )
+
+
+_SIM_CASES = [(name, model) for name in _SIM_SEEDS for model in _SIM_MODELS]
+_SIM_CASES += [("h2", "multi-uniform(7)"), ("h2", "multi-uniform(9)")]
+
+
+@functools.lru_cache(maxsize=None)
+def _simulated(name, model):
+    code = _sim_code(name)
+    seed = _SIM_SEEDS[name]
+    return simulate_repairs(code, 120, model, seed), _reference_simulation(code, 120, model, seed)
+
+
+@pytest.mark.parametrize("name, model", _SIM_CASES)
+def test_simulator_matches_per_trial_reference(name, model):
+    fast, slow = _simulated(name, model)
+    assert fast == slow
+    assert fast.records == slow.records
+
+
+def test_simulator_reference_corpus_covers_every_path():
+    stats = [_simulated(name, model)[0] for name, model in _SIM_CASES]
+    assert any(s.successes < s.trials for s in stats)  # some pattern cannot be repaired
+    records = [r for s in stats for r in s.records]
+    assert any(r.mode == "local" and r.helpers < 2 * len(r.erased) for r in records)  # a weight-2 check
+    assert any(r.mode == "local" and len(r.erased) > 1 for r in records)
+    assert any(r.mode == "global" and r.success for r in records)
 
 
 def test_wilson_interval_basics():
