@@ -165,7 +165,11 @@ def cmd_construct(
     artifacts = {"sequence.json": seq.to_json_dict(), "trace.json": trace.to_json_dict()}
     if seq.L < 3:
         # short runs happen only without the q >= 4 guarantee; report and stop
-        print(f"construction stopped after L = {seq.L} < 3 rounds; no code assembled")
+        message = f"construction stopped after L = {seq.L} < 3 rounds; no code assembled"
+        if fmt == "json":
+            print(json.dumps({"config": cfg.to_dict(), "q": q, "L": seq.L, "message": message}, indent=2, sort_keys=True))
+        else:
+            print(message)
     else:
         report = verify_conditions(seq)
         if not report.ok:

@@ -3,8 +3,9 @@
 An LrcCode bundles the parity-check matrix H, a kernel-derived generator G,
 the detected repair-group structure (disjoint triples, each backed by a
 weight-3 dual check), and the parameters.  On top of it sit exact minimum
-distance (for an LrcCode, kernels enumerated over sets of repair groups; for
-a plain matrix, column-subset enumeration with early exit), an independent
+distance (for an LrcCode, d = 7 read from the pair-span table when it
+applies, else kernels enumerated over sets of repair groups; for a plain
+matrix, column-subset enumeration with early exit), an independent
 minimum-weight oracle (full codeword enumeration), local and global erasure
 repair, and a seeded repair simulator.
 """
@@ -22,6 +23,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .bounds import CodeParams
+from .construct import PairSpanTable, VectorSequence
 from .fields import FieldElement, FieldSpec
 from .linalg import (
     AmbiguousSystemError,
@@ -236,18 +238,51 @@ def _group_set_distance(code: LrcCode, cap: int) -> Optional[int]:
             return None
 
 
+def _weight7_witness(code: LrcCode) -> Optional[np.ndarray]:
+    """A weight-7 codeword that, with the three sequence conditions, proves
+    d = 7, read from the pair-span table (`construct.PairSpanTable`).
+
+    Applies when H is L group indicator rows (`_detect_groups`) plus exactly
+    four rows h: on group (g0, g1, g2) a codeword is (a, b, -(a + b)) and its
+    image a*u1 + b*u2 with u1 = h(g0) - h(g2), u2 = h(g1) - h(g2), so the code
+    is the block code of those pairs.  None when H has another shape, a
+    condition fails (d <= 6) or no weight-7 codeword exists (d >= 8).
+    """
+    try:
+        groups, _ = _detect_groups(code.H)
+    except GroupDetectionError:
+        return None
+    if code.H.rows != len(groups) + 4:
+        return None
+    field, h = code.field, code.H.array[len(groups) :]
+    pairs = [(field.arr_sub(h[:, g0], h[:, g2]), field.arr_sub(h[:, g1], h[:, g2])) for g0, g1, g2 in groups]
+    table = PairSpanTable.of(VectorSequence(field, pairs))
+    parts = table.weight7_parts() if table.conditions().ok else None
+    if parts is None:
+        return None
+    word = np.zeros(code.n, dtype=np.int32)
+    for g, (a, b) in parts.items():
+        word[list(groups[g])] = (a, b, field.neg(field.add(a, b)))
+    return word
+
+
 def min_distance(code: Union[LrcCode, MatrixF], cap: int = 8) -> Optional[int]:
     """Exact minimum distance, i.e. the smallest number of linearly
     dependent parity-check columns, searched up to ``cap``.
 
     Returns None when every subset of at most ``cap`` columns is
-    independent (distance >= cap + 1).  An LrcCode is searched over sets of
-    its repair groups (`_group_set_distance`); a plain matrix, which has no
-    groups, by depth-first enumeration of column subsets.
+    independent (distance >= cap + 1).  An LrcCode whose H is a pair
+    sequence's block code, with the three conditions holding and a weight-7
+    codeword on the pair-span table, has d = 7 (`_weight7_witness`); any
+    other LrcCode is searched over sets of its repair groups
+    (`_group_set_distance`); a plain matrix, which has no groups, by
+    depth-first enumeration of column subsets.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     if isinstance(code, LrcCode):
+        if _weight7_witness(code) is not None:
+            return 7 if cap >= 7 else None
         return _group_set_distance(code, cap)
     field = code.field
     cols = [tuple(int(x) for x in code.array[:, j]) for j in range(code.cols)]

@@ -11,7 +11,8 @@ family is empty.
 The resulting pairs (u1, u2) satisfy three conditions that make the
 assembled block parity-check matrix a distance >= 7, locality 2 code:
 each pair is independent, distinct pairs span complementary planes, and
-every cross-pair triple of representatives has rank 3.
+every cross-pair triple of representatives has rank 3.  `verify_conditions`
+reads them from the PG(3, q) points of a `PairSpanTable`.
 """
 
 from __future__ import annotations
@@ -20,20 +21,20 @@ import json
 import random
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .fields import FieldSpec, field_from_header, field_header, write_json
-from .linalg import MatrixF, VectorF, _echelon_step, small_rank, solve_columns
+from .linalg import MatrixF, VectorF, solve_columns
 from .spread import (
     ProjectivePoint,
     Spread,
     build_2_spread,
     canonical_rep,
     point_codes,
+    point_index,
     span_point_index,
     spread_point_index,
 )
@@ -329,12 +330,14 @@ def trim(m: CandidateFamily, seq: VectorSequence, i: int) -> CandidateFamily:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Brute-force verdict on the three sequence conditions.
+    """Verdict on the three sequence conditions, read from the pair-span table.
 
     c1: each pair (u1, u2) is linearly independent.
     c2: distinct pairs span planes meeting only in 0 (stacked rank 4).
     c3: every cross-pair triple u_a(i), u_b(j), u_c(t) has rank 3.
-    Witnesses are 0-based indices of the first counterexample found.
+    Witnesses are 0-based indices of the first counterexample in
+    lexicographic order: i, (i, j) with i < j, (i, j, t, a, b, c) with
+    i < j < t.
     """
 
     c1_ok: bool
@@ -349,40 +352,131 @@ class ConditionReport:
         return self.c1_ok and self.c2_ok and self.c3_ok
 
 
+@dataclass(frozen=True, eq=False)
+class PairSpanTable:
+    """The PG(3, q) points (`spread.point_index`) that decide the three
+    conditions and the weight-7 codewords of a sequence's block code.
+
+    reps[t, c]: the point of u_c(t), c = 0, 1, 2, or -1 for a zero vector.
+    planes[t]: the q + 1 points of P_t = span(u1(t), u2(t)), or -1 when the
+        pair is dependent.
+    spans[p, 3a + b]: the q + 1 points of span(u_a(i), u_b(j)) for the p-th
+        pair i < j in `combinations` order, or -1 when the two vectors are
+        dependent; entry 0 is <u_b(j)> and entry 1 + s is <u_a(i) + s*u_b(j)>.
+    plane_of[x]: the least t whose P_t holds point x, or L.  It has one extra
+        last entry, read through the -1 entries, that lies in no plane.
+    """
+
+    seq: VectorSequence
+    reps: np.ndarray
+    planes: np.ndarray
+    spans: np.ndarray
+    plane_of: np.ndarray
+
+    @classmethod
+    def of(cls, seq: VectorSequence) -> "PairSpanTable":
+        if seq.L < 1:
+            raise ValueError("sequence is empty")
+        field, L, q = seq.field, seq.L, seq.field.q
+        V = np.array([seq.triple(t) for t in range(L)], dtype=np.int32)
+        nonzero = V.any(axis=2)
+        reps = np.full((L, 3), -1, dtype=np.int32)
+        reps[nonzero] = point_index(field, V[nonzero])
+        indep = (reps[:, 1] >= 0) & (reps[:, 2] >= 0) & (reps[:, 1] != reps[:, 2])
+        planes = np.full((L, q + 1), -1, dtype=np.int32)
+        planes[indep] = span_point_index(field, V[indep, 1], V[indep, 2])
+        plane_of = np.full((q**4 - 1) // (q - 1) + 1, L, dtype=np.int32)
+        np.minimum.at(plane_of, planes[indep], np.flatnonzero(indep)[:, None])
+
+        pi, pj = np.triu_indices(L, 1)
+        ra, rb = reps[pi][:, :, None], reps[pj][:, None, :]
+        rows = np.flatnonzero((ra >= 0) & (rb >= 0) & (ra != rb))
+        X = np.broadcast_to(V[pi][:, :, None, :], (pi.size, 3, 3, 4)).reshape(-1, 4)
+        Y = np.broadcast_to(V[pj][:, None, :, :], (pi.size, 3, 3, 4)).reshape(-1, 4)
+        spans = np.full((pi.size * 9, q + 1), -1, dtype=np.int32)
+        chunk = max(1, (1 << 16) // (q + 1))  # bounds the temporaries at any q
+        for lo in range(0, rows.size, chunk):
+            r = rows[lo : lo + chunk]
+            spans[r] = span_point_index(field, X[r], Y[r])
+        return cls(seq, reps, planes, spans.reshape(pi.size, 9, q + 1), plane_of)
+
+    def conditions(self) -> ConditionReport:
+        """c1, c2 and c3 with their first witnesses (see `ConditionReport`)."""
+        L, reps, spans = self.seq.L, self.reps, self.spans
+        dependent = self.planes[:, 0] < 0
+        c1_w = int(dependent.argmax()) if dependent.any() else None
+
+        # c2: a dependent pair fails with every other pair, an independent
+        # P_j with the least plane before it that it meets
+        met = self.plane_of[self.planes].min(axis=1)
+        late = np.flatnonzero(met < np.arange(L))
+        failing = list(zip(met[late].tolist(), late.tolist()))
+        if c1_w is not None and L > 1:
+            failing.append((0, max(c1_w, 1)))
+        c2_w = min(failing, default=None)
+
+        # c3: first[p, 3a + b] is the least 3t + c, t > j, whose u_c(t) is
+        # zero, lies on span(u_a(i), u_b(j)), or is any vector when u_a(i)
+        # and u_b(j) are dependent; 3L when there is none
+        pi, pj = np.triu_indices(L, 1)
+        after = 3 * (pj + 1)
+        flat = reps.ravel().tolist()
+        zero = np.array([r if x < 0 else 3 * L for r, x in enumerate(flat)] + [3 * L])
+        zero_after = np.minimum.accumulate(zero[::-1])[::-1]
+        first = np.where(spans[:, :, 0] < 0, after[:, None], zero_after[after][:, None])
+        # the representatives on each point, chained from the least: lead[x], then nxt[r]
+        lead = np.full(self.plane_of.size, 3 * L)
+        nxt = np.full(3 * L + 1, 3 * L)
+        for r in range(3 * L - 1, -1, -1):
+            if flat[r] >= 0:
+                nxt[r], lead[flat[r]] = lead[flat[r]], r
+        on = lead[spans]
+        low = on < after[:, None, None]
+        while low.any():
+            on = np.where(low, nxt[on], on)
+            low = on < after[:, None, None]
+        first = np.minimum(first, on.min(axis=2))
+        t = first // 3
+        bad = np.flatnonzero(t.min(axis=1) < L)
+        c3_w = None
+        if bad.size:
+            p = bad[0]
+            ab = int(t[p].argmin())
+            c3_w = (int(pi[p]), int(pj[p]), int(t[p, ab]), ab // 3, ab % 3, int(first[p, ab] % 3))
+        return ConditionReport(c1_w is None, c2_w is None, c3_w is None, c1_w, c2_w, c3_w)
+
+    def weight7_parts(self) -> Optional[dict[int, tuple[int, int]]]:
+        """A weight-7 codeword of the block code, when the conditions hold.
+
+        It is read from the first point of some span(u_a(i), u_b(j)) that
+        lies in a third plane P_t and is none of P_t's representatives; None
+        when there is no such point.  Returned as {group g: (A, B)}: the
+        codeword is (A, B, -(A + B)) on group g, whose image A*u1(g) +
+        B*u2(g) the three groups sum to 0.
+        """
+        L, field = self.seq.L, self.seq.field
+        on_rep = np.zeros(self.plane_of.size, dtype=bool)
+        on_rep[self.reps[self.reps >= 0]] = True
+        hit = (self.plane_of[self.spans] < L) & ~on_rep[self.spans]
+        if not hit.any():
+            return None
+        p, ab, x = (int(v) for v in np.unravel_index(hit.argmax(), hit.shape))
+        i, j = (int(v[p]) for v in np.triu_indices(L, 1))
+        a, b, s = ab // 3, ab % 3, x - 1  # x = 0 and s = 0 are representatives
+        t = int(self.plane_of[self.spans[p, ab, x]])
+        unit = ((1, field.neg(1)), (1, 0), (0, 1))  # u0, u1, u2 in the basis u1, u2
+        v = [field.add(y, field.mul(s, z)) for y, z in zip(self.seq.triple(i)[a], self.seq.triple(j)[b])]
+        A, B = solve_columns(field, np.array(self.seq.pairs[t]).T, np.array(v)).tolist()
+        return {
+            i: tuple(field.neg(e) for e in unit[a]),
+            j: tuple(field.neg(field.mul(s, e)) for e in unit[b]),
+            t: (A, B),
+        }
+
+
 def verify_conditions(seq: VectorSequence) -> ConditionReport:
-    """Exhaustively check the three conditions on a sequence."""
-    if seq.L < 1:
-        raise ValueError("sequence is empty")
-    field = seq.field
-    L = seq.L
-    c1_w = next((i for i in range(L) if small_rank(field, seq.pairs[i]) != 2), None)
-    c2_w = next(
-        ((i, j) for i, j in combinations(range(L), 2) if small_rank(field, seq.pairs[i] + seq.pairs[j]) != 4),
-        None,
-    )
-    c3_w = None
-    triples = [seq.triple(i) for i in range(L)]
-    for i, j in combinations(range(L), 2):
-        # echelon rows of u_a(i), u_b(j) for (a, b) in row-major order; None when dependent
-        echs = []
-        for x in triples[i]:
-            for y in triples[j]:
-                first = _echelon_step(field, x, [])
-                second = first and _echelon_step(field, y, [first])
-                echs.append(second and [first, second])
-        c3_w = next(
-            (
-                (i, j, t, *divmod(ab, 3), c)
-                for t in range(j + 1, L)
-                for ab, ech in enumerate(echs)
-                for c in range(3)
-                if ech is None or _echelon_step(field, triples[t][c], ech) is None
-            ),
-            None,
-        )
-        if c3_w is not None:
-            break
-    return ConditionReport(c1_w is None, c2_w is None, c3_w is None, c1_w, c2_w, c3_w)
+    """Check the three conditions on a sequence from its `PairSpanTable`."""
+    return PairSpanTable.of(seq).conditions()
 
 
 # -- the full greedy run -------------------------------------------------------

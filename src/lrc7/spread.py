@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import FieldSpec, field_from_header, field_header
+from .fields import FieldSpec
 from .linalg import small_rank
 
 
@@ -217,20 +217,3 @@ def projective_points(pl: Plane) -> list[ProjectivePoint]:
     field = pl.field
     idx = np.sort(span_point_index(field, [pl.basis[0]], [pl.basis[1]])[0])
     return [ProjectivePoint(field, codes) for codes in point_codes(field.q, idx).tolist()]
-
-
-# -- serialization ---------------------------------------------------------
-
-
-def spread_to_json_dict(s: Spread) -> dict:
-    return {
-        **field_header(s.field),
-        "q": s.field.q,
-        "planes": [[list(pl.basis[0]), list(pl.basis[1])] for pl in s.planes],
-    }
-
-
-def spread_from_json_dict(d: dict) -> Spread:
-    field = field_from_header(d)
-    planes = [Plane(field, b1, b2, pid) for pid, (b1, b2) in enumerate(d["planes"])]
-    return Spread(field, planes)

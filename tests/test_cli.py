@@ -67,6 +67,15 @@ def test_construct_small_q_warns_and_exits_zero(tmp_path, capsys):
     assert not (out / "matrix.json").exists()
 
 
+def test_construct_small_q_json_format_prints_one_json_object(capsys):
+    code, stdout, _ = run_cli(capsys, "construct", "--q", "3", "--format", "json")
+    assert code == 0
+    payload = json.loads(stdout)
+    assert (payload["q"], payload["L"]) == (3, 2)
+    assert payload["config"]["format"] == "json"
+    assert payload["message"] == "construction stopped after L = 2 < 3 rounds; no code assembled"
+
+
 def test_construct_rejects_non_prime_power(capsys):
     code, _, stderr = run_cli(capsys, "construct", "--q", "6")
     assert code == 2

@@ -242,6 +242,65 @@ def test_group_set_cross_check_corpus_reaches_every_exit():
     assert any(d >= 9 and L >= 5 for d, L in found)  # settled by the 4-group sets or later
 
 
+# The pair-span table (min_distance's d = 7 path) against the group-set search
+# and the DFS, on block codes of pair sequences: the lex and seeded 0 / 1
+# outputs at each q, their 3..6-pair truncations and one mutated copy of each
+# (a random pair vector replaced by a random vector), plus h1, h2 and the
+# d = 8 block code of the q = 9 seed-6 output cut to 3 pairs.
+_TABLE_RUNS = (("lex", None), ("seeded", 0), ("seeded", 1))
+_TABLE_MUTATION_SEED = 3
+
+
+@functools.lru_cache(maxsize=None)
+def _table_corpus(q):
+    field = field_create(*_CROSS_CHECK_FIELDS[q])
+    rng = random.Random(_TABLE_MUTATION_SEED)
+    seqs = []
+    for policy, seed in _TABLE_RUNS:
+        seq, _ = run_algorithm1(field, policy, seed)
+        seqs.append(seq)
+        for L in range(3, min(6, seq.L) + 1):
+            pairs = [list(p) for p in seq.pairs[:L]]
+            seqs.append(VectorSequence(field, pairs))
+            pairs[rng.randrange(L)][rng.randrange(2)] = tuple(rng.randrange(q) for _ in range(4))
+            seqs.append(VectorSequence(field, pairs))
+    if q == 9:
+        seq, _ = run_algorithm1(field, "seeded", _CROSS_CHECK_SEED)
+        seqs.append(VectorSequence(field, seq.pairs[:3]))
+    codes = [(s, code_from_parity_check(assemble_parity_check(s, check=False))) for s in seqs]
+    fixtures = {4: "h1", 7: "h2"}
+    if q in fixtures:
+        codes.append((None, code_from_parity_check(load_fixture(fixtures[q])[0])))
+    return [(s, code, min_distance(code.H, 8)) for s, code in codes]  # the DFS: d when d <= 8
+
+
+@pytest.mark.parametrize("q", sorted(_CROSS_CHECK_FIELDS))
+def test_table_distance_matches_group_sets_and_dfs(q):
+    from lrc7.codec import _group_set_distance, _weight7_witness
+    from lrc7.construct import verify_conditions
+    from lrc7.linalg import _matmul_codes
+
+    for seq, code, d in _table_corpus(q):
+        for cap in (6, 7, 8):
+            want = d if d is not None and d <= cap else None
+            assert min_distance(code, cap) == _group_set_distance(code, cap) == want, (seq, cap)
+        w = _weight7_witness(code)
+        assert (w is not None) == (d == 7), seq
+        if w is not None:
+            assert np.count_nonzero(w) == 7
+            assert not _matmul_codes(code.field, w[None, :], code.H.array.T).any()
+        if seq is not None:
+            assert verify_conditions(seq).ok == (d is None or d >= 7), seq
+
+
+def test_table_corpus_reaches_every_branch():
+    found = [(seq is None, d) for q in _CROSS_CHECK_FIELDS for seq, _, d in _table_corpus(q)]
+    assert (True, 7) in found  # h1, h2
+    assert any(d is not None and d <= 6 for _, d in found)  # a condition fails
+    assert (False, 7) in found  # a weight-7 hit on the table
+    assert (False, 8) in found  # the conditions hold, no weight-7 hit
+
+
 def test_oracle_budget():
     f = field_create(3)
     H = MatrixF(f, np.zeros((1, 14), dtype=np.int32) + np.eye(1, 14, dtype=np.int32))

@@ -23,6 +23,8 @@ from lrc7.spread import ProjectivePoint, build_2_spread
 GF4 = field_create(2, 2)
 GF5 = field_create(5)
 GF7 = field_create(7)
+GF8 = field_create(2, 3)
+GF9 = field_create(3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +269,8 @@ def _mutate(field, pairs, kind, rng):
         vec = tuple(field.mul(c, x) for x in pairs[i][1 - s])
     elif kind == "copied":  # c2
         vec = pairs[rng.randrange(L)][rng.randrange(2)]
+    elif kind == "zero":  # c1 through a zero representative
+        vec = (0, 0, 0, 0)
     else:  # "combination" of vectors from two other pairs: c3
         j, t = rng.sample([x for x in range(L) if x != i], 2)
         c = rng.randrange(1, q)
@@ -275,13 +279,16 @@ def _mutate(field, pairs, kind, rng):
     return VectorSequence(field, pairs)
 
 
-@pytest.mark.parametrize("field", [GF4, GF5, GF7], ids=lambda f: f"q{f.q}")
+@pytest.mark.parametrize("field", [GF4, GF5, GF7, GF8, GF9], ids=lambda f: f"q{f.q}")
 @pytest.mark.parametrize("seed", [0, 11, 2024])
 def test_verify_conditions_matches_rank_reference_on_mutations(field, seed):
     seq, _ = run_algorithm1(field, "seeded", seed)
     rng = random.Random(seed)
     kinds = ("random", "scaled-partner", "copied", "combination")
     cases = [seq] + [_mutate(field, seq.pairs, kinds[m % 4], rng) for m in range(24)]
+    # a zero vector in the sequence and in each kind of mutated copy, drawn
+    # after the 24 copies above so that they stay as they were
+    cases += [_mutate(field, (seq, *cases[1:5])[m % 5].pairs, "zero", rng) for m in range(10)]
     failed = set()
     for mutated in cases:
         rep = verify_conditions(mutated)

@@ -14,8 +14,6 @@ from lrc7.spread import (
     point_codes,
     point_index,
     projective_points,
-    spread_from_json_dict,
-    spread_to_json_dict,
 )
 
 FIELD_ARGS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
@@ -164,16 +162,6 @@ def test_plane_requires_independent_basis():
 def test_plane_ids_are_enumeration_order(spreads):
     for s in spreads.values():
         assert [pl.id for pl in s.planes] == list(range(len(s)))
-
-
-def test_spread_json_roundtrip(spreads):
-    from lrc7.spread import verify_spread
-
-    s = spreads[4]
-    d = spread_to_json_dict(s)
-    s2 = spread_from_json_dict(d)
-    assert verify_spread(s2)
-    assert [pl.basis for pl in s2.planes] == [pl.basis for pl in s.planes]
 
 
 def test_large_q_structural_path(spread_at):
