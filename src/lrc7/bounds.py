@@ -12,8 +12,6 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .fields import _is_prime
-
 Real = Union[Fraction, float]
 
 

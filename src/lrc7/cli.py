@@ -27,7 +27,6 @@ from .bounds import BoundsReport, bounds_report, dim_bound_eq3
 from .codec import (
     GroupDetectionError,
     code_from_parity_check,
-    load_fixture,
     min_distance,
     parse_failure_model,
     simulate_repairs,

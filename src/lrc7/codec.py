@@ -15,7 +15,6 @@ from __future__ import annotations
 import importlib.resources
 import json
 import math
-import os
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 from typing import Optional, Sequence, Union
@@ -30,19 +29,12 @@ from .linalg import (
     MatrixF,
     VectorF,
     _echelon_step,
+    _kernel_codes,
     _matmul_codes,
-    _rref,
-    kernel_basis,
     matmul,
     matrix_from_json_dict,
-    rank,
     solve_columns,
 )
-
-#: Environment variable overriding the codeword-enumeration budget.
-ENUM_BUDGET_ENV = "LRC7_ENUM_BUDGET"
-_DEFAULT_ENUM_BUDGET = 10**6
-
 
 class GroupDetectionError(ValueError):
     """H has no leading block of disjoint weight-3 indicator rows."""
@@ -133,8 +125,7 @@ def _checks_from_spec(field: FieldSpec, G: MatrixF, groups):
         raise GroupDetectionError("groups must partition the coordinates into triples")
     checks = []
     for g in groups:
-        sub = MatrixF(field, G.array[:, list(g)])
-        basis = [tuple(v.codes) for v in kernel_basis(sub)]
+        basis = [tuple(row) for row in _kernel_codes(field, G.array[:, list(g)]).tolist()]
         for slot in range(3):
             if not any(vec[slot] for vec in basis):
                 raise GroupDetectionError(
@@ -149,11 +140,11 @@ def code_from_parity_check(H: MatrixF, group_spec: Optional[Sequence[Sequence[in
     leading indicator rows (or taken from group_spec)."""
     field = H.field
     n = H.cols
-    k = n - rank(H)
+    basis = _kernel_codes(field, H.array)
+    k = basis.shape[0]
     if k == 0:
         raise ValueError("parity-check matrix has full column rank: the code is {0}")
-    basis = kernel_basis(H)
-    G = MatrixF(field, [v.codes for v in basis])
+    G = MatrixF(field, basis)
     if matmul(G, H.transpose()).array.any():
         raise AssertionError("generator is not orthogonal to the parity checks")
     if group_spec is None:
@@ -219,18 +210,11 @@ def _group_set_distance(code: LrcCode, cap: int) -> Optional[int]:
     best = code.n + 1
     for m in range(1, L + 1):
         for T in combinations(code.groups, m):
-            cols = [j for g in T for j in g]
-            R, pivots = _rref(field, H[:, cols])
-            free = [j for j in range(len(cols)) if j not in pivots]
-            if not free:
+            basis = _kernel_codes(field, H[:, [j for g in T for j in g]])
+            if not len(basis):
                 continue
-            basis = np.zeros((len(free), len(cols)), dtype=np.int32)
-            basis[np.arange(len(free)), free] = 1
-            basis[:, pivots] = field.arr_neg(R[: len(pivots)][:, free].T)
-            for coeffs in _projective_points(field.q, len(free)):
-                words = np.zeros((coeffs.shape[0], len(cols)), dtype=np.int32)
-                for r, row in enumerate(basis):
-                    words = field.arr_add(words, field.arr_mul(coeffs[:, r : r + 1], row[None, :]))
+            for coeffs in _projective_points(field.q, len(basis)):
+                words = _matmul_codes(field, coeffs, basis)
                 best = min(best, int(np.count_nonzero(words, axis=1).min()))
         if best <= 2 * m + 2 or m == L:
             return best if best <= cap else None
@@ -292,43 +276,27 @@ def min_distance(code: Union[LrcCode, MatrixF], cap: int = 8) -> Optional[int]:
     return None
 
 
-def _default_budget() -> int:
-    raw = os.environ.get(ENUM_BUDGET_ENV)
-    return int(raw) if raw else _DEFAULT_ENUM_BUDGET
-
-
-def min_weight_oracle(code: Union[LrcCode, MatrixF], budget: Optional[int] = None) -> int:
+def min_weight_oracle(code: Union[LrcCode, MatrixF], budget: int = 10**6) -> int:
     """Minimum Hamming weight over all q^k - 1 nonzero codewords.
 
     Independent of min_distance: this enumerates messages through the
     generator instead of testing column subsets.  Refuses to run when
-    q^k exceeds the budget (default 10^6, env LRC7_ENUM_BUDGET).
+    q^k exceeds the budget.
     """
-    if isinstance(code, LrcCode):
-        G = code.G
-    else:
-        basis = kernel_basis(code)
-        if not basis:
-            raise ValueError("the code is {0}: no nonzero codewords")
-        G = MatrixF(code.field, [v.codes for v in basis])
-    field = G.field
-    q, k, n = field.q, G.rows, G.cols
+    field = code.field
+    G = code.G.array if isinstance(code, LrcCode) else _kernel_codes(field, code.array)
+    if not len(G):
+        raise ValueError("the code is {0}: no nonzero codewords")
+    q, (k, n) = field.q, G.shape
     total = q**k
-    limit = budget if budget is not None else _default_budget()
-    if total > limit:
-        raise EnumerationBudgetError(f"q^k = {total} exceeds the enumeration budget {limit}")
+    if total > budget:
+        raise EnumerationBudgetError(f"q^k = {total} exceeds the enumeration budget {budget}")
     best = n + 1
     chunk = 1 << 15
-    Garr = G.array
     for lo in range(1, total, chunk):
         ms = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        acc = np.zeros((ms.size, n), dtype=np.int32)
-        t = ms.copy()
-        for row in range(k):
-            digit = (t % q).astype(np.int32)
-            t //= q
-            acc = field.arr_add(acc, field.arr_mul(digit[:, None], Garr[row][None, :]))
-        best = min(best, int(np.count_nonzero(acc, axis=1).min()))
+        digits = (ms[:, None] // q ** np.arange(k, dtype=np.int64) % q).astype(np.int32)
+        best = min(best, int(np.count_nonzero(_matmul_codes(field, digits, G), axis=1).min()))
     return best
 
 

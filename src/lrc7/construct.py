@@ -291,7 +291,7 @@ def choose_triple(points, policy: str = "lex", rng: Optional[random.Random] = No
 
 def _trim_round(family: CandidateFamily, seq: VectorSequence, i: int):
     """Apply round i's removals; returns (family, removals, discarded)."""
-    if i < 2 or not len(family):
+    if i < 2:
         return family, (), ()
     cur = np.array(seq.triple(i - 1), dtype=np.int32)
     old = np.array([seq.triple(j) for j in range(i - 1)], dtype=np.int32).reshape(-1, 4)
@@ -306,10 +306,10 @@ def _trim_round(family: CandidateFamily, seq: VectorSequence, i: int):
     for pid, pt in zip(gone_pids.tolist(), codes):
         removed_by_plane.setdefault(pid, []).append(tuple(pt))
     removals = tuple(sorted((pid, tuple(pts)) for pid, pts in removed_by_plane.items()))
-    left = np.bincount(owner[owner >= 0], minlength=owner.size)  # plane ids < owner.size
+    alive = np.flatnonzero(owner >= 0)
+    left = np.bincount(owner[alive], minlength=owner.size)  # plane ids < owner.size
     discarded = tuple(pid for pid, _ in removals if left[pid] < 3)
-    for pid in discarded:
-        owner[owner == pid] = -1
+    owner[alive[left[owner[alive]] < 3]] = -1  # only planes trimmed here can fall below three
     return CandidateFamily(family.field, owner), removals, discarded
 
 
@@ -518,12 +518,13 @@ def run_algorithm1(field: FieldSpec, policy: str = "lex", seed: Optional[int] = 
     family = CandidateFamily.from_spread(build_2_spread(field))
     pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     rounds: list[TraceRound] = []
-    while len(family):
-        ids = family.plane_ids()
+    ids = family.plane_ids()
+    while ids:
         pid = ids[0] if policy == "lex" else rng.choice(ids)
         points = sorted(family.points_of(pid))
         family, rd = _greedy_round(family, pairs, len(rounds) + 1, pid, points, policy, rng)
         rounds.append(rd)
+        ids = family.plane_ids()
     trace = ConstructionTrace(
         p=field.p,
         e=field.e,

@@ -8,11 +8,13 @@ format used by the JSON/CSV exports.
 
 Every field gets dense q x q lookup tables for addition, subtraction and
 multiplication, plus negation and inversion tables; both the scalar
-operations and the numpy array operations read them.  The tables are built
-from discrete logs over a fixed generator of the multiplicative group
-(which `pow` also uses) and digit-wise addition modulo p (a plain XOR in
-characteristic 2).  Everything is exact integer arithmetic -- there is no
-floating point anywhere.
+operations and the numpy array operations read them, and `pow` squares
+and multiplies through them.  The tables are built in one numpy pass from
+the digits of the codes: addition and subtraction digit-wise modulo p,
+multiplication from the products a * x^i (each a shift of the previous one,
+reduced by the modulus), negation and inversion read off the others.
+Everything is exact integer arithmetic -- there is no floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -137,114 +139,37 @@ class FieldSpec:
 
     # -- construction of the tables -------------------------------------
 
-    def _mul_poly(self, a: int, b: int) -> int:
-        """Bootstrap multiplication: polynomial product reduced modulo the
-        modulus.  Only used to build the log/exp tables."""
-        p, e = self.p, self.e
-        if e == 1:
-            return (a * b) % p
-        ca = _digits(a, p, e)
-        cb = _digits(b, p, e)
-        prod = [0] * (2 * e - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    prod[i + j] += x * y
-        mod = self.modulus
-        for i in range(2 * e - 2, e - 1, -1):
-            c = prod[i] % p
-            if c:
-                for j in range(e):
-                    prod[i - e + j] -= c * mod[j]
-        return sum((prod[i] % p) * self._ppow[i] for i in range(e))
-
-    def _pow_poly(self, a: int, n: int) -> int:
-        r = 1
-        while n:
-            if n & 1:
-                r = self._mul_poly(r, a)
-            a = self._mul_poly(a, a)
-            n >>= 1
-        return r
-
-    def _find_generator(self) -> int:
-        m = self.q - 1
-        fac = []
-        t, f = m, 2
-        while f * f <= t:
-            if t % f == 0:
-                fac.append(f)
-                while t % f == 0:
-                    t //= f
-            f += 1
-        if t > 1:
-            fac.append(t)
-        for g in range(2, self.q):
-            if all(self._pow_poly(g, m // f) != 1 for f in fac):
-                return g
-        raise ArithmeticError("no multiplicative generator found")
-
-    def _add_digits(self, a: int, b: int) -> int:
-        p, e = self.p, self.e
-        if p == 2:
-            return a ^ b
-        if e == 1:
-            return (a + b) % p
-        out = 0
-        for i in range(e):
-            pw = self._ppow[i]
-            out += ((a // pw % p) + (b // pw % p)) % p * pw
-        return out
-
-    def _neg_digits(self, a: int) -> int:
-        p, e = self.p, self.e
-        if p == 2:
-            return a
-        if e == 1:
-            return (p - a) % p
-        out = 0
-        for i in range(e):
-            pw = self._ppow[i]
-            out += (p - (a // pw % p)) % p * pw
-        return out
-
-    def _mul_log(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[self._log[a] + self._log[b]]
-
     def _build_tables(self) -> None:
-        q = self.q
-        g = 1 if q == 2 else self._find_generator()
-        exp = [0] * (q - 1)
-        log = [0] * q
-        cur = 1
-        for i in range(q - 1):
-            exp[i] = cur
-            log[cur] = i
-            cur = self._mul_poly(cur, g)
-        if cur != 1:
-            raise ArithmeticError("generator order check failed")
-        self.generator = g
-        self._exp = exp + exp  # doubled so scalar products need no reduction
-        self._log = log
-        add = [0] * (q * q)
-        mul = [0] * (q * q)
-        for a in range(q):
-            base = a * q
-            for b in range(q):
-                add[base + b] = self._add_digits(a, b)
-                mul[base + b] = self._mul_log(a, b)
-        neg = [self._neg_digits(a) for a in range(q)]
-        sub = [add[a * q + neg[b]] for a in range(q) for b in range(q)]
-        inv = [0] + [exp[(q - 1 - log[a]) % (q - 1)] for a in range(1, q)]
-        self._ADD, self._SUB, self._MUL = add, sub, mul
-        self._NEG, self._INV = neg, inv
-        self._ADD_NP = np.asarray(add, dtype=np.int32).reshape(q, q)
-        self._SUB_NP = np.asarray(sub, dtype=np.int32).reshape(q, q)
-        self._MUL_NP = np.asarray(mul, dtype=np.int32).reshape(q, q)
-        self._NEG_NP = np.asarray(neg, dtype=np.int32)
-        self._INV_NP = np.asarray(inv, dtype=np.int32)
+        """ADD/SUB digit-wise mod p; MUL from a*b = sum_i b_i * (a * x^i),
+        row b being row b - p^i plus a * x^i (i the lowest nonzero digit of
+        b); NEG and INV read off SUB and MUL."""
+        p, e, q = self.p, self.e, self.q
+        codes = np.arange(q, dtype=np.int32)
+        add = np.zeros((q, q), dtype=np.int32)
+        sub = np.zeros((q, q), dtype=np.int32)
+        for pw in self._ppow[:e]:
+            d = codes // pw % p
+            add += (d[:, None] + d[None, :]) % p * pw
+            sub += (d[:, None] - d[None, :]) % p * pw
+        # t * x^e = -t * (m_0 + m_1 x + ... + m_{e-1} x^{e-1}) for t in GF(p)
+        t = np.arange(p)
+        top = sum(-c * t % p * pw for c, pw in zip(self.modulus, self._ppow[:e]))
+        lead = self._ppow[e - 1]
+        shifts = [codes]  # a * x^i for every code a: a shift, plus the reduced overflow
+        for _ in range(1, e):
+            a = shifts[-1]
+            shifts.append(add[a % lead * p, top[a // lead]])
+        mul = np.zeros((q, q), dtype=np.int32)
+        for b in range(1, q):
+            i = 0
+            while b % self._ppow[i + 1] == 0:
+                i += 1
+            mul[b] = add[mul[b - self._ppow[i]], shifts[i]]  # MUL is symmetric
+        neg = sub[0].copy()
+        inv = np.argmax(mul == 1, axis=1).astype(np.int32)  # row 0 has no 1: INV[0] = 0
+        self._ADD_NP, self._SUB_NP, self._MUL_NP, self._NEG_NP, self._INV_NP = add, sub, mul, neg, inv
+        self._ADD, self._SUB, self._MUL = add.ravel().tolist(), sub.ravel().tolist(), mul.ravel().tolist()
+        self._NEG, self._INV = neg.tolist(), inv.tolist()
 
     # -- scalar operations on codes --------------------------------------
 
@@ -269,14 +194,15 @@ class FieldSpec:
         return self.mul(a, self.inv(b))
 
     def pow(self, a: int, n: int) -> int:
-        if a == 0:
-            if n == 0:
-                return 1
-            if n < 0:
-                raise ZeroDivisionError("0 has no multiplicative inverse")
-            return 0
-        m = self.q - 1
-        return self._exp[(self._log[a] * n) % m]
+        if n < 0:
+            a, n = self.inv(a), -n
+        r = 1
+        while n:
+            if n & 1:
+                r = self.mul(r, a)
+            a = self.mul(a, a)
+            n >>= 1
+        return r
 
     # -- vectorized operations on numpy arrays of codes ------------------
 

@@ -172,22 +172,21 @@ def rank(M: MatrixF) -> int:
     return len(_rref(M.field, M.array)[1])
 
 
+def _kernel_codes(field: FieldSpec, arr: np.ndarray) -> np.ndarray:
+    """Basis of the right null space of arr as a code array, one row per
+    non-pivot column j (1 at j, minus column j of the reduced rows at the
+    pivots); it has no rows when arr has full column rank."""
+    R, pivots = _rref(field, arr)
+    free = [j for j in range(arr.shape[1]) if j not in pivots]
+    basis = np.zeros((len(free), arr.shape[1]), dtype=np.int32)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = field.arr_neg(R[: len(pivots)][:, free].T)
+    return basis
+
+
 def kernel_basis(M: MatrixF) -> list[VectorF]:
     """Basis of the right null space; empty when M has full column rank."""
-    field = M.field
-    R, pivots = _rref(field, M.array)
-    n = M.cols
-    pivot_set = set(pivots)
-    basis = []
-    for j in range(n):
-        if j in pivot_set:
-            continue
-        v = [0] * n
-        v[j] = 1
-        for i, c in enumerate(pivots):
-            v[c] = field.neg(int(R[i, j]))
-        basis.append(VectorF(field, v))
-    return basis
+    return [VectorF(M.field, row) for row in _kernel_codes(M.field, M.array).tolist()]
 
 
 def columns_dependent(M: MatrixF, subset: Sequence[int]) -> bool:

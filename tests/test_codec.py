@@ -308,14 +308,12 @@ def test_oracle_budget():
         min_weight_oracle(H, budget=100)
 
 
-def test_oracle_budget_env_override(monkeypatch):
+def test_oracle_budget_argument():
     f = field_create(2)
     H = MatrixF(f, [[1, 1, 0], [0, 1, 1]])
-    monkeypatch.setenv("LRC7_ENUM_BUDGET", "1")
     with pytest.raises(EnumerationBudgetError):
-        min_weight_oracle(H)
-    monkeypatch.setenv("LRC7_ENUM_BUDGET", "10")
-    assert min_weight_oracle(H) == 3
+        min_weight_oracle(H, budget=1)
+    assert min_weight_oracle(H, budget=10) == 3
 
 
 # ---------------------------------------------------------------------------

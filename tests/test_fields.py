@@ -209,3 +209,144 @@ def test_array_ops_match_scalar(p, e):
     assert (f.arr_inv(nz) == [f.inv(int(x)) for x in nz]).all()
     with pytest.raises(ZeroDivisionError):
         f.arr_inv(np.array([0, 1]))
+
+
+# ---------------------------------------------------------------------------
+# the tables against schoolbook polynomial arithmetic
+# ---------------------------------------------------------------------------
+
+
+def _prime_powers(lo, hi):
+    """(p, e) for every prime power lo < p^e <= hi."""
+    out = []
+    for q in range(max(lo + 1, 2), hi + 1):
+        p = next(d for d in range(2, q + 1) if q % d == 0)  # least prime factor
+        e, t = 0, q
+        while t % p == 0:
+            t, e = t // p, e + 1
+        if t == 1:
+            out.append((p, e))
+    return out
+
+
+def _coeffs(a, p, e):
+    return [a // p**i % p for i in range(e)]
+
+
+def _code(coeffs, p):
+    return sum(c % p * p**i for i, c in enumerate(coeffs))
+
+
+def _poly_mul(a, b, p, modulus):
+    """Schoolbook product of two coefficient lists, reduced by the monic
+    modulus from the top degree down; codes in, code out."""
+    e = len(modulus) - 1
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(_coeffs(a, p, e)):
+        for j, y in enumerate(_coeffs(b, p, e)):
+            prod[i + j] += x * y
+    for i in range(2 * e - 2, e - 1, -1):
+        c = prod[i] % p
+        for j, m in enumerate(modulus):
+            prod[i - e + j] -= c * m
+    return _code(prod[:e], p)
+
+
+def _poly_add(a, b, p, e, sign=1):
+    return _code([x + sign * y for x, y in zip(_coeffs(a, p, e), _coeffs(b, p, e))], p)
+
+
+def _assert_tables_exhaustive(f):
+    p, e, q = f.p, f.e, f.q
+    pairs = [(a, b) for a in range(q) for b in range(q)]
+    A, B = np.array(pairs).T
+    for scalar, arr, ref in (
+        (f.add, f.arr_add, [_poly_add(a, b, p, e) for a, b in pairs]),
+        (f.sub, f.arr_sub, [_poly_add(a, b, p, e, -1) for a, b in pairs]),
+        (f.mul, f.arr_mul, [_poly_mul(a, b, p, f.modulus) for a, b in pairs]),
+    ):
+        assert [scalar(a, b) for a, b in pairs] == ref
+        assert arr(A, B).tolist() == ref
+    neg = [_poly_add(0, a, p, e, -1) for a in range(q)]
+    assert [f.neg(a) for a in range(q)] == f.arr_neg(np.arange(q)).tolist() == neg
+    for a in range(1, q):
+        assert _poly_mul(a, f.inv(a), p, f.modulus) == 1
+    assert f.arr_inv(np.arange(1, q)).tolist() == [f.inv(a) for a in range(1, q)]
+
+
+@pytest.mark.parametrize("p,e", _prime_powers(1, 64))
+def test_tables_match_schoolbook_exhaustive(p, e):
+    _assert_tables_exhaustive(field_create(p, e))
+
+
+def _irreducible_moduli(p, e):
+    """Every monic irreducible of degree e over GF(p): the monic polynomials
+    that are no product of two monic ones of lower degree."""
+
+    def monic(d):
+        return [_coeffs(low, p, d) + [1] for low in range(p**d)]
+
+    reducible = set()
+    for d in range(1, e // 2 + 1):
+        for f in monic(d):
+            for g in monic(e - d):
+                prod = [0] * (e + 1)
+                for i, x in enumerate(f):
+                    for j, y in enumerate(g):
+                        prod[i + j] += x * y
+                reducible.add(tuple(c % p for c in prod))
+    return [tuple(m) for m in monic(e) if tuple(m) not in reducible], sorted(reducible)
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)])
+def test_tables_match_schoolbook_for_every_modulus(p, e):
+    irreducible, reducible = _irreducible_moduli(p, e)
+    assert len(irreducible) == {(2, 2): 1, (2, 3): 2, (3, 2): 3, (2, 4): 3, (5, 2): 10, (3, 3): 8}[(p, e)]
+    for modulus in irreducible:
+        _assert_tables_exhaustive(field_create(p, e, modulus))
+    for modulus in reducible:
+        with pytest.raises(ValueError, match="reducible"):
+            field_create(p, e, modulus)
+
+
+@pytest.mark.parametrize("p,e", _prime_powers(64, MAX_FIELD_ORDER))
+def test_tables_match_schoolbook_on_a_basis(p, e):
+    """q > 64: every a times each x^i against the schoolbook product, ADD,
+    SUB and NEG digit-wise, and MUL distributive over ADD for every a, b and
+    x^i.  Every b is a sum of basis elements x^i, so the tables agree with
+    the schoolbook product on every pair."""
+    f = field_create(p, e)
+    q = f.q
+    codes = np.arange(q)
+    ppow = np.array([p**i for i in range(e)])
+    digits = codes[:, None] // ppow % p
+    for b in range(q):  # column b of ADD and SUB, digit by digit
+        assert (f.arr_add(codes, b) == (digits + digits[b]) % p @ ppow).all()
+        assert (f.arr_sub(codes, b) == (digits - digits[b]) % p @ ppow).all()
+    assert (f.arr_neg(codes) == -digits % p @ ppow).all()
+    for i in range(e):
+        xi = p**i
+        assert f.arr_mul(codes, xi).tolist() == [_poly_mul(a, xi, p, f.modulus) for a in range(q)]
+        lhs = f.arr_mul(codes[:, None], f.arr_add(codes[None, :], xi))
+        rhs = f.arr_add(f.arr_mul(codes[:, None], codes[None, :]), f.arr_mul(codes[:, None], xi))
+        assert (lhs == rhs).all()
+    assert not f.arr_mul(codes, 0).any()
+    assert (f.arr_mul(codes[1:], f.arr_inv(codes[1:])) == 1).all()
+
+
+@pytest.mark.parametrize("p,e", _prime_powers(1, 64))
+def test_pow_matches_repeated_multiplication(p, e):
+    f = field_create(p, e)
+    q = f.q
+    for a in range(q):
+        up = down = 1
+        for n in range(2 * q + 1):
+            assert f.pow(a, n) == up
+            up = f.mul(up, a)
+            if a and n <= q:
+                assert f.pow(a, -n) == down
+                down = f.mul(down, f.inv(a))
+    assert f.pow(0, 0) == 1
+    for n in range(-q, 0):
+        with pytest.raises(ZeroDivisionError):
+            f.pow(0, n)
