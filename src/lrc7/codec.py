@@ -31,10 +31,13 @@ from .linalg import (
     _echelon_step,
     _kernel_codes,
     _matmul_codes,
+    kernel_basis,
     matmul,
     matrix_from_json_dict,
+    rank,
     solve_columns,
 )
+
 
 class GroupDetectionError(ValueError):
     """H has no leading block of disjoint weight-3 indicator rows."""
@@ -140,11 +143,10 @@ def code_from_parity_check(H: MatrixF, group_spec: Optional[Sequence[Sequence[in
     leading indicator rows (or taken from group_spec)."""
     field = H.field
     n = H.cols
-    basis = _kernel_codes(field, H.array)
-    k = basis.shape[0]
+    k = n - rank(H)
     if k == 0:
         raise ValueError("parity-check matrix has full column rank: the code is {0}")
-    G = MatrixF(field, basis)
+    G = MatrixF(field, [v.codes for v in kernel_basis(H)])
     if matmul(G, H.transpose()).array.any():
         raise AssertionError("generator is not orthogonal to the parity checks")
     if group_spec is None:
