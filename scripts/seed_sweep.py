@@ -16,7 +16,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from lrc7.cli import _factor_prime_power  # noqa: E402
 from lrc7.codec import code_from_parity_check, min_distance  # noqa: E402
 from lrc7.construct import (  # noqa: E402
     assemble_parity_check,
@@ -24,12 +23,12 @@ from lrc7.construct import (  # noqa: E402
     run_algorithm1,
     verify_conditions,
 )
-from lrc7.fields import FieldSpec, write_json  # noqa: E402
+from lrc7.fields import FieldSpec, factor_prime_power, write_json  # noqa: E402
 from lrc7.linalg import matrix_to_json_dict  # noqa: E402
 
 
 def sweep(q: int, seeds: int, out: str | None) -> None:
-    p, e = _factor_prime_power(q)
+    p, e = factor_prime_power(q)
     field = FieldSpec(p, e)
     runs = [("lex", None, *run_algorithm1(field, "lex"))]
     for seed in range(seeds):

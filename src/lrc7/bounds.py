@@ -12,20 +12,17 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from .fields import factor_prime_power
+
 Real = Union[Fraction, float]
 
 
 def is_prime_power(m: int) -> bool:
-    if m < 2:
+    try:
+        factor_prime_power(m)
+    except ValueError:
         return False
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            while m % f == 0:
-                m //= f
-            return m == 1
-        f += 1
-    return True  # m itself is prime
+    return True
 
 
 def ceil_log(q: int, x: int) -> int:
@@ -43,10 +40,12 @@ def ceil_log(q: int, x: int) -> int:
 
 
 def _check_params(n: Optional[int], k: Optional[int], d: Optional[int], r: Optional[int]) -> None:
-    """Raise ValueError unless 1 <= k <= n, 1 <= d <= n and 1 <= r <= k.
+    """Raise ValueError unless 1 <= n, 1 <= k <= n, 1 <= d <= n and 1 <= r <= k.
 
     A parameter given as None drops out of every rule it appears in.
     """
+    if n is not None and n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     if k is not None and (k < 1 or (n is not None and k > n)):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if d is not None and (d < 1 or (n is not None and d > n)):

@@ -20,6 +20,7 @@ anywhere.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -32,19 +33,18 @@ import numpy as np
 MAX_FIELD_ORDER = 512
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+def factor_prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p**e and p prime; ValueError when q is no prime power."""
+    if q < 2:
+        raise ValueError(f"field order must be at least 2, got {q}")
+    p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
+    e, rest = 0, q
+    while rest % p == 0:
+        rest //= p
+        e += 1
+    if rest != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, e
 
 
 def _digits(n: int, p: int, width: int) -> list[int]:
@@ -111,7 +111,11 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, e: int = 1, modulus: Optional[Sequence[int]] = None):
-        if not isinstance(p, int) or isinstance(p, bool) or not _is_prime(p):
+        try:
+            prime = isinstance(p, int) and not isinstance(p, bool) and factor_prime_power(p) == (p, 1)
+        except ValueError:
+            prime = False
+        if not prime:
             raise ValueError(f"characteristic must be a prime integer, got {p!r}")
         if not isinstance(e, int) or isinstance(e, bool) or e < 1:
             raise ValueError(f"extension degree must be an integer >= 1, got {e!r}")

@@ -264,6 +264,13 @@ def test_bounds_report_full():
     assert d["eq3_k_max"] == 2 and d["classification"] == "almost-optimal"
 
 
+def test_bounds_report_rejects_n_below_one():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"need n >= 1, got n={n}"):
+            bounds_report(n=n, r=2, q=4)
+    assert bounds_report(n=1, q=4).n == 1
+
+
 def test_bounds_report_partial():
     rep = bounds_report(q=7)
     assert rep.eq5_n_max == 59

@@ -7,6 +7,8 @@ import pytest
 from lrc7 import cli
 from lrc7.cli import main
 from lrc7.codec import fixture_path
+from lrc7.construct import PairSpanTable, VectorSequence, run_algorithm1, verify_conditions
+from lrc7.fields import field_create
 from lrc7.linalg import load_matrix_json
 
 
@@ -96,6 +98,67 @@ def test_construct_deterministic_outputs(tmp_path, capsys):
     assert run_cli(capsys, *argv)[0] == 0
     second = {name: (out / name).read_text() for name in first}
     assert first == second
+
+
+def _c3_failing_run(*args, **kwargs):
+    """The seeded q = 5 output with u1(0) replaced by u1(1) + u2(2): c1 and
+    c2 still hold, c3 fails, and the block code has d = 6."""
+    field = field_create(5, 1)
+    seq, trace = run_algorithm1(field, "seeded", 1)
+    pairs = [list(p) for p in seq.pairs]
+    pairs[0][0] = tuple(field.add(a, b) for a, b in zip(pairs[1][0], pairs[2][1]))
+    return VectorSequence(field, pairs), trace
+
+
+@pytest.mark.parametrize("cap", [[], ["--distance-cap", "5"]], ids=["default-cap", "cap-5"])
+def test_construct_reports_failed_sequence_conditions(cap, tmp_path, capsys, monkeypatch):
+    # at cap 5 the search finds no dependency (d = 6 > 5); the conditions still fail the run
+    bad, _ = _c3_failing_run()
+    rep = verify_conditions(bad)
+    assert (rep.c1_ok, rep.c2_ok, rep.c3_ok) == (True, True, False)
+    monkeypatch.setattr(cli, "run_algorithm1", _c3_failing_run)
+    out = tmp_path / "run"
+    code, stdout, stderr = run_cli(capsys, "construct", "--q", "5", "--out", str(out), *cap)
+    assert code == 1
+    assert stdout == ""
+    assert stderr == f"verification failed: sequence conditions do not hold: {rep}\n"
+    assert not out.exists()
+
+
+def test_construct_builds_one_pair_span_table(capsys, monkeypatch):
+    calls = []
+    build = PairSpanTable.of
+
+    def counted(seq):
+        calls.append(seq.L)
+        return build(seq)
+
+    monkeypatch.setattr(PairSpanTable, "of", staticmethod(counted))
+    code, stdout, _ = run_cli(capsys, "construct", "--q", "7")
+    assert code == 0
+    assert stdout.startswith("(18, 8, 7, 2)_7")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "h1", "--trials", "5", "--failure-model", "single-uniform", "--out", "{missing}/s.json"],
+        ["simulate", "h1", "--trials", "5", "--failure-model", "single-uniform", "--jsonl", "{missing}/t.jsonl"],
+        ["bounds", "--q", "4..5", "--d", "7", "--r", "2", "--out", "{missing}/b.csv"],
+        ["construct", "--q", "4", "--out", "{file}"],
+    ],
+    ids=["simulate-out", "simulate-jsonl", "bounds-out", "construct-out-is-a-file"],
+)
+def test_unwritable_output_is_a_usage_error(argv, tmp_path, capsys):
+    existing = tmp_path / "file"
+    existing.write_text("")
+    argv = [a.format(missing=tmp_path / "missing", file=existing) for a in argv]
+    code, _, stderr = run_cli(capsys, *argv)
+    assert code == 2
+    assert stderr.startswith("error: [Errno ")
+    assert stderr.count("\n") == 1
+    assert "Traceback" not in stderr
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +331,13 @@ def test_bounds_invalid_combination(capsys):
     assert "prime power" in stderr
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_bounds_rejects_n_below_one(n, capsys):
+    code, _, stderr = run_cli(capsys, "bounds", "--n", n, "--r", "2", "--q", "4")
+    assert code == 2
+    assert stderr == f"error: need n >= 1, got n={n}\n"
+
+
 def test_bounds_rejects_k_above_n(capsys):
     code, _, stderr = run_cli(capsys, "bounds", "--n", "9", "--k", "20", "--r", "2")
     assert code == 2
@@ -348,6 +418,24 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["construct"])  # missing required --q
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["bounds", "--n", "x"], "--n"),
+        (["bounds", "--q", "4..x"], "--q"),
+        (["construct", "--q", "4", "--modulus", "1,x,1"], "--modulus"),
+    ],
+    ids=["bounds-n", "bounds-q-range", "construct-modulus"],
+)
+def test_malformed_int_list_is_rejected_at_parsing(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid int list: " in err
+    assert "Traceback" not in err
 
 
 def test_unknown_command_exits_2():

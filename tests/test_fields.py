@@ -5,6 +5,7 @@ from lrc7.fields import (
     MAX_FIELD_ORDER,
     FieldElement,
     FieldSpec,
+    factor_prime_power,
     field_create,
 )
 
@@ -55,9 +56,23 @@ def test_wrong_degree_modulus_rejected():
 
 
 def test_nonprime_characteristic_rejected():
-    for bad in (1, 4, 6, 9):
-        with pytest.raises(ValueError):
+    for bad in (-3, 0, 1, 4, 6, 9, 2.0, True):
+        with pytest.raises(ValueError, match="characteristic must be a prime integer"):
             field_create(bad)
+
+
+def test_factor_prime_power_matches_trial_division():
+    for q in range(2, 1030):
+        p = next(f for f in range(2, q + 1) if q % f == 0)  # least prime factor
+        e = next(e for e in range(1, q + 1) if p**e >= q)
+        if p**e == q:
+            assert factor_prime_power(q) == (p, e)
+        else:
+            with pytest.raises(ValueError, match=f"{q} is not a prime power"):
+                factor_prime_power(q)
+    for q in (-4, 0, 1):
+        with pytest.raises(ValueError, match="at least 2"):
+            factor_prime_power(q)
 
 
 def test_bad_degree_rejected():
