@@ -39,8 +39,9 @@ def ceil_log(q: int, x: int) -> int:
     return u
 
 
-def _check_params(n: Optional[int], k: Optional[int], d: Optional[int], r: Optional[int]) -> None:
-    """Raise ValueError unless 1 <= n, 1 <= k <= n, 1 <= d <= n and 1 <= r <= k.
+def _check_params(n: Optional[int], k: Optional[int], d: Optional[int], r: Optional[int], q: Optional[int] = None) -> None:
+    """Raise ValueError unless 1 <= n, 1 <= k <= n, 1 <= d <= n, 1 <= r <= k
+    and q >= 2.
 
     A parameter given as None drops out of every rule it appears in.
     """
@@ -52,6 +53,8 @@ def _check_params(n: Optional[int], k: Optional[int], d: Optional[int], r: Optio
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
     if r is not None and (r < 1 or (k is not None and r > k)):
         raise ValueError(f"need 1 <= r <= k, got r={r}, k={k}")
+    if q is not None and q < 2:
+        raise ValueError(f"need q >= 2, got q={q}")
 
 
 @dataclass(frozen=True)
@@ -233,9 +236,9 @@ def bounds_report(
     """Assemble a BoundsReport from whatever parameters are supplied.
 
     Raises ValueError when the supplied parameters break 1 <= k <= n,
-    1 <= d <= n or 1 <= r <= k.
+    1 <= d <= n, 1 <= r <= k or q >= 2.
     """
-    _check_params(n, k, d, r)
+    _check_params(n, k, d, r, q)
     singleton = singleton_like(n, k, r) if None not in (n, k, r) else None
     eq2 = eq2_holds(n, k, d, r) if None not in (n, k, d, r) else None
     eq3 = None

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import sys
 import warnings
 from dataclasses import asdict, fields as dc_fields
@@ -79,6 +81,21 @@ def _failure_model(text: str) -> str:
     return text
 
 
+def _check_out_dir(path: str) -> None:
+    """Raise now the OSError that creating the output directory would raise
+    once the work is done: the nearest existing ancestor must be a writable
+    directory (or the path itself a directory)."""
+    target = Path(path).absolute()
+    base = next(p for p in (target, *target.parents) if p.exists())
+    if not base.is_dir():
+        code = errno.EEXIST if base == target else errno.ENOTDIR
+    elif not os.access(base, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _shown_distance(d: Optional[int], cap: int) -> int | str:
     """d, or '>=cap+1' when a search capped at cap found no dependency."""
     return d if d is not None else f">={cap + 1}"
@@ -93,6 +110,8 @@ def cmd_construct(ns: argparse.Namespace) -> int:
     cfg = _config(command="construct", q=q, modulus=modulus, policy=policy, seed=seed, out=ns.out,
                   format=ns.format, distance_cap=cap)
     field = FieldSpec(*factor_prime_power(q), modulus)
+    if ns.out is not None:
+        _check_out_dir(ns.out)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         seq, trace = run_algorithm1(field, policy=policy, seed=seed)
@@ -266,13 +285,14 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     # outside the try: its ValueErrors are usage errors, which main exits 2 on
     stats = simulate_repairs(code, trials=ns.trials, failure_model=ns.failure_model, seed=ns.seed)
     summary = {"config": cfg, **stats.summary_dict()}
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    # the files first: an unwritable one exits 2 with nothing on stdout
     if ns.out:
         write_json(ns.out, summary)
     if ns.jsonl:
         with open(ns.jsonl, "w") as fh:
             for rec in stats.records:
                 fh.write(json.dumps(asdict(rec), sort_keys=True) + "\n")
+    print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
 
 

@@ -31,6 +31,7 @@ from .linalg import (
     _echelon_step,
     _kernel_codes,
     _matmul_codes,
+    _solve_stack,
     kernel_basis,
     matmul,
     matrix_from_json_dict,
@@ -502,11 +503,13 @@ def simulate_repairs(code: LrcCode, trials: int, failure_model: str, seed: int =
     erasure; otherwise one global repair covers the whole pattern.  All
     randomness derives from the seed, one child stream per trial.
 
-    The messages are encoded in one product through G.  Each distinct
-    erasure pattern's repair rule is derived once (a group check per erased
-    position, or one elimination of H over the erased columns against the
-    syndromes of all its trials) and every trial's repaired symbols are
-    compared with its own codeword.
+    The messages are encoded in one product through G and the erasures kept
+    as one (trials, f) array.  In a local trial no helper is erased, so each
+    erased position has one repair rule (`_local_rule`), read once and
+    applied to every local trial by gathers.  The global trials are solved
+    in stacks, one elimination of [H over the erased columns | -syndrome]
+    per trial (`linalg._solve_stack`), and every trial's repaired symbols
+    are compared with its own codeword.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -515,66 +518,67 @@ def simulate_repairs(code: LrcCode, trials: int, failure_model: str, seed: int =
     n, k, q = code.n, code.k, field.q
     if kind == "multi-uniform" and f > n:
         raise ValueError(f"cannot erase {f} of {n} symbols")
+    groups = np.array(code.groups)
     msgs = np.empty((trials, k), dtype=np.int32)
-    erasures = []
-    patterns: dict[tuple[int, ...], list[int]] = {}
+    E = np.empty((trials, {"single-uniform": 1, "multi-uniform": f, "group-burst": 3}[kind]), dtype=np.intp)
     for t, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
         rng = np.random.default_rng(child)
         msgs[t] = rng.integers(0, q, size=k)
         if kind == "single-uniform":
-            erased = (int(rng.integers(0, n)),)
+            E[t] = rng.integers(0, n)
         elif kind == "multi-uniform":
-            erased = tuple(sorted(int(x) for x in rng.choice(n, size=f, replace=False)))
+            E[t] = rng.choice(n, size=f, replace=False)
         else:
-            erased = code.groups[int(rng.integers(0, len(code.groups)))]
-        erasures.append(erased)
-        patterns.setdefault(erased, []).append(t)
+            E[t] = groups[rng.integers(0, len(groups))]
+    if kind == "multi-uniform":
+        E.sort(axis=1)
     words = _matmul_codes(field, msgs, code.G.array)
-
+    group_of = np.array([code.group_index_of(j) for j in range(n)])
+    touched = np.sort(group_of[E], axis=1)
+    local = (touched[:, 1:] != touched[:, :-1]).all(axis=1)
     ok = np.zeros(trials, dtype=bool)
-    local = np.zeros(trials, dtype=bool)
     helpers = np.zeros(trials, dtype=np.int64)
-    received = words.copy()  # erased symbols read as 0 in the syndromes
-    global_patterns = []
-    for erased, rows in patterns.items():
-        rows = np.array(rows)
-        if len({code.group_index_of(j) for j in erased}) < len(erased):
-            received[rows[:, None], list(erased)] = 0
-            global_patterns.append((list(erased), rows))
-            continue
-        good = np.ones(rows.size, dtype=bool)
-        for j in erased:
-            lead, rule = _local_rule(code, j, erased)
-            acc = np.zeros(rows.size, dtype=np.int32)
-            for h, coeff in rule:
-                acc = field.arr_add(acc, field.arr_mul(coeff, words[rows, h]))
-            good &= field.arr_mul(field.arr_neg(acc), field.inv(lead)) == words[rows, j]
-            helpers[rows] += len(rule)
-        ok[rows] = good
-        local[rows] = True
+    add, mul, neg = field._ADD_NP, field._MUL_NP, field._NEG_NP
+
+    rows = np.flatnonzero(local)
+    if rows.size:  # rule of position j: inverse lead, two helpers (coefficient 0 pads)
+        e, r = E[rows], rows[:, None]
+        ilead = np.zeros(n, dtype=np.int32)
+        hpos = np.zeros((2, n), dtype=np.intp)
+        hcoef = np.zeros((2, n), dtype=np.int32)
+        count = np.zeros(n, dtype=np.int64)
+        for j in sorted(set(e.ravel().tolist())):
+            lead, rule = _local_rule(code, j, ())
+            ilead[j], count[j] = field.inv(lead), len(rule)
+            for s, (h, coeff) in enumerate(rule):
+                hpos[s, j], hcoef[s, j] = h, coeff
+        acc = add[mul[hcoef[0, e], words[r, hpos[0, e]]], mul[hcoef[1, e], words[r, hpos[1, e]]]]
+        ok[rows] = (mul[neg[acc], ilead[e]] == words[r, e]).all(axis=1)
+        helpers[rows] = count[e].sum(axis=1)
 
     H = code.H.array
-    if global_patterns:  # the syndromes of every trial in one product
+    glob = np.flatnonzero(~local)
+    helpers[glob] = n - E.shape[1]
+    chunk = max(1, (1 << 14) // (H.shape[0] * (E.shape[1] + 1)))  # a few hundred KiB of temporaries at any trial count
+    for lo in range(0, glob.size, chunk):
+        rows = glob[lo : lo + chunk]
+        e, r = E[rows], rows[:, None]
+        received = words[rows]
+        received[np.arange(rows.size)[:, None], e] = 0
         rhs = field.arr_neg(_matmul_codes(field, received, H.T))
-    for cols, rows in global_patterns:
-        helpers[rows] = n - len(cols)
-        try:
-            x = solve_columns(field, H[:, cols], rhs[rows].T)
-        except AmbiguousSystemError:
-            continue  # the pattern does not determine the codeword: every trial fails
-        ok[rows] = (x.T == words[rows][:, cols]).all(axis=1)
+        x, unique = _solve_stack(field, H.T[e].transpose(0, 2, 1), rhs)
+        ok[rows] = unique & (x == words[r, e]).all(axis=1)
 
     records = tuple(
-        TrialRecord(t, erased, "local" if is_local else "global", good, h)
-        for t, (erased, is_local, good, h) in enumerate(zip(erasures, local.tolist(), ok.tolist(), helpers.tolist()))
+        TrialRecord(t, tuple(erased), "local" if is_local else "global", good, h)
+        for t, (erased, is_local, good, h) in enumerate(zip(E.tolist(), local.tolist(), ok.tolist(), helpers.tolist()))
     )
-    sizes = np.array([len(e) for e in erasures])
     return RepairStats(
         trials=trials,
         successes=int(ok.sum()),
         local_trials=int(local.sum()),
-        erased_symbols=int(sizes.sum()),
-        locally_repaired_symbols=int(sizes[local].sum()),
+        erased_symbols=E.size,
+        locally_repaired_symbols=int(local.sum()) * E.shape[1],
         helpers_total=int(helpers.sum()),
         records=records,
     )

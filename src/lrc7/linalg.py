@@ -222,6 +222,45 @@ def solve_columns(field: FieldSpec, arr: np.ndarray, rhs: np.ndarray) -> np.ndar
     return X if rhs.ndim == 2 else X[:, 0]
 
 
+def _solve_stack(field: FieldSpec, A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the stack of systems A[t] @ x = b[t] (A of shape (T, m, f), b of
+    shape (T, m)) by one Gauss-Jordan elimination of [A[t] | b[t]] for all t,
+    each matrix taking its own pivot rows.
+
+    Returns (x, unique): x[t] is the solution where unique[t], and zeros
+    where some column of A[t] has no pivot (several solutions, as always
+    when f > m).  Raises InconsistentSystemError when some system has no
+    solution, as `solve_columns` does.  The working copy and temporaries are
+    a few times the size of the stack, so callers bound T.
+    """
+    T, m, f = A.shape
+    R = np.concatenate([A, b[:, :, None]], axis=2).astype(np.int32, copy=False)
+    mul, sub, inv = field._MUL_NP, field._SUB_NP, field._INV_NP
+    rows = np.arange(m)
+    r = np.zeros(T, dtype=np.intp)  # pivots found so far, per matrix
+    unique = np.ones(T, dtype=bool)
+    for c in range(f):
+        cand = (R[:, :, c] != 0) & (rows >= r[:, None])
+        found = cand.any(axis=1)
+        unique &= found
+        s = np.flatnonzero(found)
+        rs, ps = r[s], cand[s].argmax(axis=1)
+        piv = R[s, ps]
+        R[s, ps] = R[s, rs]
+        piv = mul[inv[piv[:, c]][:, None], piv]
+        R[s, rs] = piv
+        fac = R[s, :, c]
+        fac[np.arange(s.size), rs] = 0
+        R[s] = sub[R[s], mul[fac[:, :, None], piv[:, None, :]]]
+        r[s] += 1
+    if ((R[:, :, f] != 0) & (rows >= r[:, None])).any():
+        raise InconsistentSystemError("no solution")
+    x = np.zeros((T, f), dtype=np.int32)
+    if f <= m:  # a unique system has its pivots on rows 0..f-1, in order
+        x[unique] = R[unique, :f, f]
+    return x, unique
+
+
 def _matmul_codes(field: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A @ B over the field on raw code arrays, one table lookup per inner index."""
     out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int32)

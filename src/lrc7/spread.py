@@ -77,9 +77,6 @@ class Plane:
         self.basis = (b1, b2)
         self.id = plane_id
 
-    def contains(self, codes) -> bool:
-        return small_rank(self.field, [self.basis[0], self.basis[1], tuple(codes)]) == 2
-
     def __repr__(self) -> str:
         return f"Plane(id={self.id}, basis={self.basis})"
 

@@ -271,6 +271,13 @@ def test_bounds_report_rejects_n_below_one():
     assert bounds_report(n=1, q=4).n == 1
 
 
+def test_bounds_report_rejects_q_below_two():
+    for q in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"need q >= 2, got q={q}"):
+            bounds_report(d=7, r=2, q=q)
+    assert bounds_report(q=2).eq5_n_max is not None
+
+
 def test_bounds_report_partial():
     rep = bounds_report(q=7)
     assert rep.eq5_n_max == 59

@@ -147,18 +147,23 @@ def test_construct_builds_one_pair_span_table(capsys, monkeypatch):
         ["simulate", "h1", "--trials", "5", "--failure-model", "single-uniform", "--jsonl", "{missing}/t.jsonl"],
         ["bounds", "--q", "4..5", "--d", "7", "--r", "2", "--out", "{missing}/b.csv"],
         ["construct", "--q", "4", "--out", "{file}"],
+        ["construct", "--q", "4", "--out", "{file}/run"],
     ],
-    ids=["simulate-out", "simulate-jsonl", "bounds-out", "construct-out-is-a-file"],
+    ids=["simulate-out", "simulate-jsonl", "bounds-out", "construct-out-is-a-file", "construct-out-under-a-file"],
 )
-def test_unwritable_output_is_a_usage_error(argv, tmp_path, capsys):
+def test_unwritable_output_is_a_usage_error(argv, tmp_path, capsys, monkeypatch):
     existing = tmp_path / "file"
     existing.write_text("")
+    constructed = []
+    monkeypatch.setattr(cli, "run_algorithm1", lambda *a, **kw: constructed.append(a))
     argv = [a.format(missing=tmp_path / "missing", file=existing) for a in argv]
-    code, _, stderr = run_cli(capsys, *argv)
+    code, stdout, stderr = run_cli(capsys, *argv)
     assert code == 2
+    assert stdout == ""
     assert stderr.startswith("error: [Errno ")
     assert stderr.count("\n") == 1
     assert "Traceback" not in stderr
+    assert constructed == []  # the target is checked before the constructor runs
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +341,15 @@ def test_bounds_rejects_n_below_one(n, capsys):
     code, _, stderr = run_cli(capsys, "bounds", "--n", n, "--r", "2", "--q", "4")
     assert code == 2
     assert stderr == f"error: need n >= 1, got n={n}\n"
+
+
+@pytest.mark.parametrize("q", ["0", "1"])
+def test_bounds_rejects_q_below_two(q, capsys):
+    for argv in (["--q", q, "--d", "7", "--r", "2"], ["--q", q]):
+        code, stdout, stderr = run_cli(capsys, "bounds", *argv)
+        assert code == 2
+        assert stdout == ""
+        assert stderr == f"error: need q >= 2, got q={q}\n"
 
 
 def test_bounds_rejects_k_above_n(capsys):

@@ -577,7 +577,7 @@ def _reference_simulation(code, trials, failure_model, seed):
 
 
 _SIM_CASES = [(name, model) for name in _SIM_SEEDS for model in _SIM_MODELS]
-_SIM_CASES += [("h2", "multi-uniform(7)"), ("h2", "multi-uniform(9)")]
+_SIM_CASES += [("h2", "multi-uniform(7)"), ("h2", "multi-uniform(9)"), ("h1-spec", "multi-uniform(9)")]
 
 
 @functools.lru_cache(maxsize=None)

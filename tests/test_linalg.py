@@ -11,6 +11,7 @@ from lrc7.linalg import (
     InconsistentSystemError,
     MatrixF,
     VectorF,
+    _solve_stack,
     columns_dependent,
     kernel_basis,
     load_matrix_csv,
@@ -161,6 +162,59 @@ def test_solve_detects_ambiguity_and_inconsistency():
         solve_columns(f, A, np.array([1, 2], dtype=np.int32))
     with pytest.raises(InconsistentSystemError):
         solve_columns(f, A, np.array([1, 3], dtype=np.int32))
+
+
+def _one_at_a_time(field, A, b):
+    """solve_columns on each system of a stack: (x, unique), or the error
+    class of the first system with no solution."""
+    x = np.zeros((A.shape[0], A.shape[2]), dtype=np.int32)
+    unique = np.ones(A.shape[0], dtype=bool)
+    for t in range(A.shape[0]):
+        try:
+            x[t] = solve_columns(field, A[t], b[t])
+        except AmbiguousSystemError:
+            unique[t] = False
+        except InconsistentSystemError:
+            return InconsistentSystemError
+    return x, unique
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (2, 2), (3, 2), (11, 1), (3, 3)])
+@pytest.mark.parametrize("m, f", [(10, 6), (6, 6), (4, 1), (3, 5)], ids=["tall", "square", "one-column", "f>m"])
+def test_solve_stack_matches_solve_columns(p, e, m, f):
+    field = field_create(p, e)
+    rng = np.random.default_rng([p, e, m, f])
+    A = rng.integers(0, field.q, size=(60, m, f)).astype(np.int32)
+    A[::3, :, 0] = 0  # rank-deficient: a zero column
+    if f > 1:
+        A[1::4, :, 1] = field.arr_mul(2 % p, A[1::4, :, 0])  # and a multiple of another
+    x0 = rng.integers(0, field.q, size=(60, f)).astype(np.int32)
+    b = np.zeros((60, m), dtype=np.int32)
+    for j in range(f):
+        b = field.arr_add(b, field.arr_mul(x0[:, j][:, None], A[:, :, j]))
+    x, unique = _solve_stack(field, A, b)
+    want_x, want_unique = _one_at_a_time(field, A, b)
+    assert (unique == want_unique).all() and (x == want_x).all()
+    assert unique.any() == (f <= m) and not unique.all()
+    # a random right-hand side: each system alone raises what solve_columns raises
+    for t in range(12):
+        c = rng.integers(0, field.q, size=(1, m)).astype(np.int32)
+        want = _one_at_a_time(field, A[t : t + 1], c)
+        if want is InconsistentSystemError:
+            with pytest.raises(InconsistentSystemError):
+                _solve_stack(field, A[t : t + 1], c)
+        else:
+            got_x, got_unique = _solve_stack(field, A[t : t + 1], c)
+            assert (got_unique == want[1]).all() and (got_x == want[0]).all()
+
+
+def test_solve_stack_raises_for_one_inconsistent_system():
+    f = field_create(5)
+    A = np.array([[[1, 2], [2, 4]], [[1, 0], [0, 1]]], dtype=np.int32)
+    x, unique = _solve_stack(f, A, np.array([[1, 2], [3, 4]], dtype=np.int32))
+    assert unique.tolist() == [False, True] and x[1].tolist() == [3, 4]
+    with pytest.raises(InconsistentSystemError):
+        _solve_stack(f, A, np.array([[1, 3], [3, 4]], dtype=np.int32))
 
 
 # ---------------------------------------------------------------------------
