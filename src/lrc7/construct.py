@@ -1,12 +1,14 @@
 """Greedy construction of vector-pair sequences over a 2-spread.
 
-The constructor maintains the family of candidate point sets (one set of
-q + 1 projective points per spread plane).  Each round picks a surviving
-set, picks three of its points, scales representatives u1, u2, u0 with
-u0 = u1 - u2, and then trims from every surviving set all points lying in
-any plane spanned by one current and one earlier representative.  Sets
-left with fewer than three points are discarded; the loop ends when the
-family is empty.
+The constructor keeps one candidate point set per spread plane (its q + 1
+projective points) in a mutable `_Survivors` state: an owner array over the
+PG(3, q) point index and a count of the points each plane has left.  Each
+round (`_round`, shared by `run_algorithm1` and `replay_trace`) picks a
+surviving plane and three of its points, scales representatives u1, u2, u0
+with u0 = u1 - u2, drops the plane, and removes every surviving point that
+lies in a plane spanned by one new and one earlier representative.  Planes
+left with fewer than three points are discarded; the loop ends when no
+plane is left.
 
 The resulting pairs (u1, u2) satisfy three conditions that make the
 assembled block parity-check matrix a distance >= 7, locality 2 code:
@@ -28,16 +30,7 @@ import numpy as np
 
 from .fields import FieldSpec, field_from_header, field_header, write_json
 from .linalg import MatrixF, VectorF, solve_columns
-from .spread import (
-    ProjectivePoint,
-    Spread,
-    build_2_spread,
-    canonical_rep,
-    point_codes,
-    point_index,
-    span_point_index,
-    spread_point_index,
-)
+from .spread import build_2_spread, canonical_rep, point_codes, point_index, span_point_index, spread_point_index
 
 POLICIES = ("lex", "seeded")
 
@@ -119,49 +112,6 @@ class VectorSequence:
         return cls.from_json_dict(json.loads(Path(path).read_text()))
 
 
-@dataclass(frozen=True, eq=False)
-class CandidateFamily:
-    """Surviving point sets, one per not-yet-ruled-out plane.
-
-    Held as an owner array over the PG(3, q) point index (see
-    `spread.point_index`): owner[x] is the plane id of point x, or -1 once
-    x is removed.  Sets with fewer than three points are never present.
-    """
-
-    field: FieldSpec
-    owner: np.ndarray
-
-    @classmethod
-    def from_spread(cls, s: Spread) -> "CandidateFamily":
-        q = s.field.q
-        owner = np.full((q**4 - 1) // (q - 1), -1, dtype=np.int32)
-        owner[spread_point_index(s)] = [[pl.id] for pl in s.planes]
-        return cls(s.field, owner)
-
-    @property
-    def sets(self) -> tuple[tuple[int, frozenset[tuple[int, ...]]], ...]:
-        """(plane id, its surviving points) for every plane, by ascending id."""
-        return tuple((pid, self.points_of(pid)) for pid in self.plane_ids())
-
-    def plane_ids(self) -> list[int]:
-        return np.flatnonzero(np.bincount(self.owner[self.owner >= 0])).tolist()
-
-    def points_of(self, plane_id: int) -> frozenset[tuple[int, ...]]:
-        idx = np.flatnonzero(self.owner == plane_id)
-        if plane_id < 0 or idx.size == 0:
-            raise KeyError(f"plane {plane_id} is not in the family")
-        return frozenset(map(tuple, point_codes(self.field.q, idx).tolist()))
-
-    def without(self, plane_id: int) -> "CandidateFamily":
-        hit = self.owner == plane_id
-        if plane_id < 0 or not hit.any():
-            raise KeyError(f"plane {plane_id} is not in the family")
-        return CandidateFamily(self.field, np.where(hit, -1, self.owner))
-
-    def __len__(self) -> int:
-        return len(self.plane_ids())
-
-
 @dataclass(frozen=True)
 class TraceRound:
     plane_id: int
@@ -241,8 +191,9 @@ class ConstructionTrace:
 # -- choosing a triple -------------------------------------------------------
 
 
-def choose_triple(points, policy: str = "lex", rng: Optional[random.Random] = None):
-    """Pick three points of one plane and scale representatives.
+def choose_triple(field: FieldSpec, points, policy: str = "lex", rng: Optional[random.Random] = None):
+    """Pick three of a plane's points (canonical code tuples) and scale
+    representatives.
 
     The selected points keep their input order as <v1>, <v2>, <v3>; then
     v3 = alpha*v1 + beta*v2 with alpha, beta nonzero, and the returned
@@ -252,17 +203,7 @@ def choose_triple(points, policy: str = "lex", rng: Optional[random.Random] = No
     Policy 'lex' selects the three canonically smallest points, 'seeded'
     samples three with the supplied rng.
     """
-    pts = []
-    field = None
-    for p in points:
-        if isinstance(p, ProjectivePoint):
-            field = p.field
-            pts.append(p.codes)
-        else:
-            pts.append(tuple(int(x) for x in p))
-    if field is None:
-        raise TypeError("choose_triple needs ProjectivePoint inputs to carry the field")
-    pts = list(dict.fromkeys(pts))
+    pts = list(dict.fromkeys(tuple(int(x) for x in p) for p in points))
     if len(pts) < 3:
         raise ValueError(f"need at least 3 points, got {len(pts)}")
     if policy == "lex":
@@ -284,45 +225,6 @@ def choose_triple(points, policy: str = "lex", rng: Optional[random.Random] = No
     u2 = tuple(mul(field.neg(beta), x) for x in v2)
     u0 = tuple(field.sub(a, b) for a, b in zip(u1, u2))
     return VectorF(field, u0), VectorF(field, u1), VectorF(field, u2)
-
-
-# -- trimming ----------------------------------------------------------------
-
-
-def _trim_round(family: CandidateFamily, seq: VectorSequence, i: int):
-    """Apply round i's removals; returns (family, removals, discarded)."""
-    if i < 2:
-        return family, (), ()
-    cur = np.array(seq.triple(i - 1), dtype=np.int32)
-    old = np.array([seq.triple(j) for j in range(i - 1)], dtype=np.int32).reshape(-1, 4)
-    spanned = np.zeros(family.owner.size, dtype=bool)
-    spanned[span_point_index(family.field, np.repeat(cur, len(old), axis=0), np.tile(old, (3, 1)))] = True
-    owner = family.owner.copy()
-    gone = np.flatnonzero(spanned & (owner >= 0))  # ascending index: ascending tuples
-    gone_pids = owner[gone]
-    owner[gone] = -1
-    codes = point_codes(family.field.q, gone).tolist()
-    removed_by_plane: dict[int, list[tuple[int, ...]]] = {}
-    for pid, pt in zip(gone_pids.tolist(), codes):
-        removed_by_plane.setdefault(pid, []).append(tuple(pt))
-    removals = tuple(sorted((pid, tuple(pts)) for pid, pts in removed_by_plane.items()))
-    alive = np.flatnonzero(owner >= 0)
-    left = np.bincount(owner[alive], minlength=owner.size)  # plane ids < owner.size
-    discarded = tuple(pid for pid, _ in removals if left[pid] < 3)
-    owner[alive[left[owner[alive]] < 3]] = -1  # only planes trimmed here can fall below three
-    return CandidateFamily(family.field, owner), removals, discarded
-
-
-def trim(m: CandidateFamily, seq: VectorSequence, i: int) -> CandidateFamily:
-    """Remove from every surviving set all points in the planes spanned by
-    one round-i representative and one earlier representative, then discard
-    sets left with fewer than three points.  Rounds are 1-based; round 1
-    never removes anything."""
-    if i < 1:
-        raise ValueError("round index is 1-based")
-    if seq.L < i:
-        raise ValueError("sequence has fewer pairs than the round index")
-    return _trim_round(m, seq, i)[0]
 
 
 # -- verification -------------------------------------------------------------
@@ -479,18 +381,72 @@ def verify_conditions(seq: VectorSequence) -> ConditionReport:
     return PairSpanTable.of(seq).conditions()
 
 
-# -- the full greedy run -------------------------------------------------------
+# -- the greedy loop -----------------------------------------------------------
 
 
-def _greedy_round(family: CandidateFamily, pairs: list, i: int, plane_id: int, points, policy: str, rng):
-    """Round i: choose a triple among points of plane plane_id, append its
-    pair (u1, u2) to pairs, and trim.  Returns (family, TraceRound)."""
+class _Survivors:
+    """The candidate point sets, one per spread plane not yet ruled out,
+    changed in place round by round.
+
+    plane_points[t] holds the PG(3, q) indices (see `spread.point_index`)
+    of plane t's q + 1 points.  owner[x] is the plane id of point x, or -1
+    once x is removed.  left[t] is the number of points plane t still has:
+    0 once t is chosen or discarded, and never 1 or 2.  reps holds the
+    representatives u0, u1, u2 of every round so far, three rows a round.
+    mark is all False between rounds.
+    """
+
+    def __init__(self, field: FieldSpec):
+        self.field = field
+        self.plane_points = spread_point_index(build_2_spread(field)).astype(np.int32)
+        planes = len(self.plane_points)
+        self.owner = np.full(self.plane_points.size, -1, dtype=np.int32)
+        self.owner[self.plane_points] = np.arange(planes, dtype=np.int32)[:, None]
+        self.mark = np.zeros(self.owner.size, dtype=bool)
+        self.left = np.full(planes, field.q + 1)
+        self.reps = np.zeros((0, 4), dtype=np.int32)
+
+    def ids(self) -> list[int]:
+        return np.flatnonzero(self.left).tolist()
+
+    def points_of(self, plane_id: int) -> list[tuple[int, ...]]:
+        """The surviving points of one plane, ascending."""
+        idx = self.plane_points[plane_id]
+        return sorted(map(tuple, point_codes(self.field.q, idx[self.owner[idx] >= 0]).tolist()))
+
+    def drop(self, planes) -> None:
+        self.owner[self.plane_points[planes]] = -1
+        self.left[planes] = 0
+
+
+def _round(family: _Survivors, pairs: list, plane_id: int, points, policy: str, rng) -> TraceRound:
+    """One round: choose a triple among `points` of plane plane_id and
+    append its pair (u1, u2) to pairs; then drop the plane, remove every
+    surviving point on a span of one new and one earlier representative,
+    and discard the planes left with fewer than three points."""
     field = family.field
-    u0, u1, u2 = choose_triple([ProjectivePoint(field, t) for t in points], policy, rng)
-    chosen = tuple(sorted(canonical_rep(field, v.codes) for v in (u0, u1, u2)))
+    u0, u1, u2 = choose_triple(field, points, policy, rng)
     pairs.append((u1.codes, u2.codes))
-    family, removals, discarded = _trim_round(family.without(plane_id), VectorSequence(field, pairs), i)
-    return family, TraceRound(plane_id, chosen, removals, discarded)
+    chosen = tuple(sorted(canonical_rep(field, v.codes) for v in (u0, u1, u2)))
+    family.drop([plane_id])
+    cur, old = np.array([u0.codes, u1.codes, u2.codes], dtype=np.int32), family.reps
+    family.reps = np.concatenate([old, cur])
+    spans = span_point_index(field, np.repeat(cur, len(old), axis=0), np.tile(old, (3, 1))).ravel()
+    owner, mark = family.owner, family.mark
+    mark[spans[owner[spans] >= 0]] = True
+    gone = np.flatnonzero(mark)  # ascending index: ascending tuples
+    mark[gone] = False
+    pids = owner[gone]
+    owner[gone] = -1
+    cut = np.bincount(pids, minlength=family.left.size)
+    family.left -= cut
+    hit = np.flatnonzero(cut)
+    discarded = hit[family.left[hit] < 3]
+    family.drop(discarded)
+    codes = point_codes(field.q, gone[np.argsort(pids, kind="stable")]).tolist()
+    ends = np.cumsum(cut[hit]).tolist()
+    removals = tuple((t, tuple(map(tuple, codes[a:b]))) for t, a, b in zip(hit.tolist(), [0] + ends, ends))
+    return TraceRound(plane_id, chosen, removals, tuple(discarded.tolist()))
 
 
 def run_algorithm1(field: FieldSpec, policy: str = "lex", seed: Optional[int] = None):
@@ -515,16 +471,12 @@ def run_algorithm1(field: FieldSpec, policy: str = "lex", seed: Optional[int] = 
     else:
         seed = None
         rng = None
-    family = CandidateFamily.from_spread(build_2_spread(field))
+    family = _Survivors(field)
     pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     rounds: list[TraceRound] = []
-    ids = family.plane_ids()
-    while ids:
+    while ids := family.ids():
         pid = ids[0] if policy == "lex" else rng.choice(ids)
-        points = sorted(family.points_of(pid))
-        family, rd = _greedy_round(family, pairs, len(rounds) + 1, pid, points, policy, rng)
-        rounds.append(rd)
-        ids = family.plane_ids()
+        rounds.append(_round(family, pairs, pid, family.points_of(pid), policy, rng))
     trace = ConstructionTrace(
         p=field.p,
         e=field.e,
@@ -544,19 +496,17 @@ def replay_trace(trace: ConstructionTrace) -> VectorSequence:
     the recomputation; otherwise returns the identical VectorSequence.
     """
     field = FieldSpec(trace.p, trace.e, trace.modulus)
-    family = CandidateFamily.from_spread(build_2_spread(field))
+    family = _Survivors(field)
     pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for i, rd in enumerate(trace.rounds, start=1):
-        try:
-            available = family.points_of(rd.plane_id)
-        except KeyError as exc:
-            raise ReplayError(f"round {i}: plane {rd.plane_id} is not available") from exc
-        if not set(rd.points) <= available:
-            raise ReplayError(f"round {i}: recorded points are not all available")
-        family, again = _greedy_round(family, pairs, i, rd.plane_id, rd.points, "lex", None)
-        if again != rd:
+        if not (0 <= rd.plane_id < family.left.size and family.left[rd.plane_id]):
+            raise ReplayError(f"round {i}: plane {rd.plane_id} is not available")
+        points = set(rd.points)
+        if len(points) != 3 or not points <= set(family.points_of(rd.plane_id)):
+            raise ReplayError(f"round {i}: the recorded points are not three available points")
+        if _round(family, pairs, rd.plane_id, rd.points, "lex", None) != rd:
             raise ReplayError(f"round {i}: the recomputed round differs from the recording")
-    if len(family):
+    if family.ids():
         raise ReplayError("recorded rounds end before the family is empty")
     return VectorSequence(field, pairs)
 

@@ -29,7 +29,10 @@ import numpy as np
 #: Hard cap on constructible field orders: the dense tables hold q^2
 #: entries each, and past this size the spread (q^2 + 1 planes), its check
 #: and the constructor's point index ((q^4 - 1)/(q - 1) points) are
-#: impractical anyway.
+#: impractical anyway.  The constructor keeps an int32 owner entry, an
+#: int32 entry of the plane-point table and one mark byte per PG(3, q)
+#: point: about 152 MB at q = 256 and 1.2 GB at q = 512, before its trace,
+#: which holds one tuple per removed point.
 MAX_FIELD_ORDER = 512
 
 

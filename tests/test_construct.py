@@ -1,10 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 from lrc7.codec import min_distance
 from lrc7.construct import (
-    CandidateFamily,
     ConstructionTrace,
     ReplayError,
     VectorSequence,
@@ -13,12 +13,11 @@ from lrc7.construct import (
     guaranteed_min_rounds,
     replay_trace,
     run_algorithm1,
-    trim,
     verify_conditions,
 )
 from lrc7.fields import field_create
 from lrc7.linalg import MatrixF, columns_dependent, rank, small_rank
-from lrc7.spread import ProjectivePoint, build_2_spread
+from lrc7.spread import build_2_spread, canonical_rep, projective_points
 
 GF4 = field_create(2, 2)
 GF5 = field_create(5)
@@ -33,8 +32,7 @@ GF9 = field_create(3, 2)
 
 
 def test_choose_triple_char2():
-    pts = [ProjectivePoint(GF4, c) for c in [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)]]
-    u0, u1, u2 = choose_triple(pts, "lex")
+    u0, u1, u2 = choose_triple(GF4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)], "lex")
     assert u1.codes == (1, 0, 0, 0)
     assert u2.codes == (0, 1, 0, 0)
     assert u0.codes == (1, 1, 0, 0)
@@ -42,8 +40,7 @@ def test_choose_triple_char2():
 
 def test_choose_triple_gf7_scaling():
     # <v3> = <(1,3)>: v3 = 1*v1 + 3*v2, so u2 = -3*v2 = 4*v2
-    pts = [ProjectivePoint(GF7, c) for c in [(1, 0, 0, 0), (0, 1, 0, 0), (1, 3, 0, 0)]]
-    u0, u1, u2 = choose_triple(pts, "lex")
+    u0, u1, u2 = choose_triple(GF7, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 3, 0, 0)], "lex")
     assert u1.codes == (1, 0, 0, 0)
     assert u2.codes == (0, 4, 0, 0)
     assert u0.codes == (1, 3, 0, 0)
@@ -52,100 +49,65 @@ def test_choose_triple_gf7_scaling():
 
 def test_choose_triple_difference_identity_everywhere():
     spread = build_2_spread(GF7)
-    from lrc7.spread import projective_points
-
     for pl in spread.planes[:6]:
-        u0, u1, u2 = choose_triple(projective_points(pl), "lex")
+        u0, u1, u2 = choose_triple(GF7, [pt.codes for pt in projective_points(pl)], "lex")
         assert (u1 - u2).codes == u0.codes
         assert small_rank(GF7, [u1.codes, u2.codes]) == 2
         assert all(small_rank(GF7, [*pl.basis, u.codes]) == 2 for u in (u0, u1))  # both lie in the plane
 
 
 def test_choose_triple_needs_three_points():
-    pts = [ProjectivePoint(GF4, (1, 0, 0, 0)), ProjectivePoint(GF4, (0, 1, 0, 0))]
     with pytest.raises(ValueError, match="3 points"):
-        choose_triple(pts, "lex")
+        choose_triple(GF4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0)], "lex")
 
 
 def test_choose_triple_seeded_is_reproducible():
-    from lrc7.spread import projective_points
-
-    pl = build_2_spread(GF7).planes[3]
-    pts = projective_points(pl)
-    a = choose_triple(pts, "seeded", random.Random(42))
-    b = choose_triple(pts, "seeded", random.Random(42))
+    pts = [pt.codes for pt in projective_points(build_2_spread(GF7).planes[3])]
+    a = choose_triple(GF7, pts, "seeded", random.Random(42))
+    b = choose_triple(GF7, pts, "seeded", random.Random(42))
     assert [v.codes for v in a] == [v.codes for v in b]
     with pytest.raises(ValueError, match="rng"):
-        choose_triple(pts, "seeded")
+        choose_triple(GF7, pts, "seeded")
 
 
 # ---------------------------------------------------------------------------
-# trim
+# trimming, recomputed from the trace
 # ---------------------------------------------------------------------------
 
 
-def test_trim_round_one_is_identity():
-    spread = build_2_spread(GF4)
-    family = CandidateFamily.from_spread(spread).without(0)
-    seq, _ = run_algorithm1(GF4, "lex")
-    one_pair = VectorSequence(GF4, [seq.pairs[0]])
-    assert trim(family, one_pair, 1) is family or trim(family, one_pair, 1).sets == family.sets
-
-
-def test_trim_discards_sets_below_three_points():
-    seq, trace = run_algorithm1(GF4, "lex")
-    # replay the family evolution and confirm discards happen exactly when
-    # a surviving set would drop below 3 points
-    family = CandidateFamily.from_spread(build_2_spread(GF4))
-    for i, rd in enumerate(trace.rounds, start=1):
-        before = {pid: set(pts) for pid, pts in family.without(rd.plane_id).sets}
-        family = trim(
-            family.without(rd.plane_id), VectorSequence(GF4, seq.pairs[:i]), i
-        )
-        after_ids = set(family.plane_ids())
-        for pid, pts in before.items():
-            removed = dict(rd.removals).get(pid, ())
-            expect_kept = len(pts) - len(removed)
-            if expect_kept < 3:
-                assert pid not in after_ids
-                assert pid in rd.discarded
-            else:
-                assert len(family.points_of(pid)) == expect_kept
-    assert len(family) == 0
-
-
-def test_span_removals_capped_at_q_minus_one():
-    """Each 2-space spanned by one current and one earlier representative
-    meets the surviving sets in at most q - 1 points.  Membership is
-    recomputed here with an independent rank test."""
-    q = 4
-    seq, trace = run_algorithm1(GF4, "lex")
-    family = CandidateFamily.from_spread(build_2_spread(GF4))
-    for i, rd in enumerate(trace.rounds, start=1):
-        family = family.without(rd.plane_id)
-        if i >= 2:
-            survivors = [pt for _, pts in family.sets for pt in pts]
-            cur = seq.triple(i - 1)
-            for j in range(i - 1):
-                old = seq.triple(j)
-                for a in range(3):
-                    for b in range(3):
-                        members = [
-                            pt
-                            for pt in survivors
-                            if small_rank(GF4, [cur[a], old[b], pt]) == 2
-                        ]
-                        assert len(members) <= q - 1
-        family = trim(family, VectorSequence(GF4, seq.pairs[:i]), i)
-
-
-def test_trim_validates_round_index():
-    family = CandidateFamily.from_spread(build_2_spread(GF4))
-    seq, _ = run_algorithm1(GF4, "lex")
-    with pytest.raises(ValueError):
-        trim(family, seq, 0)
-    with pytest.raises(ValueError):
-        trim(family, seq, seq.L + 1)
+@pytest.mark.parametrize(
+    "field,policy,seed",
+    [(GF4, "lex", None), (GF5, "lex", None), (GF5, "seeded", 9)],
+    ids=["lex-q4", "lex-q5", "seeded-q5"],
+)
+def test_trace_rounds_match_rank_oracle(field, policy, seed):
+    """Recompute every round from the recorded triples: membership of each
+    surviving point in every span(new rep, earlier rep) is an independent
+    rank test.  Each such span meets the survivors in at most q - 1 points,
+    exactly the planes left with fewer than three points are discarded, and
+    the family ends empty."""
+    q = field.q
+    seq, trace = run_algorithm1(field, policy, seed)
+    family = {pl.id: {pt.codes for pt in projective_points(pl)} for pl in build_2_spread(field)}
+    for i, rd in enumerate(trace.rounds):
+        reps = seq.triple(i)
+        assert rd.points == tuple(sorted(canonical_rep(field, u) for u in reps))
+        assert set(rd.points) <= family.pop(rd.plane_id)
+        removed = {}
+        for a in reps:
+            for b in (u for j in range(i) for u in seq.triple(j)):
+                on = [(pid, pt) for pid, pts in family.items() for pt in pts if small_rank(field, [a, b, pt]) == 2]
+                assert len(on) <= q - 1
+                for pid, pt in on:
+                    removed.setdefault(pid, set()).add(pt)
+        assert rd.removals == tuple(sorted((pid, tuple(sorted(pts))) for pid, pts in removed.items()))
+        for pid, pts in removed.items():
+            family[pid] -= pts
+        assert rd.discarded == tuple(sorted(pid for pid, pts in family.items() if len(pts) < 3))
+        for pid in rd.discarded:
+            del family[pid]
+    assert family == {}
+    assert trace.L == seq.L
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +346,32 @@ def test_replay_detects_tampering():
     )
     with pytest.raises(ReplayError):
         replay_trace(tampered)
+
+
+def _bad_rounds(rounds, case):
+    first, second = rounds[0], rounds[1]
+    if case == "plane-minus-one":  # second.plane_id is the last plane, q^2
+        return [first, dataclasses.replace(second, plane_id=-1), *rounds[2:]]
+    if case == "plane-past-last":
+        return [dataclasses.replace(first, plane_id=GF4.q**2 + 1), *rounds[1:]]
+    if case == "plane-ruled-out":
+        return [first, dataclasses.replace(second, plane_id=first.plane_id), *rounds[2:]]
+    if case == "two-points":
+        return [dataclasses.replace(first, points=first.points[:2]), *rounds[1:]]
+    if case == "truncated":
+        return rounds[:-1]
+    return [*rounds, rounds[-1]]  # "extra-round"
+
+
+@pytest.mark.parametrize(
+    "case", ["plane-minus-one", "plane-past-last", "plane-ruled-out", "two-points", "truncated", "extra-round"]
+)
+def test_replay_rejects_bad_rounds(case):
+    _, trace = run_algorithm1(GF4, "seeded", 3)
+    assert trace.rounds[1].plane_id == GF4.q**2
+    bad = dataclasses.replace(trace, rounds=tuple(_bad_rounds(list(trace.rounds), case)))
+    with pytest.raises(ReplayError):
+        replay_trace(bad)
 
 
 def test_trace_json_roundtrip(tmp_path):
