@@ -36,7 +36,7 @@ from .codec import (
     simulate_repairs,
 )
 from .construct import assemble_parity_check, run_algorithm1, verify_conditions
-from .fields import FieldSpec, factor_prime_power, write_json
+from .fields import FieldSpec, factor_prime_power, json_text, write_json
 from .linalg import load_matrix_json, matrix_to_json_dict
 
 EXIT_OK = 0
@@ -117,12 +117,13 @@ def cmd_construct(ns: argparse.Namespace) -> int:
         seq, trace = run_algorithm1(field, policy=policy, seed=seed)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    artifacts = {"sequence.json": seq.to_json_dict(), "trace.json": trace.to_json_dict()}
+    # each file's payload is built only when --out writes it
+    artifacts = {"sequence.json": seq.to_json_dict, "trace.json": trace.to_json_dict}
     if seq.L < 3:
         # short runs happen only without the q >= 4 guarantee; report and stop
         message = f"construction stopped after L = {seq.L} < 3 rounds; no code assembled"
         if ns.format == "json":
-            print(json.dumps({"config": cfg, "q": q, "L": seq.L, "message": message}, indent=2, sort_keys=True))
+            print(json_text({"config": cfg, "q": q, "L": seq.L, "message": message}))
         else:
             print(message)
     else:
@@ -156,19 +157,19 @@ def cmd_construct(ns: argparse.Namespace) -> int:
             "attains_dim_bound": attained,
         }
         if ns.format == "json":
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            print(json_text(payload))
         else:
             print(f"({n}, {k}, {shown}, 2)_{q}  L={seq.L}  policy={policy}" + (f" seed={seed}" if seed is not None else ""))
             print(f"classification: {rep.classification or '-'}")
             print(f"attains dimension bound: {'yes' if attained else 'no'}")
         params = {"n": n, "k": k, "r": 2} if d is None else {"n": n, "k": k, "d": d, "r": 2}
-        artifacts["matrix.json"] = matrix_to_json_dict(H, {"params": params})
-        artifacts["bounds.json"] = rep.to_json_dict()
+        artifacts["matrix.json"] = lambda: matrix_to_json_dict(H, {"params": params})
+        artifacts["bounds.json"] = rep.to_json_dict
     if ns.out is not None:
         outdir = Path(ns.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        for name, artifact in artifacts.items():
-            write_json(outdir / name, {**artifact, "config": cfg})
+        for name, build in artifacts.items():
+            write_json(outdir / name, {**build(), "config": cfg})
     return EXIT_OK
 
 
@@ -216,7 +217,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         if mismatches:
             payload["mismatches"] = mismatches
     if ns.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json_text(payload))
     else:
         print(f"({n}, {k}, {payload['d']}, 2)_{q}  groups={len(code.groups)}")
         shown_six = "unknown" if six_independent is None else "yes" if six_independent else "no"
@@ -260,7 +261,7 @@ def cmd_bounds(ns: argparse.Namespace) -> int:
         if ns.out:
             write_json(ns.out, rows)
         else:
-            print(json.dumps(rows, indent=2, sort_keys=True))
+            print(json_text(rows))
     else:
         if rows["wang_k_max"] is not None:
             rows["wang_k_max"] = f"{rows['wang_k_max']:.6f}"
@@ -292,7 +293,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
         with open(ns.jsonl, "w") as fh:
             for rec in stats.records:
                 fh.write(json.dumps(asdict(rec), sort_keys=True) + "\n")
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(json_text(summary))
     return EXIT_OK
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .fields import FieldSpec, field_from_header, field_header, write_json
 from .linalg import MatrixF, VectorF, solve_columns
-from .spread import build_2_spread, canonical_rep, point_codes, point_index, span_point_index, spread_point_index
+from .spread import build_2_spread, canonical_rep, point_codes, point_index, span_point_index
 
 POLICIES = ("lex", "seeded")
 
@@ -137,6 +137,7 @@ class ConstructionTrace:
         return len(self.rounds)
 
     def to_json_dict(self) -> dict:
+        # the point tuples go to the encoder as they are: it writes tuples as lists
         return {
             **field_header(self),
             "q": self.q,
@@ -145,9 +146,9 @@ class ConstructionTrace:
             "rounds": [
                 {
                     "plane_id": rd.plane_id,
-                    "points": [list(pt) for pt in rd.points],
-                    "removals": {str(pid): [list(pt) for pt in pts] for pid, pts in rd.removals},
-                    "discarded": list(rd.discarded),
+                    "points": rd.points,
+                    "removals": {str(pid): pts for pid, pts in rd.removals},
+                    "discarded": rd.discarded,
                 }
                 for rd in self.rounds
             ],
@@ -158,14 +159,14 @@ class ConstructionTrace:
         rounds = tuple(
             TraceRound(
                 plane_id=int(rd["plane_id"]),
-                points=tuple(tuple(int(x) for x in pt) for pt in rd["points"]),
+                points=tuple(tuple(map(int, pt)) for pt in rd["points"]),
                 removals=tuple(
                     sorted(
-                        (int(pid), tuple(tuple(int(x) for x in pt) for pt in pts))
+                        (int(pid), tuple(tuple(map(int, pt)) for pt in pts))
                         for pid, pts in rd["removals"].items()
                     )
                 ),
-                discarded=tuple(int(x) for x in rd["discarded"]),
+                discarded=tuple(map(int, rd["discarded"])),
             )
             for rd in d["rounds"]
         )
@@ -254,6 +255,15 @@ class ConditionReport:
         return self.c1_ok and self.c2_ok and self.c3_ok
 
 
+def _fill_spans(field: FieldSpec, out: np.ndarray, rows: np.ndarray, B1, B2) -> None:
+    """out[r] = span_point_index(field, B1[r], B2[r]) for every r in rows, in
+    blocks of rows that bound the temporaries at any q."""
+    chunk = max(1, (1 << 16) // (field.q + 1))
+    for lo in range(0, rows.size, chunk):
+        r = rows[lo : lo + chunk]
+        out[r] = span_point_index(field, B1[r], B2[r])
+
+
 @dataclass(frozen=True, eq=False)
 class PairSpanTable:
     """The PG(3, q) points (`spread.point_index`) that decide the three
@@ -296,10 +306,7 @@ class PairSpanTable:
         X = np.broadcast_to(V[pi][:, :, None, :], (pi.size, 3, 3, 4)).reshape(-1, 4)
         Y = np.broadcast_to(V[pj][:, None, :, :], (pi.size, 3, 3, 4)).reshape(-1, 4)
         spans = np.full((pi.size * 9, q + 1), -1, dtype=np.int32)
-        chunk = max(1, (1 << 16) // (q + 1))  # bounds the temporaries at any q
-        for lo in range(0, rows.size, chunk):
-            r = rows[lo : lo + chunk]
-            spans[r] = span_point_index(field, X[r], Y[r])
+        _fill_spans(field, spans, rows, X, Y)
         return cls(seq, reps, planes, spans.reshape(pi.size, 9, q + 1), plane_of)
 
     def conditions(self) -> ConditionReport:
@@ -389,17 +396,20 @@ class _Survivors:
     changed in place round by round.
 
     plane_points[t] holds the PG(3, q) indices (see `spread.point_index`)
-    of plane t's q + 1 points.  owner[x] is the plane id of point x, or -1
-    once x is removed.  left[t] is the number of points plane t still has:
-    0 once t is chosen or discarded, and never 1 or 2.  reps holds the
-    representatives u0, u1, u2 of every round so far, three rows a round.
-    mark is all False between rounds.
+    of plane t's q + 1 points, filled in blocks of planes (`_fill_spans`).
+    owner[x] is the plane id of point x, or -1 once x is removed.  left[t]
+    is the number of points plane t still has: 0 once t is chosen or
+    discarded, and never 1 or 2.  reps holds the representatives u0, u1, u2
+    of every round so far, three rows a round.  mark is all False between
+    rounds.
     """
 
     def __init__(self, field: FieldSpec):
         self.field = field
-        self.plane_points = spread_point_index(build_2_spread(field)).astype(np.int32)
-        planes = len(self.plane_points)
+        B = np.array([pl.basis for pl in build_2_spread(field)], dtype=np.int32)
+        planes = len(B)
+        self.plane_points = np.empty((planes, field.q + 1), dtype=np.int32)
+        _fill_spans(field, self.plane_points, np.arange(planes), B[:, 0], B[:, 1])
         self.owner = np.full(self.plane_points.size, -1, dtype=np.int32)
         self.owner[self.plane_points] = np.arange(planes, dtype=np.int32)[:, None]
         self.mark = np.zeros(self.owner.size, dtype=bool)

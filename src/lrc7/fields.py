@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -421,6 +420,69 @@ def field_from_header(d: dict) -> FieldSpec:
     return FieldSpec(int(d["p"]), int(d["e"]), d["modulus"])
 
 
+# byte -> 1 for an opening bracket, 2 for a closing one, 3 for a comma; and
+# the step each kind takes the depth by
+_JSON_KIND = np.zeros(256, dtype=np.uint8)
+_JSON_KIND[[ord("["), ord("{")]] = 1
+_JSON_KIND[[ord("]"), ord("}")]] = 2
+_JSON_KIND[ord(",")] = 3
+_JSON_STEP = np.array([0, 1, -1, 0], dtype=np.int32)
+
+
+def _json_layout(obj) -> np.ndarray:
+    """The ASCII bytes of ``json.dumps(obj, indent=2, sort_keys=True)``.
+
+    The stdlib's indented encoder is pure Python; the compact one is in C.
+    So the C encoder writes the compact text, whose only whitespace is the
+    space after each key's colon, and one vectorised pass lays it out: every
+    comma and bracket outside a string gets the encoder's newline and
+    indent (after a comma or an opening bracket, before a closing one),
+    except the pair of an empty ``[]`` or ``{}``.  A quote opens or closes
+    a string unless an odd run of backslashes precedes it.
+    """
+    b = np.frombuffer(json.dumps(obj, sort_keys=True, separators=(",", ": ")).encode("ascii"), dtype=np.uint8)
+    quote = (b == ord('"')).view(np.uint8)
+    backslash = b == ord("\\")
+    if backslash.any():
+        # the run of backslashes before each quote starts after the last
+        # other byte before it
+        last = np.where(backslash, -1, np.arange(b.size))
+        np.maximum.accumulate(last, out=last)
+        at = np.flatnonzero(quote[1:]) + 1
+        quote[at[(at - 1 - last[at - 1]) % 2 == 1]] = 0
+    kind = _JSON_KIND[b]
+    kind[np.bitwise_xor.accumulate(quote).view(bool)] = 0  # inside a string
+    # an empty container, an opening bracket right before a closing one,
+    # stays as it is and leaves every other depth as it is
+    empty = np.flatnonzero((kind[:-1] == 1) & (kind[1:] == 2))
+    kind[empty] = kind[empty + 1] = 0
+    pos = np.flatnonzero(kind).astype(np.int32 if b.size < 1 << 31 else np.int64)
+    kind = kind[pos]
+    width = 1 + 2 * np.cumsum(_JSON_STEP[kind], dtype=np.int32)
+    at = pos + (kind != 2)  # the inserted run goes before byte `at`
+    total = b.size + int(width.sum(dtype=np.int64))
+    index = np.int32 if total < 1 << 31 else np.int64
+    # where each byte of the compact text lands: one step per byte plus the
+    # width inserted before it
+    dest = np.ones(b.size, dtype=index)
+    dest[0] = 0
+    dest[at] += width
+    np.cumsum(dest, out=dest)
+    out = np.full(total, ord(" "), dtype=np.uint8)
+    out[dest] = b
+    out[dest[at] - width] = ord("\n")
+    return out
+
+
+def json_text(obj) -> str:
+    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)``, through the C
+    encoder (see `_json_layout`)."""
+    return str(_json_layout(obj), "ascii")
+
+
 def write_json(path, payload: dict) -> None:
-    """Write payload as indented JSON with sorted keys and a final newline."""
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write payload as indented JSON with sorted keys and a final newline
+    (the bytes of ``json_text(payload) + "\\n"``)."""
+    with open(path, "wb") as fh:
+        fh.write(_json_layout(payload))
+        fh.write(b"\n")

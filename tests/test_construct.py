@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import random
 
+import numpy as np
 import pytest
 
 from lrc7.codec import min_distance
@@ -8,6 +10,7 @@ from lrc7.construct import (
     ConstructionTrace,
     ReplayError,
     VectorSequence,
+    _Survivors,
     assemble_parity_check,
     choose_triple,
     guaranteed_min_rounds,
@@ -17,7 +20,7 @@ from lrc7.construct import (
 )
 from lrc7.fields import field_create
 from lrc7.linalg import MatrixF, columns_dependent, rank, small_rank
-from lrc7.spread import build_2_spread, canonical_rep, projective_points
+from lrc7.spread import build_2_spread, canonical_rep, projective_points, spread_point_index
 
 GF4 = field_create(2, 2)
 GF5 = field_create(5)
@@ -383,6 +386,24 @@ def test_trace_json_roundtrip(tmp_path):
     assert replay_trace(loaded) == seq
 
 
+@pytest.mark.parametrize("F,policy,seed", [(GF4, "lex", None), (GF5, "lex", None), (GF5, "seeded", 9)])
+def test_trace_file_is_the_stdlib_encoding(F, policy, seed, tmp_path):
+    _, trace = run_algorithm1(F, policy, seed)
+    path = tmp_path / "trace.json"
+    trace.save_json(path)
+    assert ConstructionTrace.load_json(path) == trace
+    data = path.read_bytes()
+    assert data == (json.dumps(json.loads(data), indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_survivor_table_is_filled_block_by_block():
+    # q = 64: 4097 planes in blocks of (1 << 16) // 65 = 1008 rows, so 5 blocks
+    F = field_create(2, 6)
+    table = _Survivors(F).plane_points
+    assert table.dtype == np.int32
+    assert (table == spread_point_index(build_2_spread(F))).all()
+
+
 def test_sequence_json_roundtrip(tmp_path):
     seq, _ = run_algorithm1(GF4, "lex")
     path = tmp_path / "seq.json"
@@ -434,8 +455,6 @@ def test_q16_run_attains_bound():
 
 
 def test_constructed_codeword_satisfies_every_parity_check():
-    import numpy as np
-
     from lrc7.codec import code_from_parity_check, encode
 
     seq, _ = run_algorithm1(GF7, "seeded", 21)

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrc7.fields import (
     MAX_FIELD_ORDER,
@@ -7,6 +11,8 @@ from lrc7.fields import (
     FieldSpec,
     factor_prime_power,
     field_create,
+    json_text,
+    write_json,
 )
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)]
@@ -365,3 +371,68 @@ def test_pow_matches_repeated_multiplication(p, e):
     for n in range(-q, 0):
         with pytest.raises(ZeroDivisionError):
             f.pow(0, n)
+
+
+# ---------------------------------------------------------------------------
+# JSON text
+# ---------------------------------------------------------------------------
+
+# strings that hit the layout's masks: quotes, backslash runs, brackets and
+# commas inside strings, and non-ASCII text the encoder escapes
+_json_str = st.text(st.sampled_from('"\\[]{},: x\n\x00\xe9\u2603\U0001f600') | st.characters(), max_size=6)
+_json_scalar = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | _json_str
+)
+_json_payload = st.recursive(
+    _json_scalar,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(_json_str, kids, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_payload)
+def test_json_text_is_the_stdlib_indented_encoding(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _nested(depth: int):
+    obj: object = [[], {}, "]", 0]
+    for level in range(depth):
+        obj = {"k": [obj, level]} if level % 2 else [obj, {}]
+    return obj
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [],
+        {},
+        "",
+        '"',
+        "\\",
+        '\\"[',
+        0,
+        -(2**100),
+        float("-inf"),
+        None,
+        True,
+        [[[]]],
+        {"": {"": []}},
+        {1: "a", 2.5: ["b"], 10: {}},
+        {True: [1], False: {}},
+        {"a\\": ["\\\\", "\\\"", {"[": "{"}]},
+        _nested(200),
+    ],
+)
+def test_json_text_edge_cases(obj, tmp_path):
+    expected = json.dumps(obj, indent=2, sort_keys=True)
+    assert json_text(obj) == expected
+    write_json(tmp_path / "out.json", obj)
+    assert (tmp_path / "out.json").read_bytes() == (expected + "\n").encode()
