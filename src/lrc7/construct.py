@@ -8,7 +8,9 @@ surviving plane and three of its points, scales representatives u1, u2, u0
 with u0 = u1 - u2, drops the plane, and removes every surviving point that
 lies in a plane spanned by one new and one earlier representative.  Planes
 left with fewer than three points are discarded; the loop ends when no
-plane is left.
+plane is left.  Each round's trace keeps the removed points as one (m, 4)
+int32 array of canonical codes, so a run holds no Python object per
+removed point.
 
 The resulting pairs (u1, u2) satisfy three conditions that make the
 assembled block parity-check matrix a distance >= 7, locality 2 code:
@@ -112,12 +114,58 @@ class VectorSequence:
         return cls.from_json_dict(json.loads(Path(path).read_text()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceRound:
     plane_id: int
     points: tuple[tuple[int, ...], ...]  # the three chosen points, ascending
-    removals: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]  # per surviving plane
+    cut: tuple[tuple[int, int], ...]  # (plane id, points removed) per hit plane, ascending by plane
+    removed: np.ndarray  # (m, 4) int32 canonical codes, grouped as in cut, ascending within a plane
     discarded: tuple[int, ...]  # planes dropped below three survivors
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TraceRound):
+            return NotImplemented
+        return (
+            self.plane_id == other.plane_id
+            and self.points == other.points
+            and self.cut == other.cut
+            and self.discarded == other.discarded
+            and np.array_equal(self.removed, other.removed)
+        )
+
+
+def _removals_json(rd: TraceRound) -> dict[str, list[tuple[int, ...]]]:
+    """{str(plane id): its removed points}, the layout of `trace.json`."""
+    # tuple rows, zipped from the columns: the encoder writes them as lists,
+    # no per-row list is made, and the cyclic GC stops tracking tuples of ints
+    rows = list(zip(*rd.removed.T.tolist()))
+    out, a = {}, 0
+    for pid, m in rd.cut:
+        out[str(pid)] = rows[a : a + m]
+        a += m
+    return out
+
+
+def _round_from_json(i: int, rd: dict) -> TraceRound:
+    """Round i (1-based, for the error message) as `trace.json` holds it.
+    The removed points are read as recorded, so a wrong code stays wrong
+    for `replay_trace` to find."""
+    cut = sorted((int(pid), pts) for pid, pts in rd["removals"].items())
+    rows = [pt for _, pts in cut for pt in pts]
+    try:
+        removed = np.array(rows or np.empty((0, 4), dtype=np.int32))
+    except ValueError:  # ragged rows
+        removed = np.empty(0)
+    codes = removed.astype(np.int32) if removed.dtype.kind in "iu" else None
+    if removed.ndim != 2 or removed.shape[1] != 4 or codes is None or not np.array_equal(codes, removed):
+        raise ValueError(f"round {i}: every removed point must be four int32 codes")
+    return TraceRound(
+        plane_id=int(rd["plane_id"]),
+        points=tuple(tuple(map(int, pt)) for pt in rd["points"]),
+        cut=tuple((pid, len(pts)) for pid, pts in cut),
+        removed=codes,
+        discarded=tuple(map(int, rd["discarded"])),
+    )
 
 
 @dataclass(frozen=True)
@@ -147,7 +195,7 @@ class ConstructionTrace:
                 {
                     "plane_id": rd.plane_id,
                     "points": rd.points,
-                    "removals": {str(pid): pts for pid, pts in rd.removals},
+                    "removals": _removals_json(rd),
                     "discarded": rd.discarded,
                 }
                 for rd in self.rounds
@@ -156,20 +204,7 @@ class ConstructionTrace:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ConstructionTrace":
-        rounds = tuple(
-            TraceRound(
-                plane_id=int(rd["plane_id"]),
-                points=tuple(tuple(map(int, pt)) for pt in rd["points"]),
-                removals=tuple(
-                    sorted(
-                        (int(pid), tuple(tuple(map(int, pt)) for pt in pts))
-                        for pid, pts in rd["removals"].items()
-                    )
-                ),
-                discarded=tuple(map(int, rd["discarded"])),
-            )
-            for rd in d["rounds"]
-        )
+        rounds = tuple(_round_from_json(i, rd) for i, rd in enumerate(d["rounds"], start=1))
         field = field_from_header(d)
         return cls(
             p=field.p,
@@ -453,10 +488,9 @@ def _round(family: _Survivors, pairs: list, plane_id: int, points, policy: str, 
     hit = np.flatnonzero(cut)
     discarded = hit[family.left[hit] < 3]
     family.drop(discarded)
-    codes = point_codes(field.q, gone[np.argsort(pids, kind="stable")]).tolist()
-    ends = np.cumsum(cut[hit]).tolist()
-    removals = tuple((t, tuple(map(tuple, codes[a:b]))) for t, a, b in zip(hit.tolist(), [0] + ends, ends))
-    return TraceRound(plane_id, chosen, removals, tuple(discarded.tolist()))
+    removed = point_codes(field.q, gone[np.argsort(pids, kind="stable")]).astype(np.int32)
+    cuts = tuple(zip(hit.tolist(), cut[hit].tolist()))
+    return TraceRound(plane_id, chosen, cuts, removed, tuple(discarded.tolist()))
 
 
 def run_algorithm1(field: FieldSpec, policy: str = "lex", seed: Optional[int] = None):

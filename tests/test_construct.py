@@ -103,7 +103,10 @@ def test_trace_rounds_match_rank_oracle(field, policy, seed):
                 assert len(on) <= q - 1
                 for pid, pt in on:
                     removed.setdefault(pid, set()).add(pt)
-        assert rd.removals == tuple(sorted((pid, tuple(sorted(pts))) for pid, pts in removed.items()))
+        want = sorted((pid, sorted(pts)) for pid, pts in removed.items())
+        assert rd.cut == tuple((pid, len(pts)) for pid, pts in want)
+        assert rd.removed.dtype == np.int32
+        assert rd.removed.tolist() == [list(pt) for _, pts in want for pt in pts]
         for pid, pts in removed.items():
             family[pid] -= pts
         assert rd.discarded == tuple(sorted(pid for pid, pts in family.items() if len(pts) < 3))
@@ -343,7 +346,7 @@ def test_replay_detects_tampering():
     seq, trace = run_algorithm1(GF4, "lex")
     rounds = list(trace.rounds)
     bad = rounds[1]
-    rounds[1] = type(bad)(bad.plane_id, bad.points, (), bad.discarded)
+    rounds[1] = dataclasses.replace(bad, cut=(), removed=np.empty((0, 4), np.int32))
     tampered = ConstructionTrace(
         trace.p, trace.e, trace.modulus, trace.q, trace.policy, trace.seed, tuple(rounds)
     )
@@ -377,6 +380,80 @@ def test_replay_rejects_bad_rounds(case):
         replay_trace(bad)
 
 
+def _round_with_removals():
+    _, trace = run_algorithm1(GF5, "lex")
+    return next(rd for rd in trace.rounds if len(rd.cut) >= 2 and rd.discarded)
+
+
+def test_trace_round_equality_sees_one_changed_code():
+    rd = _round_with_removals()
+    removed = rd.removed.copy()
+    removed[-1, -1] = (removed[-1, -1] + 1) % GF5.q
+    assert dataclasses.replace(rd, removed=rd.removed.copy()) == rd
+    assert dataclasses.replace(rd, removed=removed) != rd
+
+
+def test_trace_round_equality_sees_a_moved_cut_boundary():
+    rd = _round_with_removals()
+    (p0, m0), (p1, m1), *rest = rd.cut
+    moved = dataclasses.replace(rd, cut=((p0, m0 + 1), (p1, m1 - 1), *rest))
+    assert sum(m for _, m in moved.cut) == len(rd.removed)
+    assert moved != rd
+
+
+def test_trace_round_equality_sees_a_changed_discard():
+    rd = _round_with_removals()
+    assert dataclasses.replace(rd, discarded=rd.discarded[1:]) != rd
+    assert dataclasses.replace(rd, discarded=(*rd.discarded, GF5.q**2)) != rd
+
+
+def test_first_round_removes_an_empty_int32_block(tmp_path):
+    _, trace = run_algorithm1(GF5, "lex")
+    path = tmp_path / "trace.json"
+    trace.save_json(path)
+    for t in (trace, ConstructionTrace.load_json(path)):
+        first = t.rounds[0]
+        assert first.cut == ()
+        assert first.removed.shape == (0, 4)
+        assert first.removed.dtype == np.int32
+
+
+@pytest.mark.parametrize(
+    "point",
+    [[0, 1, 1], "0111", [0, 1, "x", 1], [0, 1, 1.5, 1], [0, 1, 1, 2**40], None],
+    ids=["three", "string", "str-code", "float", "huge", "all-three"],
+)
+def test_malformed_removal_names_its_round(point, tmp_path):
+    _, trace = run_algorithm1(GF4, "lex")
+    path = tmp_path / "trace.json"
+    trace.save_json(path)
+    data = json.loads(path.read_text())
+    i, rd = next((i, rd) for i, rd in enumerate(data["rounds"], start=1) if rd["removals"])
+    if point is None:  # every point of the round loses its last coordinate
+        rd["removals"] = {pid: [pt[:3] for pt in pts] for pid, pts in rd["removals"].items()}
+    else:
+        next(iter(rd["removals"].values()))[-1] = point
+    with pytest.raises(ValueError, match=rf"^round {i}: every removed point must be four int32 codes$"):
+        ConstructionTrace.from_json_dict(data)
+
+
+def test_reversed_removal_loads_as_recorded(tmp_path):
+    """A tampered point is loaded as it stands, not made canonical, so the
+    reloaded trace differs and its replay fails."""
+    _, trace = run_algorithm1(GF4, "lex")
+    path = tmp_path / "trace.json"
+    trace.save_json(path)
+    data = json.loads(path.read_text())
+    i, rd = next((i, rd) for i, rd in enumerate(data["rounds"]) if rd["removals"])
+    pid, pts = min(rd["removals"].items(), key=lambda kv: int(kv[0]))
+    pts[0] = pts[0][::-1]
+    loaded = ConstructionTrace.from_json_dict(data)
+    assert loaded.rounds[i].removed[0].tolist() == pts[0]
+    assert loaded != trace
+    with pytest.raises(ReplayError, match=f"round {i + 1}:"):
+        replay_trace(loaded)
+
+
 def test_trace_json_roundtrip(tmp_path):
     seq, trace = run_algorithm1(GF7, "seeded", 5)
     path = tmp_path / "trace.json"
@@ -391,7 +468,7 @@ def test_trace_file_is_the_stdlib_encoding(F, policy, seed, tmp_path):
     _, trace = run_algorithm1(F, policy, seed)
     path = tmp_path / "trace.json"
     trace.save_json(path)
-    assert ConstructionTrace.load_json(path) == trace
+    assert ConstructionTrace.load_json(path) == trace  # q = 4: plane ids 10..16 sort as strings first
     data = path.read_bytes()
     assert data == (json.dumps(json.loads(data), indent=2, sort_keys=True) + "\n").encode()
 
