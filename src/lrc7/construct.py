@@ -9,8 +9,9 @@ with u0 = u1 - u2, drops the plane, and removes every surviving point that
 lies in a plane spanned by one new and one earlier representative.  Planes
 left with fewer than three points are discarded; the loop ends when no
 plane is left.  Each round's trace keeps the removed points as one (m, 4)
-int32 array of canonical codes, so a run holds no Python object per
-removed point.
+int32 array of canonical codes and the count removed from each plane as
+one (h, 2) int32 array, so a run holds no Python object per removed point
+or cut plane.
 
 The resulting pairs (u1, u2) satisfy three conditions that make the
 assembled block parity-check matrix a distance >= 7, locality 2 code:
@@ -32,7 +33,7 @@ import numpy as np
 
 from .fields import FieldSpec, field_from_header, field_header, write_json
 from .linalg import MatrixF, VectorF, solve_columns
-from .spread import build_2_spread, canonical_rep, point_codes, point_index, span_point_index
+from .spread import _spread_bases, canonical_rep, point_codes, point_index, span_point_index
 
 POLICIES = ("lex", "seeded")
 
@@ -118,7 +119,7 @@ class VectorSequence:
 class TraceRound:
     plane_id: int
     points: tuple[tuple[int, ...], ...]  # the three chosen points, ascending
-    cut: tuple[tuple[int, int], ...]  # (plane id, points removed) per hit plane, ascending by plane
+    cut: np.ndarray  # (h, 2) int32 rows (plane id, points removed) per hit plane, ascending by plane
     removed: np.ndarray  # (m, 4) int32 canonical codes, grouped as in cut, ascending within a plane
     discarded: tuple[int, ...]  # planes dropped below three survivors
 
@@ -128,7 +129,7 @@ class TraceRound:
         return (
             self.plane_id == other.plane_id
             and self.points == other.points
-            and self.cut == other.cut
+            and np.array_equal(self.cut, other.cut)
             and self.discarded == other.discarded
             and np.array_equal(self.removed, other.removed)
         )
@@ -140,7 +141,7 @@ def _removals_json(rd: TraceRound) -> dict[str, list[tuple[int, ...]]]:
     # no per-row list is made, and the cyclic GC stops tracking tuples of ints
     rows = list(zip(*rd.removed.T.tolist()))
     out, a = {}, 0
-    for pid, m in rd.cut:
+    for pid, m in rd.cut.tolist():
         out[str(pid)] = rows[a : a + m]
         a += m
     return out
@@ -159,10 +160,14 @@ def _round_from_json(i: int, rd: dict) -> TraceRound:
     codes = removed.astype(np.int32) if removed.dtype.kind in "iu" else None
     if removed.ndim != 2 or removed.shape[1] != 4 or codes is None or not np.array_equal(codes, removed):
         raise ValueError(f"round {i}: every removed point must be four int32 codes")
+    try:
+        cut_rows = np.array([(pid, len(pts)) for pid, pts in cut], dtype=np.int32).reshape(-1, 2)
+    except OverflowError:
+        raise ValueError(f"round {i}: every plane id must be an int32") from None
     return TraceRound(
         plane_id=int(rd["plane_id"]),
         points=tuple(tuple(map(int, pt)) for pt in rd["points"]),
-        cut=tuple((pid, len(pts)) for pid, pts in cut),
+        cut=cut_rows,
         removed=codes,
         discarded=tuple(map(int, rd["discarded"])),
     )
@@ -290,15 +295,6 @@ class ConditionReport:
         return self.c1_ok and self.c2_ok and self.c3_ok
 
 
-def _fill_spans(field: FieldSpec, out: np.ndarray, rows: np.ndarray, B1, B2) -> None:
-    """out[r] = span_point_index(field, B1[r], B2[r]) for every r in rows, in
-    blocks of rows that bound the temporaries at any q."""
-    chunk = max(1, (1 << 16) // (field.q + 1))
-    for lo in range(0, rows.size, chunk):
-        r = rows[lo : lo + chunk]
-        out[r] = span_point_index(field, B1[r], B2[r])
-
-
 @dataclass(frozen=True, eq=False)
 class PairSpanTable:
     """The PG(3, q) points (`spread.point_index`) that decide the three
@@ -341,7 +337,7 @@ class PairSpanTable:
         X = np.broadcast_to(V[pi][:, :, None, :], (pi.size, 3, 3, 4)).reshape(-1, 4)
         Y = np.broadcast_to(V[pj][:, None, :, :], (pi.size, 3, 3, 4)).reshape(-1, 4)
         spans = np.full((pi.size * 9, q + 1), -1, dtype=np.int32)
-        _fill_spans(field, spans, rows, X, Y)
+        spans[rows] = span_point_index(field, X[rows], Y[rows])
         return cls(seq, reps, planes, spans.reshape(pi.size, 9, q + 1), plane_of)
 
     def conditions(self) -> ConditionReport:
@@ -431,24 +427,21 @@ class _Survivors:
     changed in place round by round.
 
     plane_points[t] holds the PG(3, q) indices (see `spread.point_index`)
-    of plane t's q + 1 points, filled in blocks of planes (`_fill_spans`).
-    owner[x] is the plane id of point x, or -1 once x is removed.  left[t]
-    is the number of points plane t still has: 0 once t is chosen or
-    discarded, and never 1 or 2.  reps holds the representatives u0, u1, u2
-    of every round so far, three rows a round.  mark is all False between
-    rounds.
+    of plane t's q + 1 points, read from the spread's basis array.  owner[x]
+    is the plane id of point x, or -1 once x is removed.  left[t] is the
+    number of points plane t still has: 0 once t is chosen or discarded,
+    and never 1 or 2.  reps holds the representatives u0, u1, u2 of every
+    round so far, three rows a round.  mark is all False between rounds.
     """
 
     def __init__(self, field: FieldSpec):
         self.field = field
-        B = np.array([pl.basis for pl in build_2_spread(field)], dtype=np.int32)
-        planes = len(B)
-        self.plane_points = np.empty((planes, field.q + 1), dtype=np.int32)
-        _fill_spans(field, self.plane_points, np.arange(planes), B[:, 0], B[:, 1])
+        B = _spread_bases(field)
+        self.plane_points = span_point_index(field, B[:, 0], B[:, 1])
         self.owner = np.full(self.plane_points.size, -1, dtype=np.int32)
-        self.owner[self.plane_points] = np.arange(planes, dtype=np.int32)[:, None]
+        self.owner[self.plane_points] = np.arange(len(B), dtype=np.int32)[:, None]
         self.mark = np.zeros(self.owner.size, dtype=bool)
-        self.left = np.full(planes, field.q + 1)
+        self.left = np.full(len(B), field.q + 1)
         self.reps = np.zeros((0, 4), dtype=np.int32)
 
     def ids(self) -> list[int]:
@@ -489,7 +482,7 @@ def _round(family: _Survivors, pairs: list, plane_id: int, points, policy: str, 
     discarded = hit[family.left[hit] < 3]
     family.drop(discarded)
     removed = point_codes(field.q, gone[np.argsort(pids, kind="stable")]).astype(np.int32)
-    cuts = tuple(zip(hit.tolist(), cut[hit].tolist()))
+    cuts = np.stack([hit, cut[hit]], axis=1).astype(np.int32)
     return TraceRound(plane_id, chosen, cuts, removed, tuple(discarded.tolist()))
 
 

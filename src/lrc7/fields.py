@@ -31,8 +31,8 @@ import numpy as np
 #: impractical anyway.  The constructor keeps an int32 owner entry, an
 #: int32 entry of the plane-point table and one mark byte per PG(3, q)
 #: point: about 152 MB at q = 256 and 1.2 GB at q = 512, before its trace,
-#: which holds 16 bytes (an int32 row) per removed point and one
-#: (plane id, count) tuple per plane a round cuts.
+#: which holds 16 bytes (an int32 row) per removed point and 8 bytes (an
+#: int32 (plane id, count) row) per plane a round cuts.
 MAX_FIELD_ORDER = 512
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -187,19 +187,6 @@ def _kernel_codes(field: FieldSpec, arr: np.ndarray) -> np.ndarray:
 def kernel_basis(M: MatrixF) -> list[VectorF]:
     """Basis of the right null space; empty when M has full column rank."""
     return [VectorF(M.field, row) for row in _kernel_codes(M.field, M.array).tolist()]
-
-
-def columns_dependent(M: MatrixF, subset: Sequence[int]) -> bool:
-    """True iff the selected columns (0-based indices) are linearly dependent."""
-    idx = [int(j) for j in subset]
-    if not idx:
-        raise ValueError("subset must be non-empty")
-    if len(set(idx)) != len(idx):
-        raise ValueError("subset contains a duplicate column index")
-    if min(idx) < 0 or max(idx) >= M.cols:
-        raise ValueError("column index out of range")
-    sub = M.array[:, idx]
-    return len(_rref(M.field, sub)[1]) < len(idx)
 
 
 def solve_columns(field: FieldSpec, arr: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -32,35 +32,6 @@ def canonical_rep(field: FieldSpec, codes) -> tuple[int, ...]:
     raise ValueError("the zero vector spans no projective point")
 
 
-class ProjectivePoint:
-    """A one-dimensional subspace of GF(q)^4, held by its canonical rep."""
-
-    __slots__ = ("field", "codes")
-
-    def __init__(self, field: FieldSpec, codes):
-        codes = tuple(int(x) for x in codes)
-        if len(codes) != 4:
-            raise ValueError("projective points live in the 4-dimensional space")
-        if canonical_rep(field, codes) != codes:
-            raise ValueError(f"{codes} is not a canonical representative")
-        self.field = field
-        self.codes = codes
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProjectivePoint):
-            return NotImplemented
-        return self.field == other.field and self.codes == other.codes
-
-    def __lt__(self, other: "ProjectivePoint") -> bool:
-        return self.codes < other.codes
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.codes))
-
-    def __repr__(self) -> str:
-        return f"ProjectivePoint({list(self.codes)})"
-
-
 class Plane:
     """A two-dimensional subspace of GF(q)^4 with its index in the spread."""
 
@@ -111,15 +82,24 @@ def _irreducible_quadratic(field: FieldSpec) -> tuple[int, int]:
     raise ArithmeticError("no irreducible quadratic found")
 
 
-def _times_y(field: FieldSpec, g0: int, g1: int, x: int) -> int:
-    # y * (a + b*y) = -g0*b + (a - g1*b)*y in GF(q^2), packed as a + q*b
-    a, b = x % field.q, x // field.q
-    return field.neg(field.mul(g0, b)) + field.q * field.sub(a, field.mul(g1, b))
+def _spread_bases(field: FieldSpec) -> np.ndarray:
+    """The (q^2 + 1, 2, 4) int32 bases of the field-reduction 2-spread.
 
-
-def _embed(q: int, x: int, y: int) -> tuple[int, int, int, int]:
-    # GF(q^2)^2 -> GF(q)^4, coordinate-wise in the basis {1, y}
-    return (x % q, x // q, y % q, y // q)
+    Plane i is the i-th point (x, y) of the GF(q^2)-line: (0, 1), then
+    (1, c) by ascending code c = a + q*b of a + b*y.  Its basis is (x, y)
+    and y*(x, y), with y*(a + b*y) = -g0*b + (a - g1*b)*y, each written
+    coordinate-wise in the basis {1, y} of GF(q^2) over GF(q).
+    """
+    g0, g1 = _irreducible_quadratic(field)
+    q = field.q
+    X = np.zeros((q * q + 1, 2), dtype=np.int32)
+    X[0, 1] = 1
+    X[1:, 0] = 1
+    X[1:, 1] = np.arange(q * q)
+    a, b = X % q, X // q
+    ya = field.arr_neg(field.arr_mul(g0, b))
+    yb = field.arr_sub(a, field.arr_mul(g1, b))
+    return np.stack([np.stack([a, b], axis=-1), np.stack([ya, yb], axis=-1)], axis=1).reshape(-1, 2, 4)
 
 
 def build_2_spread(field: FieldSpec) -> Spread:
@@ -128,15 +108,8 @@ def build_2_spread(field: FieldSpec) -> Spread:
     Plane ids follow the canonical order of the q^2 + 1 projective points of
     the GF(q^2)-line: (0, 1) first, then (1, c) by ascending code of c.
     """
-    g0, g1 = _irreducible_quadratic(field)
-    q = field.q
-    reps = [(0, 1)] + [(1, c) for c in range(q * q)]
-    planes = []
-    for pid, (x, y) in enumerate(reps):
-        b1 = _embed(q, x, y)
-        b2 = _embed(q, _times_y(field, g0, g1, x), _times_y(field, g0, g1, y))
-        planes.append(Plane(field, b1, b2, pid))
-    return Spread(field, planes)
+    bases = _spread_bases(field).tolist()
+    return Spread(field, [Plane(field, b1, b2, pid) for pid, (b1, b2) in enumerate(bases)])
 
 
 def _lead_shift(q: int) -> np.ndarray:
@@ -172,45 +145,43 @@ def point_codes(q: int, idx) -> np.ndarray:
 
 
 def span_point_index(field: FieldSpec, B1, B2) -> np.ndarray:
-    """PG(3, q) indices (shape (m, q + 1)) of the points of the m planes
-    span{B1[i], B2[i]}: <B2[i]> and <B1[i] + t*B2[i]> for every t in GF(q).
+    """PG(3, q) indices (int32, shape (m, q + 1)) of the points of the m
+    planes span{B1[i], B2[i]}: <B2[i]> and <B1[i] + t*B2[i]> for every t in
+    GF(q).  Filled in blocks of rows that bound the temporaries at any q.
 
     Raises ValueError when some B1[i], B2[i] are linearly dependent, since
     one of those vectors is then zero.
     """
     B1 = np.asarray(B1, dtype=np.int32)
     B2 = np.asarray(B2, dtype=np.int32)
-    t = np.arange(field.q, dtype=np.int32)
-    V = field.arr_add(B1[:, None, :], field.arr_mul(t[None, :, None], B2[:, None, :]))
-    return point_index(field, np.concatenate([B2[:, None, :], V], axis=1))
-
-
-def spread_point_index(s: Spread) -> np.ndarray:
-    """PG(3, q) indices (shape (len(s), q + 1)) of the points of every plane."""
-    B = np.array([pl.basis for pl in s.planes], dtype=np.int32).reshape(-1, 2, 4)
-    return span_point_index(s.field, B[:, 0], B[:, 1])
+    t = np.arange(field.q, dtype=np.int32)[None, :, None]
+    out = np.empty((len(B1), field.q + 1), dtype=np.int32)
+    chunk = max(1, (1 << 16) // (field.q + 1))
+    for lo in range(0, len(B1), chunk):
+        b1, b2 = B1[lo : lo + chunk, None, :], B2[lo : lo + chunk, None, :]
+        V = field.arr_add(b1, field.arr_mul(t, b2))
+        out[lo : lo + chunk] = point_index(field, np.concatenate([b2, V], axis=1))
+    return out
 
 
 def verify_spread(s: Spread) -> bool:
     """Check the three spread axioms: size q^2 + 1, pairwise trivial
     intersection, full coverage of GF(q)^4.
 
-    Each plane of rank 2 holds q + 1 projective points, and q^2 + 1 planes
-    hold as many as PG(3, q) has.  So the planes form a spread exactly when
-    every point index is counted once.
+    A basis has rank 2 when both vectors are nonzero and span distinct
+    points.  Each plane of rank 2 holds q + 1 projective points, and
+    q^2 + 1 planes hold as many as PG(3, q) has.  So the planes form a
+    spread exactly when every point index is counted once.
     """
     field = s.field
     q = field.q
     if len(s.planes) != q * q + 1:
         return False
-    if any(small_rank(field, list(pl.basis)) != 2 for pl in s.planes):
+    B = np.array([pl.basis for pl in s.planes], dtype=np.int32)
+    if not B.any(axis=2).all():
         return False
-    counts = np.bincount(spread_point_index(s).ravel())
+    ends = point_index(field, B)
+    if (ends[:, 0] == ends[:, 1]).any():
+        return False
+    counts = np.bincount(span_point_index(field, B[:, 0], B[:, 1]).ravel())
     return bool((counts == 1).all())
-
-
-def projective_points(pl: Plane) -> list[ProjectivePoint]:
-    """The q + 1 one-dimensional subspaces of a plane, in canonical order."""
-    field = pl.field
-    idx = np.sort(span_point_index(field, [pl.basis[0]], [pl.basis[1]])[0])
-    return [ProjectivePoint(field, codes) for codes in point_codes(field.q, idx).tolist()]

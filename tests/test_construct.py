@@ -10,7 +10,6 @@ from lrc7.construct import (
     ConstructionTrace,
     ReplayError,
     VectorSequence,
-    _Survivors,
     assemble_parity_check,
     choose_triple,
     guaranteed_min_rounds,
@@ -19,14 +18,24 @@ from lrc7.construct import (
     verify_conditions,
 )
 from lrc7.fields import field_create
-from lrc7.linalg import MatrixF, columns_dependent, rank, small_rank
-from lrc7.spread import build_2_spread, canonical_rep, projective_points, spread_point_index
+from lrc7.linalg import MatrixF, rank, small_rank
+from lrc7.spread import build_2_spread, canonical_rep, point_codes, span_point_index
 
 GF4 = field_create(2, 2)
 GF5 = field_create(5)
 GF7 = field_create(7)
 GF8 = field_create(2, 3)
 GF9 = field_create(3, 2)
+
+
+def plane_points(pl) -> list[tuple[int, ...]]:
+    """The q + 1 canonical points of a spread plane, ascending."""
+    idx = span_point_index(pl.field, [pl.basis[0]], [pl.basis[1]])[0]
+    return [tuple(c) for c in point_codes(pl.field.q, np.sort(idx)).tolist()]
+
+
+def dependent(H: MatrixF, subset) -> bool:
+    return rank(MatrixF(H.field, H.array[:, list(subset)])) < len(subset)
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +62,7 @@ def test_choose_triple_gf7_scaling():
 def test_choose_triple_difference_identity_everywhere():
     spread = build_2_spread(GF7)
     for pl in spread.planes[:6]:
-        u0, u1, u2 = choose_triple(GF7, [pt.codes for pt in projective_points(pl)], "lex")
+        u0, u1, u2 = choose_triple(GF7, plane_points(pl), "lex")
         assert (u1 - u2).codes == u0.codes
         assert small_rank(GF7, [u1.codes, u2.codes]) == 2
         assert all(small_rank(GF7, [*pl.basis, u.codes]) == 2 for u in (u0, u1))  # both lie in the plane
@@ -65,7 +74,7 @@ def test_choose_triple_needs_three_points():
 
 
 def test_choose_triple_seeded_is_reproducible():
-    pts = [pt.codes for pt in projective_points(build_2_spread(GF7).planes[3])]
+    pts = plane_points(build_2_spread(GF7).planes[3])
     a = choose_triple(GF7, pts, "seeded", random.Random(42))
     b = choose_triple(GF7, pts, "seeded", random.Random(42))
     assert [v.codes for v in a] == [v.codes for v in b]
@@ -91,7 +100,7 @@ def test_trace_rounds_match_rank_oracle(field, policy, seed):
     the family ends empty."""
     q = field.q
     seq, trace = run_algorithm1(field, policy, seed)
-    family = {pl.id: {pt.codes for pt in projective_points(pl)} for pl in build_2_spread(field)}
+    family = {pl.id: set(plane_points(pl)) for pl in build_2_spread(field)}
     for i, rd in enumerate(trace.rounds):
         reps = seq.triple(i)
         assert rd.points == tuple(sorted(canonical_rep(field, u) for u in reps))
@@ -104,7 +113,8 @@ def test_trace_rounds_match_rank_oracle(field, policy, seed):
                 for pid, pt in on:
                     removed.setdefault(pid, set()).add(pt)
         want = sorted((pid, sorted(pts)) for pid, pts in removed.items())
-        assert rd.cut == tuple((pid, len(pts)) for pid, pts in want)
+        assert rd.cut.dtype == np.int32
+        assert rd.cut.tolist() == [[pid, len(pts)] for pid, pts in want]
         assert rd.removed.dtype == np.int32
         assert rd.removed.tolist() == [list(pt) for _, pts in want for pt in pts]
         for pid, pts in removed.items():
@@ -316,7 +326,7 @@ def test_six_column_independence_iff_conditions_hold():
     assert verify_conditions(short).ok
     H = assemble_parity_check(short)
     for subset in itertools.combinations(range(9), 6):
-        assert not columns_dependent(H, subset)
+        assert not dependent(H, subset)
 
     pairs = list(short.pairs)
     u1_sum = tuple(GF4.add(a, b) for a, b in zip(pairs[0][0], pairs[1][0]))
@@ -325,7 +335,7 @@ def test_six_column_independence_iff_conditions_hold():
     assert not verify_conditions(bad_seq).ok
     H_bad = assemble_parity_check(bad_seq, check=False)
     assert any(
-        columns_dependent(H_bad, subset) for subset in itertools.combinations(range(9), 6)
+        dependent(H_bad, subset) for subset in itertools.combinations(range(9), 6)
     )
     assert min_distance(H_bad) <= 6
     assert min_distance(H) == 7
@@ -346,7 +356,7 @@ def test_replay_detects_tampering():
     seq, trace = run_algorithm1(GF4, "lex")
     rounds = list(trace.rounds)
     bad = rounds[1]
-    rounds[1] = dataclasses.replace(bad, cut=(), removed=np.empty((0, 4), np.int32))
+    rounds[1] = dataclasses.replace(bad, cut=np.empty((0, 2), np.int32), removed=np.empty((0, 4), np.int32))
     tampered = ConstructionTrace(
         trace.p, trace.e, trace.modulus, trace.q, trace.policy, trace.seed, tuple(rounds)
     )
@@ -395,9 +405,11 @@ def test_trace_round_equality_sees_one_changed_code():
 
 def test_trace_round_equality_sees_a_moved_cut_boundary():
     rd = _round_with_removals()
-    (p0, m0), (p1, m1), *rest = rd.cut
-    moved = dataclasses.replace(rd, cut=((p0, m0 + 1), (p1, m1 - 1), *rest))
-    assert sum(m for _, m in moved.cut) == len(rd.removed)
+    cut = rd.cut.copy()
+    cut[0, 1] += 1
+    cut[1, 1] -= 1
+    moved = dataclasses.replace(rd, cut=cut)
+    assert cut[:, 1].sum() == len(rd.removed)
     assert moved != rd
 
 
@@ -413,7 +425,8 @@ def test_first_round_removes_an_empty_int32_block(tmp_path):
     trace.save_json(path)
     for t in (trace, ConstructionTrace.load_json(path)):
         first = t.rounds[0]
-        assert first.cut == ()
+        assert first.cut.shape == (0, 2)
+        assert first.cut.dtype == np.int32
         assert first.removed.shape == (0, 4)
         assert first.removed.dtype == np.int32
 
@@ -434,6 +447,18 @@ def test_malformed_removal_names_its_round(point, tmp_path):
     else:
         next(iter(rd["removals"].values()))[-1] = point
     with pytest.raises(ValueError, match=rf"^round {i}: every removed point must be four int32 codes$"):
+        ConstructionTrace.from_json_dict(data)
+
+
+def test_plane_id_past_int32_names_its_round(tmp_path):
+    _, trace = run_algorithm1(GF4, "lex")
+    path = tmp_path / "trace.json"
+    trace.save_json(path)
+    data = json.loads(path.read_text())
+    i, rd = next((i, rd) for i, rd in enumerate(data["rounds"], start=1) if rd["removals"])
+    pid = next(iter(rd["removals"]))
+    rd["removals"][str(2**40)] = rd["removals"].pop(pid)
+    with pytest.raises(ValueError, match=rf"^round {i}: every plane id must be an int32$"):
         ConstructionTrace.from_json_dict(data)
 
 
@@ -471,14 +496,6 @@ def test_trace_file_is_the_stdlib_encoding(F, policy, seed, tmp_path):
     assert ConstructionTrace.load_json(path) == trace  # q = 4: plane ids 10..16 sort as strings first
     data = path.read_bytes()
     assert data == (json.dumps(json.loads(data), indent=2, sort_keys=True) + "\n").encode()
-
-
-def test_survivor_table_is_filled_block_by_block():
-    # q = 64: 4097 planes in blocks of (1 << 16) // 65 = 1008 rows, so 5 blocks
-    F = field_create(2, 6)
-    table = _Survivors(F).plane_points
-    assert table.dtype == np.int32
-    assert (table == spread_point_index(build_2_spread(F))).all()
 
 
 def test_sequence_json_roundtrip(tmp_path):

@@ -12,7 +12,6 @@ from lrc7.linalg import (
     MatrixF,
     VectorF,
     _solve_stack,
-    columns_dependent,
     kernel_basis,
     load_matrix_csv,
     load_matrix_json,
@@ -99,44 +98,6 @@ def test_kernel_vectors_annihilate_and_span(fm):
     if basis:
         stacked = MatrixF(field, [v.codes for v in basis])
         assert rank(stacked) == len(basis)
-
-
-# ---------------------------------------------------------------------------
-# columns_dependent
-# ---------------------------------------------------------------------------
-
-
-def test_zero_column_is_dependent():
-    f = field_create(3)
-    M = MatrixF(f, [[1, 0], [2, 0]])
-    assert columns_dependent(M, [1])
-    assert not columns_dependent(M, [0])
-
-
-def test_duplicate_or_bad_indices_rejected():
-    f = field_create(3)
-    M = MatrixF(f, [[1, 0], [2, 0]])
-    with pytest.raises(ValueError):
-        columns_dependent(M, [0, 0])
-    with pytest.raises(ValueError):
-        columns_dependent(M, [2])
-    with pytest.raises(ValueError):
-        columns_dependent(M, [])
-
-
-@settings(max_examples=100, deadline=None)
-@given(field_and_matrix(), st.data())
-def test_columns_dependent_cross_checked_by_second_elimination_order(fm, data):
-    """Agreement with a rank computed after reversing rows and columns,
-    which drives the elimination through different pivots."""
-    field, M = fm
-    size = data.draw(st.integers(1, M.cols))
-    subset = data.draw(
-        st.lists(st.integers(0, M.cols - 1), min_size=size, max_size=size, unique=True)
-    )
-    got = columns_dependent(M, subset)
-    sub = M.array[:, subset][::-1, ::-1]
-    assert got == (rank(MatrixF(field, sub.copy())) < len(subset))
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,23 @@ from lrc7.fields import field_create
 from lrc7.linalg import small_rank
 from lrc7.spread import (
     Plane,
-    ProjectivePoint,
     Spread,
+    _spread_bases,
     build_2_spread,
     canonical_rep,
     point_codes,
     point_index,
-    projective_points,
+    span_point_index,
+    verify_spread,
 )
 
 FIELD_ARGS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
+
+
+def plane_points(pl: Plane) -> list[tuple[int, ...]]:
+    """The q + 1 canonical points of a plane, ascending."""
+    idx = span_point_index(pl.field, [pl.basis[0]], [pl.basis[1]])[0]
+    return [tuple(c) for c in point_codes(pl.field.q, np.sort(idx)).tolist()]
 
 
 @pytest.fixture(scope="module")
@@ -31,8 +38,6 @@ def test_spread_sizes(spreads):
 
 @pytest.mark.parametrize("q", sorted(FIELD_ARGS))
 def test_spread_verifies_exhaustively(q, spreads):
-    from lrc7.spread import verify_spread
-
     assert verify_spread(spreads[q])
 
 
@@ -74,8 +79,6 @@ def spread_at(spreads):
 
 @pytest.mark.parametrize("q", [4, 17])
 def test_duplicated_plane_fails_verification(q, spread_at):
-    from lrc7.spread import verify_spread
-
     s = spread_at[q]
     broken = Spread(s.field, s.planes[:-1] + (s.planes[0],))
     assert not verify_spread(broken)
@@ -83,8 +86,6 @@ def test_duplicated_plane_fails_verification(q, spread_at):
 
 @pytest.mark.parametrize("q", [4, 17])
 def test_deleted_plane_fails_verification(q, spread_at):
-    from lrc7.spread import verify_spread
-
     s = spread_at[q]
     broken = Spread(s.field, s.planes[:-1])
     assert not verify_spread(broken)
@@ -94,8 +95,6 @@ def test_deleted_plane_fails_verification(q, spread_at):
 def test_overlapping_plane_fails_verification(q, spread_at):
     """Plane 1 replaced by span{b1(plane 0), b1(plane 1)}: the count stays
     q^2 + 1, but the new plane meets plane 0 in a nonzero vector."""
-    from lrc7.spread import verify_spread
-
     s = spread_at[q]
     p0, p1 = s.planes[0], s.planes[1]
     overlap = Plane(s.field, p0.basis[0], p1.basis[0], 1)
@@ -106,35 +105,33 @@ def test_overlapping_plane_fails_verification(q, spread_at):
 
 def test_projective_point_counts(spreads):
     for q, s in spreads.items():
-        sizes = {len(projective_points(pl)) for pl in s.planes}
-        assert sizes == {q + 1}
-        union = {pt.codes for pl in s.planes for pt in projective_points(pl)}
-        assert len(union) == (q**4 - 1) // (q - 1)
+        points = [plane_points(pl) for pl in s.planes]
+        assert {len(set(pts)) for pts in points} == {q + 1}
+        assert len({pt for pts in points for pt in pts}) == (q**4 - 1) // (q - 1)
 
 
 def test_points_lie_in_their_plane(spreads):
     s = spreads[5]
     field = s.field
     for pl in s.planes[:10]:
-        for pt in projective_points(pl):
-            assert small_rank(field, [pl.basis[0], pl.basis[1], pt.codes]) == 2
+        for pt in plane_points(pl):
+            assert small_rank(field, [pl.basis[0], pl.basis[1], pt]) == 2
 
 
 def test_points_are_canonical(spreads):
     s = spreads[9]
     field = s.field
     for pl in s.planes[:5]:
-        for pt in projective_points(pl):
-            first_nz = next(x for x in pt.codes if x)
+        for pt in plane_points(pl):
+            first_nz = next(x for x in pt if x)
             assert first_nz == 1
-            assert canonical_rep(field, pt.codes) == pt.codes
+            assert canonical_rep(field, pt) == pt
 
 
 def test_unit_plane_points_over_gf2():
     f = field_create(2)
     pl = Plane(f, (1, 0, 0, 0), (0, 1, 0, 0), 0)
-    pts = {pt.codes for pt in projective_points(pl)}
-    assert pts == {(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)}
+    assert plane_points(pl) == [(0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0)]
 
 
 def test_canonical_rep_scales_leading_entry():
@@ -143,14 +140,6 @@ def test_canonical_rep_scales_leading_entry():
     assert canonical_rep(f, (0, 0, 2, 4)) == (0, 0, 1, 2)
     with pytest.raises(ValueError):
         canonical_rep(f, (0, 0, 0, 0))
-
-
-def test_projective_point_validation():
-    f = field_create(7)
-    with pytest.raises(ValueError):
-        ProjectivePoint(f, (2, 1, 0, 0))  # not canonical
-    with pytest.raises(ValueError):
-        ProjectivePoint(f, (1, 0, 0))  # wrong length
 
 
 def test_plane_requires_independent_basis():
@@ -166,8 +155,64 @@ def test_plane_ids_are_enumeration_order(spreads):
 
 def test_large_q_structural_path(spread_at):
     """A q = 17 spread verifies through the same seen-mask check as small q."""
-    from lrc7.spread import verify_spread
-
     s = spread_at[17]
     assert len(s) == 17 * 17 + 1
     assert verify_spread(s)
+
+
+def _reference_bases(field) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Field reduction one element at a time: plane (x, y) has the basis
+    (x, y) and y*(x, y) in GF(q^2) = GF(q)[y]/(y^2 + g1*y + g0), written
+    coordinate-wise in the basis {1, y}."""
+    q, add, sub, mul, neg = field.q, field.add, field.sub, field.mul, field.neg
+    g0, g1 = next(
+        (i % q, i // q) for i in range(q * q) if all(add(add(mul(t, t), mul(i // q, t)), i % q) for t in range(q))
+    )
+
+    def times_y(x):
+        a, b = x % q, x // q
+        return neg(mul(g0, b)) + q * sub(a, mul(g1, b))
+
+    def embed(x, y):
+        return (x % q, x // q, y % q, y // q)
+
+    return [(embed(x, y), embed(times_y(x), times_y(y))) for x, y in [(0, 1)] + [(1, c) for c in range(q * q)]]
+
+
+@pytest.mark.parametrize("q", sorted(FIELD_ARGS) + [16, 27])
+def test_spread_bases_match_the_element_wise_reference(q):
+    field = field_create(*{**FIELD_ARGS, 16: (2, 4), 27: (3, 3)}[q])
+    B = _spread_bases(field)
+    assert B.dtype == np.int32
+    assert B.shape == (q * q + 1, 2, 4)
+    assert [(tuple(b1), tuple(b2)) for b1, b2 in B.tolist()] == _reference_bases(field)
+
+
+def test_span_point_index_is_filled_block_by_block():
+    # q = 64: 4097 planes in blocks of (1 << 16) // 65 = 1008 rows, so 5 blocks
+    field = field_create(2, 6)
+    B = _spread_bases(field)
+    table = span_point_index(field, B[:, 0], B[:, 1])
+    assert table.dtype == np.int32
+    assert table.shape == (len(B), 65)
+    for i in range(len(B)):
+        assert (table[i] == span_point_index(field, B[i : i + 1, 0], B[i : i + 1, 1])[0]).all()
+
+
+@pytest.mark.parametrize("q", [4, 17])
+@pytest.mark.parametrize("case", ["same-vector", "scaled", "zero-first", "zero-second"])
+def test_dependent_basis_fails_verification_without_raising(q, case, spread_at):
+    s = spread_at[q]
+    field = s.field
+    b1, b2 = s.planes[3].basis
+    basis = {
+        "same-vector": (b1, b1),
+        "scaled": (b1, tuple(field.mul(2, x) for x in b1)),
+        "zero-first": ((0, 0, 0, 0), b2),
+        "zero-second": (b1, (0, 0, 0, 0)),
+    }[case]
+    bad = Plane(field, b1, b2, 3)
+    bad.basis = basis  # past the constructor's rank check
+    broken = Spread(field, s.planes[:3] + (bad,) + s.planes[4:])
+    assert len(broken) == q * q + 1
+    assert verify_spread(broken) is False
