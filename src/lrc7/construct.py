@@ -304,8 +304,9 @@ class PairSpanTable:
     planes[t]: the q + 1 points of P_t = span(u1(t), u2(t)), or -1 when the
         pair is dependent.
     spans[p, 3a + b]: the q + 1 points of span(u_a(i), u_b(j)) for the p-th
-        pair i < j in `combinations` order, or -1 when the two vectors are
-        dependent; entry 0 is <u_b(j)> and entry 1 + s is <u_a(i) + s*u_b(j)>.
+        pair i < j in `combinations` order, in an order fixed by the pair
+        (`spread.span_point_index`), or -1 when the two vectors are
+        dependent.
     plane_of[x]: the least t whose P_t holds point x, or L.  It has one extra
         last entry, read through the -1 entries, that lies in no plane.
     """
@@ -365,8 +366,8 @@ class PairSpanTable:
         zero_after = np.minimum.accumulate(zero[::-1])[::-1]
         first = np.where(spans[:, :, 0] < 0, after[:, None], zero_after[after][:, None])
         # the representatives on each point, chained from the least: lead[x], then nxt[r]
-        lead = np.full(self.plane_of.size, 3 * L)
-        nxt = np.full(3 * L + 1, 3 * L)
+        lead = np.full(self.plane_of.size, 3 * L, dtype=np.int32)
+        nxt = np.full(3 * L + 1, 3 * L, dtype=np.int32)
         for r in range(3 * L - 1, -1, -1):
             if flat[r] >= 0:
                 nxt[r], lead[flat[r]] = lead[flat[r]], r
@@ -388,28 +389,34 @@ class PairSpanTable:
     def weight7_parts(self) -> Optional[dict[int, tuple[int, int]]]:
         """A weight-7 codeword of the block code, when the conditions hold.
 
-        It is read from the first point of some span(u_a(i), u_b(j)) that
-        lies in a third plane P_t and is none of P_t's representatives; None
-        when there is no such point.  Returned as {group g: (A, B)}: the
-        codeword is (A, B, -(A + B)) on group g, whose image A*u1(g) +
-        B*u2(g) the three groups sum to 0.
+        It is read from the least point w, on the first span(u_a(i), u_b(j))
+        that has one, that lies in a third plane P_t and is none of the
+        representatives; None when there is no such point.  Two
+        `solve_columns` give w = alpha*u_a(i) + beta*u_b(j) = A*u1(t) +
+        B*u2(t), so the word does not depend on the order of a span's
+        points.  Returned as {group g: (A, B)}: the codeword is
+        (A, B, -(A + B)) on group g, whose image A*u1(g) + B*u2(g) the
+        three groups sum to 0.
         """
         L, field = self.seq.L, self.seq.field
         on_rep = np.zeros(self.plane_of.size, dtype=bool)
         on_rep[self.reps[self.reps >= 0]] = True
         hit = (self.plane_of[self.spans] < L) & ~on_rep[self.spans]
-        if not hit.any():
+        found = hit.any(axis=2)
+        if not found.any():
             return None
-        p, ab, x = (int(v) for v in np.unravel_index(hit.argmax(), hit.shape))
+        p, ab = (int(v) for v in np.unravel_index(found.argmax(), found.shape))
+        x = int(self.spans[p, ab][hit[p, ab]].min())
         i, j = (int(v[p]) for v in np.triu_indices(L, 1))
-        a, b, s = ab // 3, ab % 3, x - 1  # x = 0 and s = 0 are representatives
-        t = int(self.plane_of[self.spans[p, ab, x]])
+        a, b, t = ab // 3, ab % 3, int(self.plane_of[x])
+        w = point_codes(field.q, x)
+        ua, ub = self.seq.triple(i)[a], self.seq.triple(j)[b]
+        alpha, beta = solve_columns(field, np.array([ua, ub]).T, w).tolist()
+        A, B = solve_columns(field, np.array(self.seq.pairs[t]).T, w).tolist()
         unit = ((1, field.neg(1)), (1, 0), (0, 1))  # u0, u1, u2 in the basis u1, u2
-        v = [field.add(y, field.mul(s, z)) for y, z in zip(self.seq.triple(i)[a], self.seq.triple(j)[b])]
-        A, B = solve_columns(field, np.array(self.seq.pairs[t]).T, np.array(v)).tolist()
         return {
-            i: tuple(field.neg(e) for e in unit[a]),
-            j: tuple(field.neg(field.mul(s, e)) for e in unit[b]),
+            i: tuple(field.neg(field.mul(alpha, e)) for e in unit[a]),
+            j: tuple(field.neg(field.mul(beta, e)) for e in unit[b]),
             t: (A, B),
         }
 

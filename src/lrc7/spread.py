@@ -145,22 +145,40 @@ def point_codes(q: int, idx) -> np.ndarray:
 
 
 def span_point_index(field: FieldSpec, B1, B2) -> np.ndarray:
-    """PG(3, q) indices (int32, shape (m, q + 1)) of the points of the m
-    planes span{B1[i], B2[i]}: <B2[i]> and <B1[i] + t*B2[i]> for every t in
-    GF(q).  Filled in blocks of rows that bound the temporaries at any q.
+    """PG(3, q) indices (int32, shape (m, q + 1)) of the q + 1 points of
+    each of the m planes span{B1[i], B2[i]}, in an order fixed by the pair.
 
-    Raises ValueError when some B1[i], B2[i] are linearly dependent, since
-    one of those vectors is then zero.
+    Each pair is brought to echelon form: r1, the pair's first vector
+    nonzero at the first coordinate k1 where either is, scaled to a 1 there,
+    and r2 = (the other) - (its k1 entry)*r1, scaled to a 1 at its lead
+    k2 > k1.  Then <r2> and every <r1 + s*r2> are canonical as they stand,
+    so a point's index is its lead shift plus its base-q value, with no
+    per-point scaling.  Filled in blocks of rows that bound the temporaries
+    at any q.  Raises ValueError when some B1[i], B2[i] are dependent.
     """
-    B1 = np.asarray(B1, dtype=np.int32)
-    B2 = np.asarray(B2, dtype=np.int32)
-    t = np.arange(field.q, dtype=np.int32)[None, :, None]
-    out = np.empty((len(B1), field.q + 1), dtype=np.int32)
-    chunk = max(1, (1 << 16) // (field.q + 1))
-    for lo in range(0, len(B1), chunk):
-        b1, b2 = B1[lo : lo + chunk, None, :], B2[lo : lo + chunk, None, :]
-        V = field.arr_add(b1, field.arr_mul(t, b2))
-        out[lo : lo + chunk] = point_index(field, np.concatenate([b2, V], axis=1))
+    B = np.stack([np.asarray(B1, dtype=np.int32), np.asarray(B2, dtype=np.int32)], axis=1)
+    q = field.q
+    MUL, SUB, INV, add = field._MUL_NP, field._SUB_NP, field._INV_NP, field._ADD_NP.ravel()
+    shift = _lead_shift(q).astype(np.int32)
+    out = np.empty((len(B), q + 1), dtype=np.int32)
+    chunk = max(1, (1 << 16) // (q + 1))
+    for lo in range(0, len(B), chunk):
+        b = B[lo : lo + chunk]
+        rows = np.arange(len(b))
+        k1 = b.any(axis=1).argmax(axis=1)
+        b = np.where(b[rows, 0, k1][:, None, None] == 0, b[:, ::-1], b)
+        r1 = MUL[INV[b[rows, 0, k1]][:, None], b[:, 0]]
+        r2 = SUB[b[:, 1], MUL[b[rows, 1, k1][:, None], r1]]
+        k2 = (r2 != 0).argmax(axis=1)
+        lead = r2[rows, k2]
+        if not lead.all():  # a zero or dependent pair leaves r2 = 0
+            raise ValueError("span_point_index needs two linearly independent vectors per pair")
+        r2 = MUL[INV[lead][:, None], r2]
+        blk = out[lo : lo + chunk]
+        # r2[0] = 0 (r2 is zero up to k1); coordinate c of r1 + s*r2, every s: ADD[r1[c], MUL row r2[c]]
+        blk[:, 0] = (r2[:, 1] * q + r2[:, 2]) * q + r2[:, 3] + shift[k2]
+        A = add.take(MUL[r2[:, 1:]] + r1[:, 1:, None] * q)
+        blk[:, 1:] = (A[:, 0] * q + A[:, 1]) * q + A[:, 2] + (r1[:, 0] * q**3 + shift[k1])[:, None]
     return out
 
 
@@ -168,20 +186,17 @@ def verify_spread(s: Spread) -> bool:
     """Check the three spread axioms: size q^2 + 1, pairwise trivial
     intersection, full coverage of GF(q)^4.
 
-    A basis has rank 2 when both vectors are nonzero and span distinct
-    points.  Each plane of rank 2 holds q + 1 projective points, and
-    q^2 + 1 planes hold as many as PG(3, q) has.  So the planes form a
-    spread exactly when every point index is counted once.
+    A basis of rank below 2 fails (`span_point_index` raises on it).  Each
+    plane of rank 2 holds q + 1 projective points, and q^2 + 1 planes hold
+    as many as PG(3, q) has.  So the planes form a spread exactly when
+    every point index is counted once.
     """
-    field = s.field
-    q = field.q
+    q = s.field.q
     if len(s.planes) != q * q + 1:
         return False
     B = np.array([pl.basis for pl in s.planes], dtype=np.int32)
-    if not B.any(axis=2).all():
+    try:
+        points = span_point_index(s.field, B[:, 0], B[:, 1])
+    except ValueError:
         return False
-    ends = point_index(field, B)
-    if (ends[:, 0] == ends[:, 1]).any():
-        return False
-    counts = np.bincount(span_point_index(field, B[:, 0], B[:, 1]).ravel())
-    return bool((counts == 1).all())
+    return bool((np.bincount(points.ravel()) == 1).all())

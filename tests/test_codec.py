@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -293,6 +294,37 @@ def test_table_distance_matches_group_sets_and_dfs(q):
             assert not _matmul_codes(code.field, w[None, :], code.H.array.T).any()
         if seq is not None:
             assert verify_conditions(seq).ok == (d is None or d >= 7), seq
+
+
+_SPAN_ORDER_SEED = 15
+
+
+@pytest.mark.parametrize("name", ["h2", "lex7", "lex8"])
+def test_weight7_witness_does_not_depend_on_span_order(name, monkeypatch):
+    """Every span row of the table permuted: the same weight-7 codeword."""
+    from lrc7.codec import _weight7_witness
+    from lrc7.construct import PairSpanTable
+    from lrc7.linalg import _matmul_codes
+
+    if name == "h2":
+        H = load_fixture("h2")[0]
+    else:
+        H = assemble_parity_check(run_algorithm1(field_create(*{"lex7": (7, 1), "lex8": (2, 3)}[name]))[0])
+    code = code_from_parity_check(H)
+    want = _weight7_witness(code)
+    build = PairSpanTable.of
+
+    def permuted(seq):
+        table = build(seq)
+        spans = np.random.default_rng(_SPAN_ORDER_SEED).permuted(table.spans, axis=2)
+        assert not (spans == table.spans).all()
+        return dataclasses.replace(table, spans=spans)
+
+    monkeypatch.setattr(PairSpanTable, "of", staticmethod(permuted))
+    w = _weight7_witness(code)
+    assert np.count_nonzero(w) == 7
+    assert not _matmul_codes(code.field, w[None, :], code.H.array.T).any()
+    assert (w == want).all()
 
 
 def test_table_corpus_reaches_every_branch():

@@ -216,3 +216,69 @@ def test_dependent_basis_fails_verification_without_raising(q, case, spread_at):
     broken = Spread(field, s.planes[:3] + (bad,) + s.planes[4:])
     assert len(broken) == q * q + 1
     assert verify_spread(broken) is False
+
+
+SPAN_FIELDS = {5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2), 16: (2, 4), 25: (5, 2), 27: (3, 3)}
+SPAN_SEED = 1507  # random pairs at each q of SPAN_FIELDS come from default_rng((SPAN_SEED, q))
+
+
+def _brute_span(field, b1, b2) -> set[tuple[int, ...]]:
+    """{canonical_rep(alpha*b1 + beta*b2)} over every nonzero (alpha, beta),
+    one scalar field operation at a time."""
+    add, mul = field.add, field.mul
+    q = field.q
+    vectors = [
+        tuple(add(mul(alpha, x), mul(beta, y)) for x, y in zip(b1, b2)) for alpha in range(q) for beta in range(q)
+    ]
+    return {canonical_rep(field, v) for v in vectors if any(v)}
+
+
+def _span_pairs(q):
+    """Every pair of distinct points at q <= 4; seeded random independent
+    pairs, a coordinate zeroed with probability 1/2, otherwise."""
+    if q <= 4:
+        field = field_create(*FIELD_ARGS[q])
+        pts = point_codes(q, np.arange((q**4 - 1) // (q - 1)))
+        i, j = np.array(list(itertools.permutations(range(len(pts)), 2))).T
+        return field, pts[i].astype(np.int32), pts[j].astype(np.int32)
+    field = field_create(*SPAN_FIELDS[q])
+    rng = np.random.default_rng((SPAN_SEED, q))
+    B = rng.integers(0, q, (400, 2, 4)) * (rng.random((400, 2, 4)) < 0.5)
+    B = B[[small_rank(field, b.tolist()) == 2 for b in B]][:150]
+    return field, B[:, 0].astype(np.int32), B[:, 1].astype(np.int32)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4] + sorted(SPAN_FIELDS))
+def test_span_point_index_matches_brute_force(q):
+    field, B1, B2 = _span_pairs(q)
+    assert len(B1) >= 100
+    table = span_point_index(field, B1, B2)
+    assert table.dtype == np.int32
+    assert table.shape == (len(B1), q + 1)
+    assert all(len(set(row)) == q + 1 for row in table.tolist())
+    for b1, b2, row in zip(B1.tolist(), B2.tolist(), table):
+        assert {tuple(c) for c in point_codes(q, row).tolist()} == _brute_span(field, b1, b2)
+    # the point set is the plane's: swap the pair or scale either vector
+    c = np.random.default_rng((SPAN_SEED, q, 1)).integers(1, q, (len(B1), 1))
+    want = np.sort(table, axis=1)
+    for X, Y in [(B2, B1), (field.arr_mul(c, B1), B2), (B1, field.arr_mul(c, B2))]:
+        assert (np.sort(span_point_index(field, X, Y), axis=1) == want).all()
+
+
+@pytest.mark.parametrize("q", [4, 27, 64])
+@pytest.mark.parametrize("case", ["equal", "scaled", "zero-first", "zero-second", "both-zero"])
+def test_span_point_index_rejects_a_dependent_pair(q, case):
+    """One bad row among spread bases, placed in the last block, raises."""
+    field = field_create(*{4: (2, 2), 27: (3, 3), 64: (2, 6)}[q])
+    B = _spread_bases(field)
+    b1, b2 = B[-1]
+    zero = np.zeros(4, dtype=np.int32)
+    B[-1] = {
+        "equal": (b1, b1),
+        "scaled": (b1, field.arr_mul(q - 1, b1)),
+        "zero-first": (zero, b2),
+        "zero-second": (b1, zero),
+        "both-zero": (zero, zero),
+    }[case]
+    with pytest.raises(ValueError, match="independent"):
+        span_point_index(field, B[:, 0], B[:, 1])
