@@ -23,11 +23,11 @@ import numpy as np
 
 from .bounds import CodeParams
 from .construct import PairSpanTable, VectorSequence
-from .fields import FieldElement, FieldSpec
+from .fields import FieldSpec
 from .linalg import (
     AmbiguousSystemError,
     MatrixF,
-    VectorF,
+    _codes,
     _echelon_step,
     _kernel_codes,
     _matmul_codes,
@@ -147,7 +147,7 @@ def code_from_parity_check(H: MatrixF, group_spec: Optional[Sequence[Sequence[in
     k = n - rank(H)
     if k == 0:
         raise ValueError("parity-check matrix has full column rank: the code is {0}")
-    G = MatrixF(field, [v.codes for v in kernel_basis(H)])
+    G = MatrixF(field, kernel_basis(H))
     if matmul(G, H.transpose()).array.any():
         raise AssertionError("generator is not orthogonal to the parity checks")
     if group_spec is None:
@@ -306,23 +306,32 @@ def min_weight_oracle(code: Union[LrcCode, MatrixF], budget: int = 10**6) -> int
 # -- encoding and repair ---------------------------------------------------------
 
 
-def encode(code: LrcCode, msg) -> VectorF:
-    """msg @ G; the result satisfies every parity check."""
-    field = code.field
-    codes = msg.codes if isinstance(msg, VectorF) else tuple(field.element(x).code for x in msg)
-    if len(codes) != code.k:
-        raise ValueError(f"message length {len(codes)} != k = {code.k}")
-    return VectorF(field, _matmul_codes(field, np.array([codes], dtype=np.int32), code.G.array)[0])
+def _symbols(field: FieldSpec, symbols) -> np.ndarray:
+    """A message or received word as codes (`linalg._codes`); a bool symbol
+    is rejected here, since numpy reads one among integers as 0 or 1."""
+    if any(isinstance(x, (bool, np.bool_)) for x in symbols):
+        raise ValueError("symbols must be integer codes, got a bool")
+    return _codes(field, symbols)
 
 
-Received = Sequence[Union[FieldElement, int, None]]
+def encode(code: LrcCode, msg) -> tuple[int, ...]:
+    """msg @ G as a tuple of codes; the result satisfies every parity check."""
+    codes = _symbols(code.field, msg)
+    if codes.shape != (code.k,):
+        raise ValueError(f"message of shape {codes.shape} is not k = {code.k} codes")
+    return tuple(_matmul_codes(code.field, codes[None, :], code.G.array)[0].tolist())
 
 
-def _received_codes(field: FieldSpec, word: Received) -> list[Optional[int]]:
-    out: list[Optional[int]] = []
-    for x in word:
-        out.append(None if x is None else field.element(x).code)
-    return out
+Received = Sequence[Optional[int]]
+
+
+def _received_codes(code: LrcCode, word: Received) -> tuple[np.ndarray, list[int]]:
+    """A received word's codes (0 at each erasure, marked by None) and its
+    erased positions."""
+    if len(word) != code.n:
+        raise ValueError(f"word length {len(word)} != n = {code.n}")
+    erased = [j for j, x in enumerate(word) if x is None]
+    return _symbols(code.field, [0 if x is None else x for x in word]), erased
 
 
 def _local_rule(code: LrcCode, pos: int, erased) -> tuple[int, list[tuple[int, int]]]:
@@ -348,54 +357,47 @@ def _local_rule(code: LrcCode, pos: int, erased) -> tuple[int, list[tuple[int, i
 def _repair_local_info(code: LrcCode, word: Received, pos: int) -> tuple[int, int]:
     """(repaired code, helpers read); raises LocalRepairError on partner loss."""
     field = code.field
-    codes = _received_codes(field, word)
-    if len(codes) != code.n:
-        raise ValueError(f"word length {len(codes)} != n = {code.n}")
-    if codes[pos] is not None:
+    codes, erased = _received_codes(code, word)
+    if word[pos] is not None:
         raise ValueError(f"position {pos} is not erased")
-    lead, helpers = _local_rule(code, pos, {j for j, c in enumerate(codes) if c is None})
+    lead, helpers = _local_rule(code, pos, set(erased))
     acc = 0
     for j, coeff in helpers:
-        acc = field.add(acc, field.mul(coeff, codes[j]))
+        acc = field.add(acc, field.mul(coeff, int(codes[j])))
     return field.div(field.neg(acc), lead), len(helpers)
 
 
-def repair_local(code: LrcCode, word: Received, pos: int) -> FieldElement:
-    """Repair one erased position from its group check alone.
+def repair_local(code: LrcCode, word: Received, pos: int) -> int:
+    """Repair one erased position from its group check alone; returns its code.
 
     Reads exactly the surviving group partners (two symbols for weight-3
     checks).  Raises LocalRepairError when a needed partner is erased too.
     """
     value, _ = _repair_local_info(code, word, pos)
-    return FieldElement(code.field, value)
+    return value
 
 
-def repair_global(code: LrcCode, word: Received) -> VectorF:
-    """Solve the parity checks over the erased coordinates.
+def repair_global(code: LrcCode, word: Received) -> tuple[int, ...]:
+    """Solve the parity checks over the erased coordinates; returns the
+    repaired word as a tuple of codes.
 
     Any pattern of fewer than d erasures restricts H to full column rank and
     is repaired exactly; rank-deficient restrictions raise
     UnrecoverableErasureError.
     """
     field = code.field
-    codes = _received_codes(field, word)
-    if len(codes) != code.n:
-        raise ValueError(f"word length {len(codes)} != n = {code.n}")
-    erased = [i for i, c in enumerate(codes) if c is None]
-    if not erased:
-        return VectorF(field, codes)
-    H = code.H.array
-    received = np.array([[c or 0 for c in codes]], dtype=np.int32)
-    syndrome = _matmul_codes(field, received, H.T)
-    try:
-        x = solve_columns(field, H[:, erased], field.arr_neg(syndrome.T))
-    except AmbiguousSystemError as exc:
-        raise UnrecoverableErasureError(
-            f"{len(erased)} erasures do not determine the codeword uniquely"
-        ) from exc
-    for idx, j in enumerate(erased):
-        codes[j] = int(x[idx, 0])
-    return VectorF(field, codes)
+    codes, erased = _received_codes(code, word)
+    if erased:
+        H = code.H.array
+        syndrome = _matmul_codes(field, codes[None, :], H.T)
+        try:
+            x = solve_columns(field, H[:, erased], field.arr_neg(syndrome.T))
+        except AmbiguousSystemError as exc:
+            raise UnrecoverableErasureError(
+                f"{len(erased)} erasures do not determine the codeword uniquely"
+            ) from exc
+        codes[erased] = x[:, 0]
+    return tuple(codes.tolist())
 
 
 # -- repair simulation -------------------------------------------------------------

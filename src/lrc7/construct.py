@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .fields import FieldSpec, field_from_header, field_header, write_json
-from .linalg import MatrixF, VectorF, solve_columns
+from .linalg import MatrixF, _codes, solve_columns
 from .spread import _spread_bases, canonical_rep, point_codes, point_index, span_point_index
 
 POLICIES = ("lex", "seeded")
@@ -60,15 +60,11 @@ class VectorSequence:
     __slots__ = ("field", "pairs")
 
     def __init__(self, field: FieldSpec, pairs):
-        norm = []
-        for u1, u2 in pairs:
-            c1 = u1.codes if isinstance(u1, VectorF) else tuple(int(x) for x in u1)
-            c2 = u2.codes if isinstance(u2, VectorF) else tuple(int(x) for x in u2)
-            if len(c1) != 4 or len(c2) != 4:
-                raise ValueError("pair vectors must have length 4")
-            norm.append((c1, c2))
+        arr = _codes(field, pairs)
+        if arr.size and arr.shape[1:] != (2, 4):
+            raise ValueError(f"expected pairs of two length-4 vectors, got shape {arr.shape}")
         self.field = field
-        self.pairs = tuple(norm)
+        self.pairs = tuple((tuple(u1), tuple(u2)) for u1, u2 in arr.tolist())
 
     @property
     def L(self) -> int:
@@ -105,7 +101,7 @@ class VectorSequence:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "VectorSequence":
-        return cls(field_from_header(d), [(u1, u2) for u1, u2 in d["pairs"]])
+        return cls(field_from_header(d), d["pairs"])
 
     def save_json(self, path) -> None:
         write_json(path, self.to_json_dict())
@@ -239,7 +235,7 @@ def choose_triple(field: FieldSpec, points, policy: str = "lex", rng: Optional[r
     The selected points keep their input order as <v1>, <v2>, <v3>; then
     v3 = alpha*v1 + beta*v2 with alpha, beta nonzero, and the returned
     vectors are u1 = alpha*v1, u2 = -beta*v2, u0 = u1 - u2 (a representative
-    of <v3>).  Returns (u0, u1, u2) as VectorF.
+    of <v3>).  Returns (u0, u1, u2) as code tuples.
 
     Policy 'lex' selects the three canonically smallest points, 'seeded'
     samples three with the supplied rng.
@@ -265,7 +261,7 @@ def choose_triple(field: FieldSpec, points, policy: str = "lex", rng: Optional[r
     u1 = tuple(mul(alpha, x) for x in v1)
     u2 = tuple(mul(field.neg(beta), x) for x in v2)
     u0 = tuple(field.sub(a, b) for a, b in zip(u1, u2))
-    return VectorF(field, u0), VectorF(field, u1), VectorF(field, u2)
+    return u0, u1, u2
 
 
 # -- verification -------------------------------------------------------------
@@ -471,10 +467,10 @@ def _round(family: _Survivors, pairs: list, plane_id: int, points, policy: str, 
     and discard the planes left with fewer than three points."""
     field = family.field
     u0, u1, u2 = choose_triple(field, points, policy, rng)
-    pairs.append((u1.codes, u2.codes))
-    chosen = tuple(sorted(canonical_rep(field, v.codes) for v in (u0, u1, u2)))
+    pairs.append((u1, u2))
+    chosen = tuple(sorted(canonical_rep(field, v) for v in (u0, u1, u2)))
     family.drop([plane_id])
-    cur, old = np.array([u0.codes, u1.codes, u2.codes], dtype=np.int32), family.reps
+    cur, old = np.array([u0, u1, u2], dtype=np.int32), family.reps
     family.reps = np.concatenate([old, cur])
     spans = span_point_index(field, np.repeat(cur, len(old), axis=0), np.tile(old, (3, 1))).ravel()
     owner, mark = family.owner, family.mark

@@ -141,8 +141,6 @@ class FieldSpec:
         self.modulus = tuple(modulus)
         self._ppow = tuple(p**i for i in range(e + 1))
         self._build_tables()
-        self._zero = FieldElement(self, 0)
-        self._one = FieldElement(self, 1)
 
     # -- construction of the tables -------------------------------------
 
@@ -231,52 +229,17 @@ class FieldSpec:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self._INV_NP[a]
 
-    # -- element construction and inspection ------------------------------
+    # -- polynomial-basis coefficients ----------------------------------------
 
-    def element(self, x) -> "FieldElement":
-        """Wrap an integer code (or pass a FieldElement through)."""
-        if isinstance(x, FieldElement):
-            if x.field != self:
-                raise ValueError("element belongs to a different field")
-            return x
-        return FieldElement(self, x)
-
-    def from_coeffs(self, coeffs: Iterable[int]) -> "FieldElement":
+    def from_coeffs(self, coeffs: Iterable[int]) -> int:
+        """The code of the element with these little-endian coefficients."""
         coeffs = list(coeffs)
         if len(coeffs) > self.e:
             raise ValueError(f"at most {self.e} coefficients expected")
-        code = sum((c % self.p) * self._ppow[i] for i, c in enumerate(coeffs))
-        return FieldElement(self, code)
+        return sum((c % self.p) * self._ppow[i] for i, c in enumerate(coeffs))
 
     def coeffs(self, code: int) -> tuple[int, ...]:
         return tuple(_digits(code, self.p, self.e))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return self._zero
-
-    @property
-    def one(self) -> "FieldElement":
-        return self._one
-
-    def elements(self):
-        return (FieldElement(self, c) for c in range(self.q))
-
-    def poly_str(self, code: int) -> str:
-        if self.e == 1:
-            return str(code)
-        terms = []
-        for i in reversed(range(self.e)):
-            c = code // self._ppow[i] % self.p
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                coeff = "" if c == 1 else str(c)
-                power = "a" if i == 1 else f"a^{i}"
-                terms.append(coeff + power)
-        return "+".join(terms) if terms else "0"
 
     # -- value semantics ---------------------------------------------------
 
@@ -297,103 +260,6 @@ class FieldSpec:
             if c
         )
         return f"GF({self.q}; {mod})"
-
-
-class FieldElement:
-    """A single field element: an owner field plus a canonical integer code.
-
-    Arithmetic operators accept either another element of the same field or
-    a plain integer code.
-    """
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: FieldSpec, code: int):
-        code = int(code)
-        if not 0 <= code < field.q:
-            raise ValueError(f"code {code} out of range for {field!r}")
-        self.field = field
-        self.code = code
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("operands belong to different fields")
-            return other.code
-        if isinstance(other, int) and not isinstance(other, bool):
-            if not 0 <= other < self.field.q:
-                raise ValueError(f"code {other} out of range for {self.field!r}")
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.code, b))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.code, b))
-
-    def __rsub__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(b, self.code))
-
-    def __mul__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.code, b))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.code, b))
-
-    def __rtruediv__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(b, self.code))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def __pow__(self, n: int):
-        return FieldElement(self.field, self.field.pow(self.code, n))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.code == other.code
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.code == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.code))
-
-    def __int__(self) -> int:
-        return self.code
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.coeffs(self.code)
-
-    def __repr__(self) -> str:
-        return f"F{self.field.q}({self.field.poly_str(self.code)})"
 
 
 def field_create(p: int, e: int = 1, modulus: Optional[Sequence[int]] = None) -> FieldSpec:

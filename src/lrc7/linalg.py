@@ -1,8 +1,8 @@
-"""Dense vectors and matrices over a FieldSpec.
+"""Dense matrices and code arrays over a FieldSpec.
 
-Entries are stored as integer codes in a numpy array; all eliminations are
-exact field arithmetic.  Includes the JSON and CSV matrix formats shared by
-the CLI tools and the bundled fixtures.
+Entries are integer codes in numpy arrays, checked once at the boundary
+(`_codes`); all eliminations are exact field arithmetic.  Includes the JSON
+and CSV matrix formats shared by the CLI tools and the bundled fixtures.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import FieldElement, FieldSpec, field_from_header, field_header, write_json
+from .fields import FieldSpec, field_from_header, field_header, write_json
 
 
 class AmbiguousSystemError(ValueError):
@@ -25,69 +25,26 @@ class InconsistentSystemError(ValueError):
     """Linear system has no solution."""
 
 
-def _coerce_code(field: FieldSpec, x) -> int:
-    if isinstance(x, FieldElement):
-        if x.field != field:
-            raise ValueError("entry belongs to a different field")
-        return x.code
-    code = int(x)
-    if not 0 <= code < field.q:
-        raise ValueError(f"code {code} out of range for {field!r}")
-    return code
+def _codes(field: FieldSpec, x) -> np.ndarray:
+    """x as a new C-ordered int32 array of codes, of any shape.
 
-
-class VectorF:
-    """Immutable vector over a field, stored as a tuple of codes."""
-
-    __slots__ = ("field", "codes")
-
-    def __init__(self, field: FieldSpec, entries):
-        self.field = field
-        self.codes = tuple(_coerce_code(field, x) for x in entries)
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __iter__(self):
-        return (FieldElement(self.field, c) for c in self.codes)
-
-    def __getitem__(self, i: int) -> FieldElement:
-        return FieldElement(self.field, self.codes[i])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VectorF):
-            return NotImplemented
-        return self.field == other.field and self.codes == other.codes
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.codes))
-
-    def _check(self, other):
-        if self.field != other.field:
-            raise ValueError("operands belong to different fields")
-        if len(self.codes) != len(other.codes):
-            raise ValueError("vector lengths differ")
-
-    def __add__(self, other: "VectorF") -> "VectorF":
-        self._check(other)
-        f = self.field
-        return VectorF(f, (f.add(a, b) for a, b in zip(self.codes, other.codes)))
-
-    def __sub__(self, other: "VectorF") -> "VectorF":
-        self._check(other)
-        f = self.field
-        return VectorF(f, (f.sub(a, b) for a, b in zip(self.codes, other.codes)))
-
-    def scale(self, c) -> "VectorF":
-        code = _coerce_code(self.field, c)
-        f = self.field
-        return VectorF(f, (f.mul(code, x) for x in self.codes))
-
-    def is_zero(self) -> bool:
-        return not any(self.codes)
-
-    def __repr__(self) -> str:
-        return f"VectorF({self.field!r}, {list(self.codes)})"
+    Accepts only integer entries (an integer numpy dtype, or Python or numpy
+    integers in a regular nesting) in [0, q), and raises ValueError for any
+    other dtype (float, string, bool, object), a ragged nesting or a code
+    out of range.  numpy reads a bool nested among integers as 0 or 1;
+    `codec._symbols` refuses those in messages and received words.  An
+    empty input has no entry to check.
+    """
+    try:
+        arr = np.asarray(x)
+    except ValueError as exc:
+        raise ValueError(f"codes must form a regular array: {exc}") from exc
+    if arr.size:
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"codes must be integers, got {arr.dtype} entries")
+        if arr.min() < 0 or arr.max() >= field.q:
+            raise ValueError(f"code out of range for {field!r}")
+    return arr.astype(np.int32, order="C")
 
 
 class MatrixF:
@@ -96,17 +53,9 @@ class MatrixF:
     __slots__ = ("field", "array")
 
     def __init__(self, field: FieldSpec, entries):
-        if isinstance(entries, np.ndarray) and entries.dtype.kind in "iu":
-            arr = entries.astype(np.int32)
-        else:
-            arr = np.array(
-                [[_coerce_code(field, x) for x in row] for row in entries],
-                dtype=np.int32,
-            )
+        arr = _codes(field, entries)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("matrix must be two-dimensional and non-empty")
-        if arr.min() < 0 or arr.max() >= field.q:
-            raise ValueError("matrix entry out of range for the field")
         arr.setflags(write=False)
         self.field = field
         self.array = arr
@@ -120,7 +69,7 @@ class MatrixF:
         return self.array.shape[1]
 
     def transpose(self) -> "MatrixF":
-        return MatrixF(self.field, self.array.T.copy())
+        return MatrixF(self.field, self.array.T)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "MatrixF":
@@ -184,9 +133,10 @@ def _kernel_codes(field: FieldSpec, arr: np.ndarray) -> np.ndarray:
     return basis
 
 
-def kernel_basis(M: MatrixF) -> list[VectorF]:
-    """Basis of the right null space; empty when M has full column rank."""
-    return [VectorF(M.field, row) for row in _kernel_codes(M.field, M.array).tolist()]
+def kernel_basis(M: MatrixF) -> np.ndarray:
+    """Basis of the right null space as a (k, n) int32 code array, one row
+    per basis vector; it has no rows when M has full column rank."""
+    return _kernel_codes(M.field, M.array)
 
 
 def solve_columns(field: FieldSpec, arr: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -197,16 +197,16 @@ def test_criterion_7_repair_correctness():
         msg = [int(x) for x in rng.integers(0, 4, size=2)]
         cw = encode(code1, msg)
         for pattern in patterns:
-            word: list = list(cw.codes)
+            word: list = list(cw)
             for j in pattern:
                 word[j] = None
             assert repair_global(code1, word) == cw
         for pos in range(code1.n):
-            word = list(cw.codes)
+            word = list(cw)
             word[pos] = None
             value, helpers = _repair_local_info(code1, word, pos)
             assert helpers == 2
-            assert value == cw.codes[pos]
+            assert value == cw[pos]
 
     h2, _ = load_fixture("h2")
     code2 = code_from_parity_check(h2)
@@ -215,7 +215,7 @@ def test_criterion_7_repair_correctness():
         cw = encode(code2, msg)
         w = int(rng.integers(1, 7))
         pattern = rng.choice(code2.n, size=w, replace=False)
-        word = list(cw.codes)
+        word = list(cw)
         for j in pattern:
             word[j] = None
         assert repair_global(code2, word) == cw

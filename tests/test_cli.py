@@ -211,6 +211,18 @@ def test_verify_missing_file(capsys):
     assert "cannot load" in stderr
 
 
+def test_verify_rejects_non_integer_entries(tmp_path, capsys):
+    # a float entry was once truncated and a string parsed, so the file verified
+    data = json.loads(fixture_path("h1").read_text())
+    data["entries"][0][0] = 1.9
+    data["entries"][1][3] = "1"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, stdout, stderr = run_cli(capsys, "verify", str(bad))
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("error: cannot load matrix: ") and "Traceback" not in stderr
+
+
 def test_construct_low_distance_cap_is_inconclusive(tmp_path, capsys):
     # cap 5 only establishes d >= 6: reported, not failed, and d is left
     # out of the declared parameters, so the matrix still verifies

@@ -28,7 +28,7 @@ from lrc7.codec import (
 )
 from lrc7.construct import VectorSequence, assemble_parity_check, run_algorithm1
 from lrc7.fields import field_create
-from lrc7.linalg import MatrixF, VectorF, kernel_basis, matmul, rank
+from lrc7.linalg import MatrixF, kernel_basis, matmul, rank
 
 
 @pytest.fixture(scope="module")
@@ -83,16 +83,15 @@ def test_group_detection_failure():
         code_from_parity_check(M)
 
 
-def test_group_spec_path(h1_code):
+def test_group_spec_path():
     # groups supplied explicitly: their checks come from G, not from H's rows
-    f = h1_code.field
     H, _ = load_fixture("h1")
     code = code_from_parity_check(H, group_spec=[(0, 1, 2), (3, 4, 5), (6, 7, 8)])
     assert code.groups == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
-    word = list(encode(code, [f.element(2), f.element(3)]).codes)
+    word = list(encode(code, [2, 3]))
     original = word[4]
     word[4] = None
-    assert repair_local(code, word, 4).code == original
+    assert repair_local(code, word, 4) == original
     with pytest.raises(GroupDetectionError):
         code_from_parity_check(H, group_spec=[(0, 1, 3), (2, 4, 5), (6, 7, 8)])
 
@@ -146,7 +145,7 @@ def test_weight7_support_columns_are_dependent(h1_code):
         for b in range(4):
             if a == b == 0:
                 continue
-            cw = encode(h1_code, [a, b]).codes
+            cw = encode(h1_code, [a, b])
             if sum(1 for x in cw if x) == 7:
                 supports.append(tuple(j for j, x in enumerate(cw) if x))
     assert supports
@@ -356,7 +355,7 @@ def test_oracle_budget_argument():
 
 
 def test_zero_message_encodes_to_zero(h1_code):
-    assert encode(h1_code, [0, 0]).is_zero()
+    assert encode(h1_code, [0, 0]) == (0,) * 9
 
 
 def test_group_checks_sum_to_zero(h2_code):
@@ -364,7 +363,7 @@ def test_group_checks_sum_to_zero(h2_code):
     rng = np.random.default_rng(5)
     for _ in range(25):
         msg = [int(x) for x in rng.integers(0, 7, size=8)]
-        cw = encode(h2_code, msg).codes
+        cw = encode(h2_code, msg)
         for g in h2_code.groups:
             acc = 0
             for j in g:
@@ -373,13 +372,36 @@ def test_group_checks_sum_to_zero(h2_code):
 
 
 def test_all_encodings_distinct(h1_code):
-    words = {encode(h1_code, [a, b]).codes for a in range(4) for b in range(4)}
+    words = {encode(h1_code, [a, b]) for a in range(4) for b in range(4)}
     assert len(words) == 16
 
 
 def test_encode_length_check(h1_code):
     with pytest.raises(ValueError):
         encode(h1_code, [0, 0, 0])
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, np.float64(1.0), True, np.bool_(False), 4, -1, "1"])
+def test_symbols_must_be_integer_codes(h1_code, bad):
+    # GF(4): a float was once truncated (1.5 read as 1), a bool read as 0 or 1
+    with pytest.raises(ValueError):
+        encode(h1_code, [1, bad])
+    word: list = list(encode(h1_code, [1, 2]))
+    word[0], word[4] = None, bad
+    with pytest.raises(ValueError):
+        repair_local(h1_code, word, 0)
+    with pytest.raises(ValueError):
+        repair_global(h1_code, word)
+
+
+def test_symbols_accept_numpy_integers(h1_code):
+    cw = encode(h1_code, [np.int64(1), np.uint8(2)])
+    assert cw == encode(h1_code, np.array([1, 2], dtype=np.int32))
+    assert all(type(c) is int for c in cw)
+    word = [None, *(np.int32(c) for c in cw[1:])]
+    value = repair_local(h1_code, word, 0)
+    assert value == cw[0] and type(value) is int
+    assert repair_global(h1_code, word) == cw
 
 
 # ---------------------------------------------------------------------------
@@ -389,27 +411,27 @@ def test_encode_length_check(h1_code):
 
 def test_local_repair_single_erasure(h1_code):
     f = h1_code.field
-    cw = encode(h1_code, [f.element(2), f.element(1)]).codes
+    cw = encode(h1_code, [2, 1])
     word = list(cw)
     word[2] = None
     got = repair_local(h1_code, word, 2)
     # the group check row is all ones: the sum of the partners (char 2)
-    assert got.code == f.add(cw[0], cw[1]) == cw[2]
+    assert got == f.add(cw[0], cw[1]) == cw[2]
 
 
 def test_local_repair_every_position_roundtrip(h2_code):
     rng = np.random.default_rng(11)
     for _ in range(40):
         msg = [int(x) for x in rng.integers(0, 7, size=8)]
-        cw = encode(h2_code, msg).codes
+        cw = encode(h2_code, msg)
         pos = int(rng.integers(0, 18))
         word = list(cw)
         word[pos] = None
-        assert repair_local(h2_code, word, pos).code == cw[pos]
+        assert repair_local(h2_code, word, pos) == cw[pos]
 
 
 def test_local_repair_fails_on_partner_loss(h1_code):
-    cw = encode(h1_code, [1, 2]).codes
+    cw = encode(h1_code, [1, 2])
     word = list(cw)
     word[0] = None
     word[1] = None
@@ -418,14 +440,14 @@ def test_local_repair_fails_on_partner_loss(h1_code):
 
 
 def test_local_repair_requires_erased_position(h1_code):
-    cw = encode(h1_code, [1, 2]).codes
+    cw = encode(h1_code, [1, 2])
     with pytest.raises(ValueError, match="not erased"):
         repair_local(h1_code, list(cw), 0)
 
 
 def test_global_repair_no_erasures_is_identity(h1_code):
     cw = encode(h1_code, [3, 1])
-    assert repair_global(h1_code, list(cw.codes)) == cw
+    assert repair_global(h1_code, list(cw)) == cw
 
 
 def test_global_repair_six_erasures(h1_code):
@@ -434,7 +456,7 @@ def test_global_repair_six_erasures(h1_code):
         msg = [int(x) for x in rng.integers(0, 4, size=2)]
         cw = encode(h1_code, msg)
         erased = rng.choice(9, size=6, replace=False)
-        word: list = list(cw.codes)
+        word: list = list(cw)
         for j in erased:
             word[j] = None
         assert repair_global(h1_code, word) == cw
@@ -448,14 +470,14 @@ def test_weight7_support_unrecoverable(h1_code):
         for b in range(4):
             if a == b == 0:
                 continue
-            cw = encode(h1_code, [a, b]).codes
+            cw = encode(h1_code, [a, b])
             w = sum(1 for x in cw if x)
             if best is None or w < best[0]:
                 best = (w, cw)
     weight, cw = best
     assert weight == 7
     support = [j for j, x in enumerate(cw) if x]
-    word: list = list(encode(h1_code, [1, 3]).codes)
+    word: list = list(encode(h1_code, [1, 3]))
     for j in support:
         word[j] = None
     with pytest.raises(UnrecoverableErasureError):
@@ -584,12 +606,12 @@ def _reference_simulation(code, trials, failure_model, seed):
             erased = tuple(sorted(int(x) for x in rng.choice(n, size=f, replace=False)))
         else:
             erased = tuple(code.groups[int(rng.integers(0, len(code.groups)))])
-        word = [None if j in erased else c for j, c in enumerate(codeword.codes)]
+        word = [None if j in erased else c for j, c in enumerate(codeword)]
         if len({code.group_index_of(j) for j in erased}) == len(erased):
             ok, helpers = True, 0
             for j in erased:
                 value = repair_local(code, word, j)
-                ok &= value.code == codeword.codes[j]
+                ok &= value == codeword[j]
                 helpers += _symbols_read(code, word, j, value)
             records.append(TrialRecord(t, erased, "local", ok, helpers))
         else:

@@ -45,27 +45,27 @@ def dependent(H: MatrixF, subset) -> bool:
 
 def test_choose_triple_char2():
     u0, u1, u2 = choose_triple(GF4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)], "lex")
-    assert u1.codes == (1, 0, 0, 0)
-    assert u2.codes == (0, 1, 0, 0)
-    assert u0.codes == (1, 1, 0, 0)
+    assert u1 == (1, 0, 0, 0)
+    assert u2 == (0, 1, 0, 0)
+    assert u0 == (1, 1, 0, 0)
 
 
 def test_choose_triple_gf7_scaling():
     # <v3> = <(1,3)>: v3 = 1*v1 + 3*v2, so u2 = -3*v2 = 4*v2
     u0, u1, u2 = choose_triple(GF7, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 3, 0, 0)], "lex")
-    assert u1.codes == (1, 0, 0, 0)
-    assert u2.codes == (0, 4, 0, 0)
-    assert u0.codes == (1, 3, 0, 0)
-    assert (u1 - u2).codes == u0.codes
+    assert u1 == (1, 0, 0, 0)
+    assert u2 == (0, 4, 0, 0)
+    assert u0 == (1, 3, 0, 0)
+    assert tuple(GF7.arr_sub(u1, u2).tolist()) == u0
 
 
 def test_choose_triple_difference_identity_everywhere():
     spread = build_2_spread(GF7)
     for pl in spread.planes[:6]:
         u0, u1, u2 = choose_triple(GF7, plane_points(pl), "lex")
-        assert (u1 - u2).codes == u0.codes
-        assert small_rank(GF7, [u1.codes, u2.codes]) == 2
-        assert all(small_rank(GF7, [*pl.basis, u.codes]) == 2 for u in (u0, u1))  # both lie in the plane
+        assert tuple(GF7.arr_sub(u1, u2).tolist()) == u0
+        assert small_rank(GF7, [u1, u2]) == 2
+        assert all(small_rank(GF7, [*pl.basis, u]) == 2 for u in (u0, u1))  # both lie in the plane
 
 
 def test_choose_triple_needs_three_points():
@@ -77,7 +77,7 @@ def test_choose_triple_seeded_is_reproducible():
     pts = plane_points(build_2_spread(GF7).planes[3])
     a = choose_triple(GF7, pts, "seeded", random.Random(42))
     b = choose_triple(GF7, pts, "seeded", random.Random(42))
-    assert [v.codes for v in a] == [v.codes for v in b]
+    assert a == b
     with pytest.raises(ValueError, match="rng"):
         choose_triple(GF7, pts, "seeded")
 
@@ -281,6 +281,40 @@ def test_verify_conditions_matches_rank_reference_on_mutations(field, seed):
 def test_verify_conditions_rejects_empty():
     with pytest.raises(ValueError):
         verify_conditions(VectorSequence(GF4, []))
+
+
+PAIR = ((1, 0, 0, 0), (0, 1, 0, 0))
+
+
+@pytest.mark.parametrize("bad", [((1, 0, 0, 9), (0, 1, 0, 0)), ((1, 0, 0, 4), (0, 1, 0, 0)), ((1, 0, 0, -1), (0, 1, 0, 0))])
+def test_vector_sequence_rejects_out_of_range_codes(bad):
+    # GF(4) holds codes 0..3: a 9 once reached verify_conditions and raised IndexError there
+    with pytest.raises(ValueError, match="out of range"):
+        VectorSequence(GF4, [PAIR, bad])
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [((1, 0, 0, 0.5), (0, 1, 0, 0)), ((1, 0, 0, "1"), (0, 1, 0, 0)), ((1, 0, 0), (0, 1, 0)), ((1, 0, 0, 0),)],
+)
+def test_vector_sequence_rejects_malformed_pairs(bad):
+    # a component of 0.5 was once truncated to 0
+    with pytest.raises(ValueError):
+        VectorSequence(GF4, [PAIR, bad])
+
+
+def test_vector_sequence_load_json_validates(tmp_path):
+    path = tmp_path / "sequence.json"
+    seq = VectorSequence(GF4, [PAIR, (np.array([0, 0, 1, 0]), (0, 0, 0, np.int64(1)))])
+    assert seq.pairs[1] == ((0, 0, 1, 0), (0, 0, 0, 1)) and type(seq.pairs[1][1][3]) is int
+    seq.save_json(path)
+    assert VectorSequence.load_json(path) == seq
+    for value in (9, 0.5, "1"):
+        data = json.loads(path.read_text())
+        data["pairs"][1][0][3] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError):
+            VectorSequence.load_json(path)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +590,7 @@ def test_constructed_codeword_satisfies_every_parity_check():
     rng = np.random.default_rng(0)
     for _ in range(20):
         msg = [int(x) for x in rng.integers(0, 7, size=code.k)]
-        cw = np.array(encode(code, msg).codes, dtype=np.int32)
+        cw = np.array(encode(code, msg), dtype=np.int32)
         syndrome = np.zeros(code.H.rows, dtype=np.int32)
         for j, c in enumerate(cw):
             syndrome = GF7.arr_add(syndrome, GF7.arr_mul(int(c), code.H.array[:, j]))

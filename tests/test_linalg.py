@@ -10,7 +10,6 @@ from lrc7.linalg import (
     AmbiguousSystemError,
     InconsistentSystemError,
     MatrixF,
-    VectorF,
     _solve_stack,
     kernel_basis,
     load_matrix_csv,
@@ -83,7 +82,8 @@ def test_rank_matches_small_rank(fm):
 
 def test_kernel_of_identity_is_empty():
     f = field_create(4 // 2, 2)
-    assert kernel_basis(MatrixF.identity(f, 5)) == []
+    basis = kernel_basis(MatrixF.identity(f, 5))
+    assert basis.shape == (0, 5) and basis.dtype == np.int32
 
 
 @settings(max_examples=150, deadline=None)
@@ -91,13 +91,12 @@ def test_kernel_of_identity_is_empty():
 def test_kernel_vectors_annihilate_and_span(fm):
     field, M = fm
     basis = kernel_basis(M)
-    assert len(basis) == M.cols - rank(M)
+    assert basis.dtype == np.int32 and basis.shape == (M.cols - rank(M), M.cols)
     for v in basis:
-        prod = matmul(M, MatrixF(field, np.array(v.codes, dtype=np.int32)[:, None]))
+        prod = matmul(M, MatrixF(field, v[:, None]))
         assert not prod.array.any()
-    if basis:
-        stacked = MatrixF(field, [v.codes for v in basis])
-        assert rank(stacked) == len(basis)
+    if len(basis):
+        assert rank(MatrixF(field, basis)) == len(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -179,22 +178,8 @@ def test_solve_stack_raises_for_one_inconsistent_system():
 
 
 # ---------------------------------------------------------------------------
-# vectors
+# matrices
 # ---------------------------------------------------------------------------
-
-
-def test_vector_ops():
-    f = field_create(7)
-    v = VectorF(f, [1, 2, 3])
-    w = VectorF(f, [6, 5, 4])
-    assert (v + w).codes == (0, 0, 0)
-    assert (v - v).is_zero()
-    assert v.scale(2).codes == (2, 4, 6)
-    assert v[1].code == 2 and len(v) == 3
-    with pytest.raises(ValueError):
-        v + VectorF(f, [1, 2])
-    with pytest.raises(ValueError):
-        v + VectorF(field_create(5), [1, 2, 3])
 
 
 def test_matrix_validation():
@@ -203,6 +188,33 @@ def test_matrix_validation():
         MatrixF(f, [[3]])
     with pytest.raises(ValueError):
         MatrixF(f, [])
+    # entries are integer codes: a float is not truncated, a string not parsed
+    for bad in ([[1.7, 2]], [[1.0, 2.0]], [["1", 2]], [[1.9, "2"]], [[True, False]], [[1, 2], [0]]):
+        with pytest.raises(ValueError):
+            MatrixF(f, bad)
+    for bad in (np.array([[1.0, 2.0]]), np.array([[True, False]]), np.array([[-1, 2]]), np.array([[2**40]])):
+        with pytest.raises(ValueError):
+            MatrixF(f, bad)
+    M = MatrixF(f, [[np.int64(2), 1], [0, np.uint8(1)]])
+    assert M.array.dtype == np.int32 and M.array.tolist() == [[2, 1], [0, 1]]
+
+
+def test_matmul_refuses_mixed_fields():
+    # int codes carry no field: the owner check lives on the matrices
+    A = MatrixF(field_create(5), [[1, 2]])
+    with pytest.raises(ValueError, match="different fields"):
+        matmul(A, MatrixF(field_create(7), [[1], [2]]))
+    with pytest.raises(ValueError, match="inner dimensions"):
+        matmul(A, A)
+
+
+def test_matrix_copies_its_entries():
+    f = field_create(5)
+    src = np.array([[1, 2], [3, 4]], dtype=np.int32)
+    M = MatrixF(f, src)
+    src[0, 0] = 0
+    assert M.array[0, 0] == 1 and not M.array.flags.writeable
+    assert M.transpose().array.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +250,12 @@ def test_matrix_json_rejects_bad_shape():
         )
     with pytest.raises(ValueError):
         matrix_from_json_dict({"p": 2, "e": 1})
+
+
+@pytest.mark.parametrize("entries", [[[1.9, "2"]], [[1.5, 2]], [["1", "2"]], [[True, False]], [[1, None]]])
+def test_matrix_json_rejects_non_integer_entries(entries):
+    with pytest.raises(ValueError):
+        matrix_from_json_dict({"p": 3, "e": 1, "modulus": [0, 1], "rows": 1, "cols": 2, "entries": entries})
 
 
 def test_matrix_csv_roundtrip(tmp_path):
