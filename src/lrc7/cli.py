@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 from .bounds import BoundsReport, bounds_report, dim_bound_eq3
 from .codec import (
     GroupDetectionError,
+    _block_table,
     code_from_parity_check,
     fixture_names,
     fixture_path,
@@ -35,9 +36,9 @@ from .codec import (
     parse_failure_model,
     simulate_repairs,
 )
-from .construct import assemble_parity_check, run_algorithm1, verify_conditions
+from .construct import assemble_parity_check, run_algorithm1
 from .fields import FieldSpec, factor_prime_power, json_text, write_json
-from .linalg import load_matrix_json, matrix_to_json_dict
+from .linalg import MatrixF, load_matrix_json, matrix_to_json_dict
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -104,6 +105,26 @@ def _shown_distance(d: Optional[int], cap: int) -> int | str:
 # -- construct -----------------------------------------------------------------
 
 
+def _certify(H: MatrixF, cap: int) -> Optional[tuple[int, int, Optional[int]]]:
+    """(n, k, d) of the block code H, or None once stderr says why it fails.
+    The code and its pair-span table are freed on return, before any
+    artifact is written."""
+    code = code_from_parity_check(H)
+    # d >= 7 exactly when the three conditions hold, so the conditions are
+    # read (from the table min_distance built) only to name a failure
+    d = min_distance(code, cap=cap)
+    if d not in (7, 8):
+        report = _block_table(code).conditions()
+        if not report.ok:
+            print(f"verification failed: sequence conditions do not hold: {report}", file=sys.stderr)
+            return None
+        # a search capped below 8 that finds nothing only shows d >= cap + 1
+        if not (d is None and cap < 8):
+            print(f"verification failed: computed distance {d} not in {{7, 8}}", file=sys.stderr)
+            return None
+    return code.n, code.k, d
+
+
 def cmd_construct(ns: argparse.Namespace) -> int:
     q, policy, seed, cap = ns.q, ns.policy, ns.seed, ns.distance_cap
     modulus = ns.modulus or None
@@ -128,20 +149,10 @@ def cmd_construct(ns: argparse.Namespace) -> int:
             print(message)
     else:
         H = assemble_parity_check(seq, check=False)
-        code = code_from_parity_check(H)
-        # d >= 7 exactly when the three conditions hold, so the conditions
-        # are read (from a second pair-span table) only to name a failure
-        d = min_distance(code, cap=cap)
-        if d not in (7, 8):
-            report = verify_conditions(seq)
-            if not report.ok:
-                print(f"verification failed: sequence conditions do not hold: {report}", file=sys.stderr)
-                return EXIT_VERIFICATION
-            # a search capped below 8 that finds nothing only shows d >= cap + 1
-            if not (d is None and cap < 8):
-                print(f"verification failed: computed distance {d} not in {{7, 8}}", file=sys.stderr)
-                return EXIT_VERIFICATION
-        n, k = code.n, code.k
+        certified = _certify(H, cap)
+        if certified is None:
+            return EXIT_VERIFICATION
+        n, k, d = certified
         rep = bounds_report(n=n, k=k, d=d, r=2, q=q)
         attained = k == dim_bound_eq3(n, 2, q)
         shown = _shown_distance(d, cap)

@@ -1,8 +1,8 @@
 """Turn a parity-check matrix into a working erasure code.
 
 An LrcCode bundles the parity-check matrix H, a kernel-derived generator G,
-the detected repair-group structure (disjoint triples, each backed by a
-weight-3 dual check), and the parameters.  On top of it sit exact minimum
+the repair groups (disjoint triples, read from H's leading 0/1 indicator
+rows), and the parameters.  On top of it sit exact minimum
 distance (for an LrcCode, d = 7 read from the pair-span table when it
 applies, else kernels enumerated over sets of repair groups; for a plain
 matrix, column-subset enumeration with early exit), an independent
@@ -57,21 +57,21 @@ class EnumerationBudgetError(ValueError):
 
 
 class LrcCode:
-    """A linear code with locality-2 repair groups of size 3."""
+    """A linear code with locality-2 repair groups of size 3: H's leading
+    rows are the groups' 0/1 indicators, so each erased symbol is minus the
+    sum of its two group partners."""
 
-    __slots__ = ("H", "G", "params", "groups", "_group_checks", "_group_of")
+    __slots__ = ("H", "G", "params", "groups", "_group_of", "_table")
 
-    def __init__(self, H: MatrixF, G: MatrixF, params: CodeParams, groups, group_checks):
+    def __init__(self, H: MatrixF, G: MatrixF, params: CodeParams, groups):
         self.H = H
         self.G = G
         self.params = params
         self.groups = tuple(tuple(g) for g in groups)
-        self._group_checks = tuple(tuple(tuple(c) for c in checks) for checks in group_checks)
-        lookup = {}
+        self._group_of = np.empty(params.n, dtype=np.intp)  # group index of each position
         for gi, g in enumerate(self.groups):
-            for pos in g:
-                lookup[pos] = gi
-        self._group_of = lookup
+            self._group_of[list(g)] = gi
+        self._table = None  # the block code's PairSpanTable, filled by `_block_table`
 
     @property
     def field(self) -> FieldSpec:
@@ -86,13 +86,13 @@ class LrcCode:
         return self.params.k
 
     def group_index_of(self, pos: int) -> int:
-        return self._group_of[pos]
+        return int(self._group_of[pos])
 
     def __repr__(self) -> str:
         return f"LrcCode(n={self.n}, k={self.k}, groups={len(self.groups)}, q={self.field.q})"
 
 
-def _detect_groups(H: MatrixF):
+def _detect_groups(H: MatrixF) -> list[tuple[int, int, int]]:
     """Read the leading disjoint weight-3 indicator rows as repair groups."""
     A = H.array
     n = H.cols
@@ -112,36 +112,12 @@ def _detect_groups(H: MatrixF):
             raise GroupDetectionError(f"row {t} overlaps an earlier group")
         seen.update(g)
         groups.append(g)
-    checks = [((1, 1, 1),) for _ in groups]
-    return groups, checks
+    return groups
 
 
-def _checks_from_spec(field: FieldSpec, G: MatrixF, groups):
-    """Derive in-group dual checks for caller-specified groups.
-
-    For each group g, the dual codewords supported inside g are the kernel
-    of G restricted to g's columns; every position must be covered by a
-    check that is nonzero there.
-    """
-    n = G.cols
-    flat = [pos for g in groups for pos in g]
-    if sorted(flat) != list(range(n)) or any(len(g) != 3 for g in groups):
-        raise GroupDetectionError("groups must partition the coordinates into triples")
-    checks = []
-    for g in groups:
-        basis = [tuple(row) for row in _kernel_codes(field, G.array[:, list(g)]).tolist()]
-        for slot in range(3):
-            if not any(vec[slot] for vec in basis):
-                raise GroupDetectionError(
-                    f"position {g[slot]} has no local check inside its group"
-                )
-        checks.append(tuple(basis))
-    return [tuple(g) for g in groups], checks
-
-
-def code_from_parity_check(H: MatrixF, group_spec: Optional[Sequence[Sequence[int]]] = None) -> LrcCode:
+def code_from_parity_check(H: MatrixF) -> LrcCode:
     """Build the code: generator from the kernel, groups detected from the
-    leading indicator rows (or taken from group_spec)."""
+    leading indicator rows."""
     field = H.field
     n = H.cols
     k = n - rank(H)
@@ -150,12 +126,8 @@ def code_from_parity_check(H: MatrixF, group_spec: Optional[Sequence[Sequence[in
     G = MatrixF(field, kernel_basis(H))
     if matmul(G, H.transpose()).array.any():
         raise AssertionError("generator is not orthogonal to the parity checks")
-    if group_spec is None:
-        groups, checks = _detect_groups(H)
-    else:
-        groups, checks = _checks_from_spec(field, G, [tuple(g) for g in group_spec])
     params = CodeParams(n=n, k=k, d=None, r=2, q=field.q)
-    return LrcCode(H, G, params, groups, checks)
+    return LrcCode(H, G, params, _detect_groups(H))
 
 
 # -- minimum distance ----------------------------------------------------------
@@ -225,31 +197,37 @@ def _group_set_distance(code: LrcCode, cap: int) -> Optional[int]:
             return None
 
 
+def _block_table(code: LrcCode) -> Optional[PairSpanTable]:
+    """The pair-span table (`construct.PairSpanTable`) of a block code, built
+    once per code; None unless H is the L group indicator rows plus exactly
+    four rows h.
+
+    On group (g0, g1, g2) a codeword is (a, b, -(a + b)) and its image
+    a*u1 + b*u2 with u1 = h(g0) - h(g2), u2 = h(g1) - h(g2), so the code is
+    the block code of those pairs.
+    """
+    L = len(code.groups)
+    if code._table is None and code.H.rows == L + 4:
+        field, h, g = code.field, code.H.array[L:], np.array(code.groups).T
+        u1, u2 = field.arr_sub(h[:, g[0]], h[:, g[2]]), field.arr_sub(h[:, g[1]], h[:, g[2]])
+        code._table = PairSpanTable.of(VectorSequence(field, np.stack([u1.T, u2.T], axis=1)))
+    return code._table
+
+
 def _weight7_witness(code: LrcCode) -> Optional[np.ndarray]:
     """A weight-7 codeword that, with the three sequence conditions, proves
-    d = 7, read from the pair-span table (`construct.PairSpanTable`).
+    d = 7, read from the block code's pair-span table (`_block_table`).
 
-    Applies when H is L group indicator rows (`_detect_groups`) plus exactly
-    four rows h: on group (g0, g1, g2) a codeword is (a, b, -(a + b)) and its
-    image a*u1 + b*u2 with u1 = h(g0) - h(g2), u2 = h(g1) - h(g2), so the code
-    is the block code of those pairs.  None when H has another shape, a
-    condition fails (d <= 6) or no weight-7 codeword exists (d >= 8).
+    None when H is not a block code, a condition fails (d <= 6) or no
+    weight-7 codeword exists (d >= 8).
     """
-    try:
-        groups, _ = _detect_groups(code.H)
-    except GroupDetectionError:
-        return None
-    if code.H.rows != len(groups) + 4:
-        return None
-    field, h = code.field, code.H.array[len(groups) :]
-    pairs = [(field.arr_sub(h[:, g0], h[:, g2]), field.arr_sub(h[:, g1], h[:, g2])) for g0, g1, g2 in groups]
-    table = PairSpanTable.of(VectorSequence(field, pairs))
-    parts = table.weight7_parts() if table.conditions().ok else None
+    table = _block_table(code)
+    parts = table.weight7_parts() if table is not None and table.conditions().ok else None
     if parts is None:
         return None
-    word = np.zeros(code.n, dtype=np.int32)
+    field, word = code.field, np.zeros(code.n, dtype=np.int32)
     for g, (a, b) in parts.items():
-        word[list(groups[g])] = (a, b, field.neg(field.add(a, b)))
+        word[list(code.groups[g])] = (a, b, field.neg(field.add(a, b)))
     return word
 
 
@@ -306,17 +284,9 @@ def min_weight_oracle(code: Union[LrcCode, MatrixF], budget: int = 10**6) -> int
 # -- encoding and repair ---------------------------------------------------------
 
 
-def _symbols(field: FieldSpec, symbols) -> np.ndarray:
-    """A message or received word as codes (`linalg._codes`); a bool symbol
-    is rejected here, since numpy reads one among integers as 0 or 1."""
-    if any(isinstance(x, (bool, np.bool_)) for x in symbols):
-        raise ValueError("symbols must be integer codes, got a bool")
-    return _codes(field, symbols)
-
-
 def encode(code: LrcCode, msg) -> tuple[int, ...]:
     """msg @ G as a tuple of codes; the result satisfies every parity check."""
-    codes = _symbols(code.field, msg)
+    codes = _codes(code.field, msg)
     if codes.shape != (code.k,):
         raise ValueError(f"message of shape {codes.shape} is not k = {code.k} codes")
     return tuple(_matmul_codes(code.field, codes[None, :], code.G.array)[0].tolist())
@@ -331,27 +301,19 @@ def _received_codes(code: LrcCode, word: Received) -> tuple[np.ndarray, list[int
     if len(word) != code.n:
         raise ValueError(f"word length {len(word)} != n = {code.n}")
     erased = [j for j, x in enumerate(word) if x is None]
-    return _symbols(code.field, [0 if x is None else x for x in word]), erased
+    return _codes(code.field, [0 if x is None else x for x in word]), erased
 
 
-def _local_rule(code: LrcCode, pos: int, erased) -> tuple[int, list[tuple[int, int]]]:
-    """The first check of pos's group that is nonzero at pos and reads no
-    erased position: (its coefficient at pos, [(helper, coefficient)]).
+def _local_rule(code: LrcCode, pos: int, erased) -> tuple[int, int]:
+    """The two group partners of pos, whose sum is minus the symbol at pos
+    (the group's indicator row).
 
-    Raises LocalRepairError when every such check needs an erased partner.
+    Raises LocalRepairError when a partner is erased too.
     """
-    gi = code.group_index_of(pos)
-    group = code.groups[gi]
-    slot = group.index(pos)
-    for check in code._group_checks[gi]:
-        if check[slot] == 0:
-            continue
-        helpers = [(j, check[s]) for s, j in enumerate(group) if s != slot and check[s]]
-        if not any(j in erased for j, _ in helpers):
-            return check[slot], helpers
-    raise LocalRepairError(
-        f"position {pos}: a group partner is also erased; use repair_global"
-    )
+    partners = tuple(j for j in code.groups[code._group_of[pos]] if j != pos)
+    if any(j in erased for j in partners):
+        raise LocalRepairError(f"position {pos}: a group partner is also erased; use repair_global")
+    return partners
 
 
 def _repair_local_info(code: LrcCode, word: Received, pos: int) -> tuple[int, int]:
@@ -360,18 +322,15 @@ def _repair_local_info(code: LrcCode, word: Received, pos: int) -> tuple[int, in
     codes, erased = _received_codes(code, word)
     if word[pos] is not None:
         raise ValueError(f"position {pos} is not erased")
-    lead, helpers = _local_rule(code, pos, set(erased))
-    acc = 0
-    for j, coeff in helpers:
-        acc = field.add(acc, field.mul(coeff, int(codes[j])))
-    return field.div(field.neg(acc), lead), len(helpers)
+    a, b = _local_rule(code, pos, set(erased))
+    return field.neg(field.add(int(codes[a]), int(codes[b]))), 2
 
 
 def repair_local(code: LrcCode, word: Received, pos: int) -> int:
     """Repair one erased position from its group check alone; returns its code.
 
-    Reads exactly the surviving group partners (two symbols for weight-3
-    checks).  Raises LocalRepairError when a needed partner is erased too.
+    Reads exactly the two group partners.  Raises LocalRepairError when a
+    partner is erased too.
     """
     value, _ = _repair_local_info(code, word, pos)
     return value
@@ -506,12 +465,12 @@ def simulate_repairs(code: LrcCode, trials: int, failure_model: str, seed: int =
     randomness derives from the seed, one child stream per trial.
 
     The messages are encoded in one product through G and the erasures kept
-    as one (trials, f) array.  In a local trial no helper is erased, so each
-    erased position has one repair rule (`_local_rule`), read once and
-    applied to every local trial by gathers.  The global trials are solved
-    in stacks, one elimination of [H over the erased columns | -syndrome]
-    per trial (`linalg._solve_stack`), and every trial's repaired symbols
-    are compared with its own codeword.
+    as one (trials, f) array.  In a local trial no partner is erased, so
+    every erased symbol is compared, in one gather, with minus the sum of
+    its two group partners (the rule of `_local_rule`).  The global trials
+    are solved in stacks, one elimination of [H over the erased columns |
+    -syndrome] per trial (`linalg._solve_stack`), and every trial's repaired
+    symbols are compared with its own codeword.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -535,28 +494,19 @@ def simulate_repairs(code: LrcCode, trials: int, failure_model: str, seed: int =
     if kind == "multi-uniform":
         E.sort(axis=1)
     words = _matmul_codes(field, msgs, code.G.array)
-    group_of = np.array([code.group_index_of(j) for j in range(n)])
-    touched = np.sort(group_of[E], axis=1)
+    touched = np.sort(code._group_of[E], axis=1)
     local = (touched[:, 1:] != touched[:, :-1]).all(axis=1)
     ok = np.zeros(trials, dtype=bool)
     helpers = np.zeros(trials, dtype=np.int64)
-    add, mul, neg = field._ADD_NP, field._MUL_NP, field._NEG_NP
 
     rows = np.flatnonzero(local)
-    if rows.size:  # rule of position j: inverse lead, two helpers (coefficient 0 pads)
+    if rows.size:
         e, r = E[rows], rows[:, None]
-        ilead = np.zeros(n, dtype=np.int32)
-        hpos = np.zeros((2, n), dtype=np.intp)
-        hcoef = np.zeros((2, n), dtype=np.int32)
-        count = np.zeros(n, dtype=np.int64)
-        for j in sorted(set(e.ravel().tolist())):
-            lead, rule = _local_rule(code, j, ())
-            ilead[j], count[j] = field.inv(lead), len(rule)
-            for s, (h, coeff) in enumerate(rule):
-                hpos[s, j], hcoef[s, j] = h, coeff
-        acc = add[mul[hcoef[0, e], words[r, hpos[0, e]]], mul[hcoef[1, e], words[r, hpos[1, e]]]]
-        ok[rows] = (mul[neg[acc], ilead[e]] == words[r, e]).all(axis=1)
-        helpers[rows] = count[e].sum(axis=1)
+        g = groups[code._group_of[e]]
+        partners = g[g != e[:, :, None]].reshape(*e.shape, 2)
+        w = words[r[:, :, None], partners]
+        ok[rows] = (field._NEG_NP[field._ADD_NP[w[..., 0], w[..., 1]]] == words[r, e]).all(axis=1)
+        helpers[rows] = 2 * E.shape[1]
 
     H = code.H.array
     glob = np.flatnonzero(~local)

@@ -236,7 +236,9 @@ class FieldSpec:
         coeffs = list(coeffs)
         if len(coeffs) > self.e:
             raise ValueError(f"at most {self.e} coefficients expected")
-        return sum((c % self.p) * self._ppow[i] for i, c in enumerate(coeffs))
+        if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in coeffs):
+            raise ValueError(f"coefficients must be integers, got {coeffs!r}")
+        return sum(int(c) % self.p * self._ppow[i] for i, c in enumerate(coeffs))
 
     def coeffs(self, code: int) -> tuple[int, ...]:
         return tuple(_digits(code, self.p, self.e))

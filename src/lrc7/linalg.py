@@ -30,10 +30,9 @@ def _codes(field: FieldSpec, x) -> np.ndarray:
 
     Accepts only integer entries (an integer numpy dtype, or Python or numpy
     integers in a regular nesting) in [0, q), and raises ValueError for any
-    other dtype (float, string, bool, object), a ragged nesting or a code
-    out of range.  numpy reads a bool nested among integers as 0 or 1;
-    `codec._symbols` refuses those in messages and received words.  An
-    empty input has no entry to check.
+    other dtype (float, string, bool, object), a bool nested among integers
+    (which numpy would read as 0 or 1), a ragged nesting or a code out of
+    range.  An empty input has no entry to check.
     """
     try:
         arr = np.asarray(x)
@@ -42,6 +41,8 @@ def _codes(field: FieldSpec, x) -> np.ndarray:
     if arr.size:
         if arr.dtype.kind not in "iu":
             raise ValueError(f"codes must be integers, got {arr.dtype} entries")
+        if not isinstance(x, np.ndarray) and {bool, np.bool_} & set(map(type, np.asarray(x, dtype=object).flat)):
+            raise ValueError("codes must be integers, got a bool entry")
         if arr.min() < 0 or arr.max() >= field.q:
             raise ValueError(f"code out of range for {field!r}")
     return arr.astype(np.int32, order="C")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lrc7 import cli
+from lrc7 import cli, codec
 from lrc7.cli import main
 from lrc7.codec import fixture_path
 from lrc7.construct import PairSpanTable, VectorSequence, run_algorithm1, verify_conditions
@@ -125,19 +125,29 @@ def test_construct_reports_failed_sequence_conditions(cap, tmp_path, capsys, mon
     assert not out.exists()
 
 
-def test_construct_builds_one_pair_span_table(capsys, monkeypatch):
-    calls = []
-    build = PairSpanTable.of
-
-    def counted(seq):
-        calls.append(seq.L)
-        return build(seq)
-
-    monkeypatch.setattr(PairSpanTable, "of", staticmethod(counted))
-    code, stdout, _ = run_cli(capsys, "construct", "--q", "7")
-    assert code == 0
-    assert stdout.startswith("(18, 8, 7, 2)_7")
-    assert len(calls) == 1
+@pytest.mark.parametrize(
+    "argv, exit_code, shown",
+    [
+        (["--q", "7"], 0, "(18, 8, 7, 2)_7"),
+        (["--q", "7", "--distance-cap", "5"], 0, "(18, 8, >=6, 2)_7"),
+        (["--q", "5", "c3-fails"], 1, ""),
+    ],
+    ids=["default-cap", "cap-5", "c3-fails"],
+)
+def test_construct_builds_one_pair_span_table(argv, exit_code, shown, capsys, monkeypatch):
+    # one table serves the distance and, on a failure, the conditions report;
+    # the groups are detected once, when the code is built
+    tables, detections = [], []
+    build, detect = PairSpanTable.of, codec._detect_groups
+    monkeypatch.setattr(PairSpanTable, "of", staticmethod(lambda seq: tables.append(seq.L) or build(seq)))
+    monkeypatch.setattr(codec, "_detect_groups", lambda H: detections.append(H.rows) or detect(H))
+    if "c3-fails" in argv:
+        argv = argv[:-1]
+        monkeypatch.setattr(cli, "run_algorithm1", _c3_failing_run)
+    code, stdout, _ = run_cli(capsys, "construct", *argv)
+    assert code == exit_code
+    assert stdout.startswith(shown)
+    assert len(tables) == len(detections) == 1
 
 
 @pytest.mark.parametrize(
@@ -221,6 +231,17 @@ def test_verify_rejects_non_integer_entries(tmp_path, capsys):
     code, stdout, stderr = run_cli(capsys, "verify", str(bad))
     assert code == 1 and stdout == ""
     assert stderr.startswith("error: cannot load matrix: ") and "Traceback" not in stderr
+
+
+def test_verify_rejects_bool_entry(tmp_path, capsys):
+    # numpy reads a bool among integers as 0 or 1: a JSON true once loaded as 1
+    data = json.loads(fixture_path("h1").read_text())
+    data["entries"][0][0] = True
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, stdout, stderr = run_cli(capsys, "verify", str(bad))
+    assert code == 1 and stdout == ""
+    assert stderr == "error: cannot load matrix: codes must be integers, got a bool entry\n"
 
 
 def test_construct_low_distance_cap_is_inconclusive(tmp_path, capsys):

@@ -83,19 +83,6 @@ def test_group_detection_failure():
         code_from_parity_check(M)
 
 
-def test_group_spec_path():
-    # groups supplied explicitly: their checks come from G, not from H's rows
-    H, _ = load_fixture("h1")
-    code = code_from_parity_check(H, group_spec=[(0, 1, 2), (3, 4, 5), (6, 7, 8)])
-    assert code.groups == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
-    word = list(encode(code, [2, 3]))
-    original = word[4]
-    word[4] = None
-    assert repair_local(code, word, 4) == original
-    with pytest.raises(GroupDetectionError):
-        code_from_parity_check(H, group_spec=[(0, 1, 3), (2, 4, 5), (6, 7, 8)])
-
-
 # ---------------------------------------------------------------------------
 # distance
 # ---------------------------------------------------------------------------
@@ -108,15 +95,6 @@ def test_h1_distance_and_oracle(h1_code):
 
 def test_h2_distance(h2_code):
     assert min_distance(h2_code) == 7
-
-
-def test_group_spec_code_distance_matches_dfs_and_oracle():
-    H, _ = load_fixture("h1")
-    code = code_from_parity_check(H, group_spec=[(6, 7, 8), (0, 1, 2), (3, 4, 5)])
-    assert code.groups == ((6, 7, 8), (0, 1, 2), (3, 4, 5))
-    for cap in (6, 7, 9):
-        assert min_distance(code, cap) == min_distance(H, cap)
-    assert min_distance(code) == min_weight_oracle(code) == 7
 
 
 def test_distance_cap_reporting(h1_code):
@@ -309,21 +287,33 @@ def test_weight7_witness_does_not_depend_on_span_order(name, monkeypatch):
         H = load_fixture("h2")[0]
     else:
         H = assemble_parity_check(run_algorithm1(field_create(*{"lex7": (7, 1), "lex8": (2, 3)}[name]))[0])
-    code = code_from_parity_check(H)
-    want = _weight7_witness(code)
-    build = PairSpanTable.of
+    want = _weight7_witness(code_from_parity_check(H))
+    build, permutations = PairSpanTable.of, []
 
     def permuted(seq):
         table = build(seq)
         spans = np.random.default_rng(_SPAN_ORDER_SEED).permuted(table.spans, axis=2)
         assert not (spans == table.spans).all()
+        permutations.append(seq.L)
         return dataclasses.replace(table, spans=spans)
 
     monkeypatch.setattr(PairSpanTable, "of", staticmethod(permuted))
+    code = code_from_parity_check(H)  # a new code: the first one keeps its unpermuted table
     w = _weight7_witness(code)
+    assert len(permutations) == 1
     assert np.count_nonzero(w) == 7
     assert not _matmul_codes(code.field, w[None, :], code.H.array.T).any()
     assert (w == want).all()
+
+
+def test_block_table_is_built_once_per_code():
+    from lrc7.codec import _block_table
+
+    code = code_from_parity_check(load_fixture("h2")[0])
+    table = _block_table(code)
+    assert _block_table(code) is table and table.seq.L == len(code.groups)
+    assert table.conditions().ok
+    assert _block_table(_sim_code("h2-two-checks")) is None  # L + 5 rows: no block code
 
 
 def test_table_corpus_reaches_every_branch():
@@ -384,13 +374,14 @@ def test_encode_length_check(h1_code):
 @pytest.mark.parametrize("bad", [1.5, 2.0, np.float64(1.0), True, np.bool_(False), 4, -1, "1"])
 def test_symbols_must_be_integer_codes(h1_code, bad):
     # GF(4): a float was once truncated (1.5 read as 1), a bool read as 0 or 1
-    with pytest.raises(ValueError):
+    match = "bool" if isinstance(bad, (bool, np.bool_)) else None
+    with pytest.raises(ValueError, match=match):
         encode(h1_code, [1, bad])
     word: list = list(encode(h1_code, [1, 2]))
     word[0], word[4] = None, bad
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=match):
         repair_local(h1_code, word, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=match):
         repair_global(h1_code, word)
 
 
@@ -558,10 +549,10 @@ def test_simulator_mixed_pattern_routing(h1_code):
 
 # simulate_repairs against a per-trial reference built only from the public
 # encode, repair_local and repair_global, on the same child streams.  Corpus:
-# h1 with its groups given out of order, h2, a seeded q = 5 constructor output,
-# and h2 with one more check, weight 2 inside group 0, so that group has two
-# local checks (each reading one helper).
-_SIM_SEEDS = {"h1-spec": 21, "h2": 22, "q5": 23, "h2-two-checks": 24}
+# h1 (characteristic 2), h2, a seeded q = 5 constructor output, and h2 with
+# one more check, weight 2 inside group 0: its H has L + 5 rows, so it is no
+# block code, and group 0 has a second check that local repair does not read.
+_SIM_SEEDS = {"h1": 21, "h2": 22, "q5": 23, "h2-two-checks": 24}
 _SIM_MODELS = ("single-uniform", "group-burst", "multi-uniform(2)", "multi-uniform(6)")
 
 
@@ -570,15 +561,12 @@ def _sim_code(name):
     if name == "q5":
         seq, _ = run_algorithm1(field_create(5), "seeded", _SIM_SEEDS[name])
         return code_from_parity_check(assemble_parity_check(seq))
-    H, _ = load_fixture("h1" if name == "h1-spec" else "h2")
-    if name == "h1-spec":
-        return code_from_parity_check(H, group_spec=[(6, 7, 8), (0, 1, 2), (3, 4, 5)])
-    if name == "h2":
+    H, _ = load_fixture("h1" if name == "h1" else "h2")
+    if name in ("h1", "h2"):
         return code_from_parity_check(H)
     extra = np.zeros((1, H.cols), dtype=np.int32)
     extra[0, :2] = (4, 1)
-    groups = [tuple(range(i, i + 3)) for i in range(0, H.cols, 3)]
-    return code_from_parity_check(MatrixF(H.field, np.vstack([H.array, extra])), group_spec=groups)
+    return code_from_parity_check(MatrixF(H.field, np.vstack([H.array, extra])))
 
 
 def _symbols_read(code, word, pos, value):
@@ -633,7 +621,7 @@ def _reference_simulation(code, trials, failure_model, seed):
 
 
 _SIM_CASES = [(name, model) for name in _SIM_SEEDS for model in _SIM_MODELS]
-_SIM_CASES += [("h2", "multi-uniform(7)"), ("h2", "multi-uniform(9)"), ("h1-spec", "multi-uniform(9)")]
+_SIM_CASES += [("h2", "multi-uniform(7)"), ("h2", "multi-uniform(9)"), ("h1", "multi-uniform(9)")]
 
 
 @functools.lru_cache(maxsize=None)
@@ -654,7 +642,8 @@ def test_simulator_reference_corpus_covers_every_path():
     stats = [_simulated(name, model)[0] for name, model in _SIM_CASES]
     assert any(s.successes < s.trials for s in stats)  # some pattern cannot be repaired
     records = [r for s in stats for r in s.records]
-    assert any(r.mode == "local" and r.helpers < 2 * len(r.erased) for r in records)  # a weight-2 check
+    assert all(r.helpers == 2 * len(r.erased) for r in records if r.mode == "local")  # the two partners
+    assert _sim_code("h2-two-checks").H.rows == len(_sim_code("h2-two-checks").groups) + 5  # no block code
     assert any(r.mode == "local" and len(r.erased) > 1 for r in records)
     assert any(r.mode == "global" and r.success for r in records)
 

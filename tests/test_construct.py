@@ -295,10 +295,16 @@ def test_vector_sequence_rejects_out_of_range_codes(bad):
 
 @pytest.mark.parametrize(
     "bad",
-    [((1, 0, 0, 0.5), (0, 1, 0, 0)), ((1, 0, 0, "1"), (0, 1, 0, 0)), ((1, 0, 0), (0, 1, 0)), ((1, 0, 0, 0),)],
+    [
+        ((1, 0, 0, 0.5), (0, 1, 0, 0)),
+        ((1, 0, 0, "1"), (0, 1, 0, 0)),
+        ((1, 0, 0), (0, 1, 0)),
+        ((1, 0, 0, 0),),
+        ((1, 0, 0, True), (0, 1, 0, 0)),
+    ],
 )
 def test_vector_sequence_rejects_malformed_pairs(bad):
-    # a component of 0.5 was once truncated to 0
+    # a component of 0.5 was once truncated to 0, and a True read as 1
     with pytest.raises(ValueError):
         VectorSequence(GF4, [PAIR, bad])
 
@@ -309,7 +315,7 @@ def test_vector_sequence_load_json_validates(tmp_path):
     assert seq.pairs[1] == ((0, 0, 1, 0), (0, 0, 0, 1)) and type(seq.pairs[1][1][3]) is int
     seq.save_json(path)
     assert VectorSequence.load_json(path) == seq
-    for value in (9, 0.5, "1"):
+    for value in (9, 0.5, "1", True):
         data = json.loads(path.read_text())
         data["pairs"][1][0][3] = value
         path.write_text(json.dumps(data))

@@ -188,6 +188,11 @@ def test_coeff_roundtrip():
     assert f.from_coeffs([2, 1]) == 2 + 3
     with pytest.raises(ValueError):
         f.from_coeffs([1, 2, 0])
+    # a coefficient is an integer: 1.5 once gave the code 4.5, True the code 1
+    for bad in ([1.5, 1], [True, 1], [1, np.float64(2.0)], ["1", 1]):
+        with pytest.raises(ValueError):
+            f.from_coeffs(bad)
+    assert type(f.from_coeffs([np.int64(2), 1])) is int
 
 
 def test_element_validation(gf4):

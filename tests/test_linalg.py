@@ -189,7 +189,8 @@ def test_matrix_validation():
     with pytest.raises(ValueError):
         MatrixF(f, [])
     # entries are integer codes: a float is not truncated, a string not parsed
-    for bad in ([[1.7, 2]], [[1.0, 2.0]], [["1", 2]], [[1.9, "2"]], [[True, False]], [[1, 2], [0]]):
+    # nor a bool among integers read as 0 or 1
+    for bad in ([[1.7, 2]], [[1.0, 2.0]], [["1", 2]], [[1.9, "2"]], [[True, False]], [[2, True]], [[1, np.bool_(0)]], [[1, 2], [0]]):
         with pytest.raises(ValueError):
             MatrixF(f, bad)
     for bad in (np.array([[1.0, 2.0]]), np.array([[True, False]]), np.array([[-1, 2]]), np.array([[2**40]])):
@@ -252,8 +253,9 @@ def test_matrix_json_rejects_bad_shape():
         matrix_from_json_dict({"p": 2, "e": 1})
 
 
-@pytest.mark.parametrize("entries", [[[1.9, "2"]], [[1.5, 2]], [["1", "2"]], [[True, False]], [[1, None]]])
+@pytest.mark.parametrize("entries", [[[1.9, "2"]], [[1.5, 2]], [["1", "2"]], [[True, False]], [[1, None]], [[2, True]]])
 def test_matrix_json_rejects_non_integer_entries(entries):
+    # a true among integers once loaded as 1
     with pytest.raises(ValueError):
         matrix_from_json_dict({"p": 3, "e": 1, "modulus": [0, 1], "rows": 1, "cols": 2, "entries": entries})
 
