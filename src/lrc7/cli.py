@@ -111,7 +111,8 @@ def _certify(H: MatrixF, cap: int) -> Optional[tuple[int, int, Optional[int]]]:
     artifact is written."""
     code = code_from_parity_check(H)
     # d >= 7 exactly when the three conditions hold, so the conditions are
-    # read (from the table min_distance built) only to name a failure
+    # read only to name a failure, from the report that min_distance's
+    # table keeps
     d = min_distance(code, cap=cap)
     if d not in (7, 8):
         report = _block_table(code).conditions()

@@ -23,6 +23,7 @@ import numpy as np
 
 from .bounds import CodeParams
 from .construct import PairSpanTable, VectorSequence
+from .draws import _trial_draws
 from .fields import FieldSpec
 from .linalg import (
     AmbiguousSystemError,
@@ -462,7 +463,8 @@ def simulate_repairs(code: LrcCode, trials: int, failure_model: str, seed: int =
 
     A trial is repaired locally when every touched group has exactly one
     erasure; otherwise one global repair covers the whole pattern.  All
-    randomness derives from the seed, one child stream per trial.
+    randomness derives from the seed, one child stream per trial, drawn for
+    all trials at once (`draws._trial_draws`).
 
     The messages are encoded in one product through G and the erasures kept
     as one (trials, f) array.  In a local trial no partner is erased, so
@@ -480,19 +482,7 @@ def simulate_repairs(code: LrcCode, trials: int, failure_model: str, seed: int =
     if kind == "multi-uniform" and f > n:
         raise ValueError(f"cannot erase {f} of {n} symbols")
     groups = np.array(code.groups)
-    msgs = np.empty((trials, k), dtype=np.int32)
-    E = np.empty((trials, {"single-uniform": 1, "multi-uniform": f, "group-burst": 3}[kind]), dtype=np.intp)
-    for t, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
-        rng = np.random.default_rng(child)
-        msgs[t] = rng.integers(0, q, size=k)
-        if kind == "single-uniform":
-            E[t] = rng.integers(0, n)
-        elif kind == "multi-uniform":
-            E[t] = rng.choice(n, size=f, replace=False)
-        else:
-            E[t] = groups[rng.integers(0, len(groups))]
-    if kind == "multi-uniform":
-        E.sort(axis=1)
+    msgs, E = _trial_draws(seed, trials, q, k, kind, f, groups)
     words = _matmul_codes(field, msgs, code.G.array)
     touched = np.sort(code._group_of[E], axis=1)
     local = (touched[:, 1:] != touched[:, :-1]).all(axis=1)

@@ -130,16 +130,19 @@ def test_construct_reports_failed_sequence_conditions(cap, tmp_path, capsys, mon
     [
         (["--q", "7"], 0, "(18, 8, 7, 2)_7"),
         (["--q", "7", "--distance-cap", "5"], 0, "(18, 8, >=6, 2)_7"),
+        (["--q", "7", "--distance-cap", "6"], 0, "(18, 8, >=7, 2)_7"),
         (["--q", "5", "c3-fails"], 1, ""),
     ],
-    ids=["default-cap", "cap-5", "c3-fails"],
+    ids=["default-cap", "cap-5", "cap-6", "c3-fails"],
 )
 def test_construct_builds_one_pair_span_table(argv, exit_code, shown, capsys, monkeypatch):
-    # one table serves the distance and, on a failure, the conditions report;
-    # the groups are detected once, when the code is built
-    tables, detections = [], []
-    build, detect = PairSpanTable.of, codec._detect_groups
+    # one table serves the distance and, below cap 7 or on a failure, the
+    # conditions report, which it works out once; the groups are detected
+    # once, when the code is built
+    tables, reports, detections = [], [], []
+    build, report, detect = PairSpanTable.of, PairSpanTable._condition_report, codec._detect_groups
     monkeypatch.setattr(PairSpanTable, "of", staticmethod(lambda seq: tables.append(seq.L) or build(seq)))
+    monkeypatch.setattr(PairSpanTable, "_condition_report", lambda tab: reports.append(tab.seq.L) or report(tab))
     monkeypatch.setattr(codec, "_detect_groups", lambda H: detections.append(H.rows) or detect(H))
     if "c3-fails" in argv:
         argv = argv[:-1]
@@ -147,7 +150,7 @@ def test_construct_builds_one_pair_span_table(argv, exit_code, shown, capsys, mo
     code, stdout, _ = run_cli(capsys, "construct", *argv)
     assert code == exit_code
     assert stdout.startswith(shown)
-    assert len(tables) == len(detections) == 1
+    assert len(tables) == len(reports) == len(detections) == 1
 
 
 @pytest.mark.parametrize(

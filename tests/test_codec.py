@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from lrc7 import draws
 from lrc7.bounds import classify
 from lrc7.codec import (
     EnumerationBudgetError,
@@ -27,6 +28,7 @@ from lrc7.codec import (
     wilson_interval,
 )
 from lrc7.construct import VectorSequence, assemble_parity_check, run_algorithm1
+from lrc7.draws import _bounded_draws, _trial_draws
 from lrc7.fields import field_create
 from lrc7.linalg import MatrixF, kernel_basis, matmul, rank
 
@@ -646,6 +648,89 @@ def test_simulator_reference_corpus_covers_every_path():
     assert _sim_code("h2-two-checks").H.rows == len(_sim_code("h2-two-checks").groups) + 5  # no block code
     assert any(r.mode == "local" and len(r.erased) > 1 for r in records)
     assert any(r.mode == "global" and r.success for r in records)
+
+
+# `draws._trial_draws` against numpy's own per-trial generators, element by
+# element.  Seeds: 0, 1, 2^32 (two entropy words) and 2^128 + 7 (five
+# words, so the spawn word's hashes start 4 later).  Shapes (q, k, L):
+# h2's, a q = 11 code with k = 20, one group with k = 1, where group-burst
+# draws nothing, and n = 10002, where choice(n, 300) shuffles a tail and
+# every trial is drawn through numpy; multi-uniform(n) starts Floyd's
+# algorithm at j = 0, which draws nothing either.
+_DRAW_SEEDS = (0, 1, 2**32, 2**128 + 7)
+_DRAW_CASES = [
+    (7, 8, 6, "single-uniform"),
+    (7, 8, 6, "group-burst"),
+    (7, 8, 6, "multi-uniform(6)"),
+    (7, 8, 6, "multi-uniform(18)"),
+    (11, 20, 10, "multi-uniform(7)"),
+    (5, 1, 1, "group-burst"),
+    (5, 1, 1, "multi-uniform(3)"),
+    (4, 3, 3334, "multi-uniform(300)"),
+]
+
+
+def _numpy_draws(seed, trials, q, k, failure_model, groups):
+    kind, f = parse_failure_model(failure_model)
+    msgs, E = [], []
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.default_rng(child)
+        msgs.append(rng.integers(0, q, size=k).tolist())
+        if kind == "single-uniform":
+            E.append([int(rng.integers(0, groups.size))])
+        elif kind == "multi-uniform":
+            E.append(sorted(rng.choice(groups.size, size=f, replace=False).tolist()))
+        else:
+            E.append(groups[rng.integers(0, len(groups))].tolist())
+    return msgs, E
+
+
+def _fast_draws(seed, trials, q, k, failure_model, groups):
+    msgs, E = _trial_draws(seed, trials, q, k, *parse_failure_model(failure_model), groups)
+    return msgs.tolist(), E.tolist()
+
+
+@pytest.mark.parametrize("seed", _DRAW_SEEDS)
+@pytest.mark.parametrize("q, k, L, model", _DRAW_CASES)
+def test_trial_draws_match_numpy_generators(seed, q, k, L, model):
+    groups = np.arange(3 * L).reshape(L, 3)
+    assert _fast_draws(seed, 40, q, k, model, groups) == _numpy_draws(seed, 40, q, k, model, groups)
+
+
+def test_trial_draws_cross_block_boundaries(monkeypatch):
+    blocks = []
+    draw = draws._bounded_draws
+    monkeypatch.setattr(draws, "_DRAW_BLOCK_BYTES", 4096)  # blocks of 9 and 5 trials
+    monkeypatch.setattr(draws, "_bounded_draws", lambda parent, t, bounds: blocks.append(t.size) or draw(parent, t, bounds))
+    groups = np.arange(18).reshape(6, 3)
+    for model in ("single-uniform", "multi-uniform(6)"):
+        assert _fast_draws(2**128 + 7, 50, 7, 8, model, groups) == _numpy_draws(2**128 + 7, 50, 7, 8, model, groups)
+    assert len(blocks) > 2 and sum(blocks) == 100
+
+
+def test_rejected_draws_are_flagged_and_redrawn():
+    # bound b = 3 * 2^30 + 1: numpy rejects a 32-bit draw u when u * b mod
+    # 2^32 is below (2^32 - b) mod b = 2^30 - 1, about a quarter of draws
+    b, k, trials, seed = 3 * 2**30 + 1, 4, 64, 5
+    vals, rejected = _bounded_draws(np.random.SeedSequence(seed), np.arange(trials), [b] * k)
+    expected = []
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        raw = np.random.PCG64(child).random_raw(k // 2).tolist()
+        halves = [w for r in raw for w in (r & 0xFFFFFFFF, r >> 32)]
+        expected.append(any(u * b % 2**32 < (2**32 - b) % b for u in halves))
+    assert rejected.tolist() == expected
+    assert 0 < sum(expected) < trials
+    groups = np.arange(3).reshape(1, 3)
+    numpy_msgs, _ = _numpy_draws(seed, trials, b, k, "single-uniform", groups)
+    assert vals[~rejected].tolist() == [m for m, r in zip(numpy_msgs, expected) if not r]
+    assert _fast_draws(seed, trials, b, k, "single-uniform", groups)[0] == numpy_msgs
+
+
+def test_one_group_code_matches_per_trial_reference():
+    # n = 3, H = [[1, 1, 1]]: group-burst draws no group index, multi-uniform(3) erases all
+    code = code_from_parity_check(MatrixF(field_create(5), [[1, 1, 1]]))
+    for model in ("group-burst", "multi-uniform(3)", "single-uniform"):
+        assert simulate_repairs(code, 30, model, 8) == _reference_simulation(code, 30, model, 8)
 
 
 def test_wilson_interval_basics():
