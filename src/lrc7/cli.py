@@ -139,8 +139,15 @@ def cmd_construct(ns: argparse.Namespace) -> int:
         seq, trace = run_algorithm1(field, policy=policy, seed=seed)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    # each file's payload is built only when --out writes it
-    artifacts = {"sequence.json": seq.to_json_dict, "trace.json": trace.to_json_dict}
+    # each file is built only when --out writes it, from its payload or,
+    # for the trace, by its own writer
+    def writer(build):
+        return lambda path: write_json(path, {**build(), "config": cfg})
+
+    artifacts = {
+        "sequence.json": writer(seq.to_json_dict),
+        "trace.json": lambda path: trace.save_json(path, config=cfg),
+    }
     if seq.L < 3:
         # short runs happen only without the q >= 4 guarantee; report and stop
         message = f"construction stopped after L = {seq.L} < 3 rounds; no code assembled"
@@ -175,13 +182,13 @@ def cmd_construct(ns: argparse.Namespace) -> int:
             print(f"classification: {rep.classification or '-'}")
             print(f"attains dimension bound: {'yes' if attained else 'no'}")
         params = {"n": n, "k": k, "r": 2} if d is None else {"n": n, "k": k, "d": d, "r": 2}
-        artifacts["matrix.json"] = lambda: matrix_to_json_dict(H, {"params": params})
-        artifacts["bounds.json"] = rep.to_json_dict
+        artifacts["matrix.json"] = writer(lambda: matrix_to_json_dict(H, {"params": params}))
+        artifacts["bounds.json"] = writer(rep.to_json_dict)
     if ns.out is not None:
         outdir = Path(ns.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        for name, build in artifacts.items():
-            write_json(outdir / name, {**build(), "config": cfg})
+        for name, save in artifacts.items():
+            save(outdir / name)
     return EXIT_OK
 
 

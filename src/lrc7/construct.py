@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import FieldSpec, field_from_header, field_header, write_json
+from .fields import FieldSpec, field_from_header, field_header, write_json, write_rows_json
 from .linalg import MatrixF, _codes, solve_columns
 from .spread import _spread_bases, canonical_rep, point_codes, point_index, span_point_index
 
@@ -143,10 +143,26 @@ def _removals_json(rd: TraceRound) -> dict[str, list[tuple[int, ...]]]:
     return out
 
 
+def _ints(xs) -> bool:
+    """Whether xs lists ints as `json.loads` makes them (bool is not)."""
+    return isinstance(xs, (list, tuple)) and all(type(x) is int for x in xs)
+
+
 def _round_from_json(i: int, rd: dict) -> TraceRound:
     """Round i (1-based, for the error message) as `trace.json` holds it.
     The removed points are read as recorded, so a wrong code stays wrong
-    for `replay_trace` to find."""
+    for `replay_trace` to find.  The other fields must be JSON integers
+    as written: 0.9, 1.0, "5" or true is refused, not coerced."""
+    plane_id, points, discarded = rd["plane_id"], rd["points"], rd["discarded"]
+    ok = type(plane_id) is int and _ints(discarded) and isinstance(points, (list, tuple)) and all(map(_ints, points))
+    if not ok:
+        raise ValueError(f"round {i}: plane_id, points and discarded must hold JSON integers")
+    try:
+        canonical = all(str(int(key)) == key for key in rd["removals"])  # as str(pid) writes it
+    except ValueError:
+        canonical = False
+    if not canonical:
+        raise ValueError(f"round {i}: every plane id must be an int32")
     cut = sorted((int(pid), pts) for pid, pts in rd["removals"].items())
     rows = [pt for _, pts in cut for pt in pts]
     try:
@@ -160,13 +176,7 @@ def _round_from_json(i: int, rd: dict) -> TraceRound:
         cut_rows = np.array([(pid, len(pts)) for pid, pts in cut], dtype=np.int32).reshape(-1, 2)
     except OverflowError:
         raise ValueError(f"round {i}: every plane id must be an int32") from None
-    return TraceRound(
-        plane_id=int(rd["plane_id"]),
-        points=tuple(tuple(map(int, pt)) for pt in rd["points"]),
-        cut=cut_rows,
-        removed=codes,
-        discarded=tuple(map(int, rd["discarded"])),
-    )
+    return TraceRound(plane_id, tuple(map(tuple, points)), cut_rows, codes, tuple(discarded))
 
 
 @dataclass(frozen=True)
@@ -217,8 +227,13 @@ class ConstructionTrace:
             rounds=rounds,
         )
 
-    def save_json(self, path) -> None:
-        write_json(path, self.to_json_dict())
+    def save_json(self, path, **extra) -> None:
+        """Write the bytes of ``json_text({**self.to_json_dict(), **extra})``
+        and a final newline, from the round arrays (`fields.write_rows_json`)."""
+        rounds = [{"discarded": rd.discarded, "plane_id": rd.plane_id, "points": rd.points} for rd in self.rounds]
+        payload = {**field_header(self), "q": self.q, "policy": self.policy, "seed": self.seed, "rounds": rounds}
+        objects = [(rd.cut, rd.removed) for rd in self.rounds]
+        write_rows_json(path, {**payload, **extra}, "rounds", "removals", objects, self.q, self.q**2 + 1)
 
     @classmethod
     def load_json(cls, path) -> "ConstructionTrace":

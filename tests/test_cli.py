@@ -7,7 +7,14 @@ import pytest
 from lrc7 import cli, codec
 from lrc7.cli import main
 from lrc7.codec import fixture_path
-from lrc7.construct import PairSpanTable, VectorSequence, run_algorithm1, verify_conditions
+from lrc7.construct import (
+    ConstructionTrace,
+    PairSpanTable,
+    VectorSequence,
+    replay_trace,
+    run_algorithm1,
+    verify_conditions,
+)
 from lrc7.fields import field_create
 from lrc7.linalg import load_matrix_json
 
@@ -35,6 +42,20 @@ def test_construct_q4_writes_artifacts(tmp_path, capsys):
     assert mat["params"]["d"] in (7, 8)
     bounds = json.loads((out / "bounds.json").read_text())
     assert bounds["classification"] == "almost-optimal"
+
+
+def test_construct_trace_under_an_awkward_out_path(tmp_path, capsys):
+    """config.out is user text: quotes, backslashes, non-ASCII and a newline,
+    plus text shaped like the trace's own lines, are written as the stdlib
+    writes them, and the trace still replays to the sequence."""
+    out = tmp_path / 'q"4\\\u00e9\u4e2d}\n    },\n      "removals": {}\n  "rounds": ['
+    code, _, _ = run_cli(capsys, "construct", "--q", "4", "--out", str(out))
+    assert code == 0
+    raw = (out / "trace.json").read_bytes()
+    data = json.loads(raw)
+    assert data["config"]["out"] == str(out)
+    assert raw == (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
+    assert replay_trace(ConstructionTrace.load_json(out / "trace.json")) == VectorSequence.load_json(out / "sequence.json")
 
 
 def test_construct_verify_roundtrip(tmp_path, capsys):

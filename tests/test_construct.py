@@ -5,10 +5,12 @@ import random
 import numpy as np
 import pytest
 
+from lrc7 import fields
 from lrc7.codec import min_distance
 from lrc7.construct import (
     ConstructionTrace,
     ReplayError,
+    TraceRound,
     VectorSequence,
     assemble_parity_check,
     choose_triple,
@@ -17,7 +19,7 @@ from lrc7.construct import (
     run_algorithm1,
     verify_conditions,
 )
-from lrc7.fields import field_create
+from lrc7.fields import factor_prime_power, field_create, json_text
 from lrc7.linalg import MatrixF, rank, small_rank
 from lrc7.spread import build_2_spread, canonical_rep, point_codes, span_point_index
 
@@ -490,6 +492,49 @@ def test_malformed_removal_names_its_round(point, tmp_path):
         ConstructionTrace.from_json_dict(data)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("plane_id", 0.9),
+        ("plane_id", 1.0),
+        ("plane_id", "5"),
+        ("plane_id", True),
+        ("plane_id", None),
+        ("points", [[0, 0, 1.0, 1]]),
+        ("points", [[0, 0, "1", 1]]),
+        ("points", [[0, 0, True, 1]]),
+        ("points", [7]),
+        ("points", 7),
+        ("discarded", [1.5]),
+        ("discarded", ["3"]),
+        ("discarded", [False]),
+        ("discarded", 3),
+    ],
+)
+def test_malformed_round_field_names_its_round(field, value, tmp_path):
+    """plane_id, points and discarded are refused unless they are JSON
+    integers, not coerced with int()."""
+    _, trace = run_algorithm1(GF4, "lex")
+    path = tmp_path / "trace.json"
+    trace.save_json(path)
+    data = json.loads(path.read_text())
+    data["rounds"][1][field] = value
+    with pytest.raises(ValueError, match=r"^round 2: "):
+        ConstructionTrace.from_json_dict(data)
+
+
+@pytest.mark.parametrize("key", ["x", "", "-", "--5", "05", "+5", "-0", " 5", "1_0", "\u0665", "5.0"])
+def test_malformed_plane_key_names_its_round(key, tmp_path):
+    _, trace = run_algorithm1(GF4, "lex")
+    path = tmp_path / "trace.json"
+    trace.save_json(path)
+    data = json.loads(path.read_text())
+    i, rd = next((i, rd) for i, rd in enumerate(data["rounds"], start=1) if rd["removals"])
+    rd["removals"][key] = rd["removals"].pop(next(iter(rd["removals"])))
+    with pytest.raises(ValueError, match=rf"^round {i}: every plane id must be an int32$"):
+        ConstructionTrace.from_json_dict(data)
+
+
 def test_plane_id_past_int32_names_its_round(tmp_path):
     _, trace = run_algorithm1(GF4, "lex")
     path = tmp_path / "trace.json"
@@ -536,6 +581,72 @@ def test_trace_file_is_the_stdlib_encoding(F, policy, seed, tmp_path):
     assert ConstructionTrace.load_json(path) == trace  # q = 4: plane ids 10..16 sort as strings first
     data = path.read_bytes()
     assert data == (json.dumps(json.loads(data), indent=2, sort_keys=True) + "\n").encode()
+
+
+def _slow_trace_bytes(trace, **extra) -> bytes:
+    """The oracle for `save_json`: the payload through the C encoder."""
+    return (json_text({**trace.to_json_dict(), **extra}) + "\n").encode()
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16, 27])
+@pytest.mark.parametrize("policy,seed", [("lex", None), ("seeded", 3), ("seeded", 11)])
+def test_trace_writer_matches_the_payload(q, policy, seed, tmp_path):
+    _, trace = run_algorithm1(field_create(*factor_prime_power(q)), policy, seed)
+    path = tmp_path / "trace.json"
+    config = {"command": "construct", "q": q, "out": str(tmp_path)}
+    for extra in ({}, {"config": config}):
+        trace.save_json(path, **extra)
+        assert path.read_bytes() == _slow_trace_bytes(trace, **extra)
+
+
+# plane ids on both sides of every digit-count boundary, and negative ones,
+# whose "-" sorts first
+_PLANE_IDS = sorted(
+    {0, 1, 2, 9, 10, 11, 19, 20, 99, 100, 101, 2**31 - 1, -1, -10, -(2**31)}
+    | {s * 10**k + d for k in range(2, 10) for s in (1, 2) for d in (-1, 0)}
+)
+
+
+def _hand_trace(rng, q: int) -> ConstructionTrace:
+    """0 to 8 random rounds with no removals, one cut plane or several; some
+    cut planes lost no point; codes of 1 to 3 digits, up to 511."""
+    rounds = []
+    for _ in range(rng.integers(0, 9)):
+        h = int(rng.choice([0, 1, 1, 2, 5]))
+        pids = np.sort(rng.choice(_PLANE_IDS, size=h, replace=False))
+        counts = rng.choice([0, 1, 2, 3, 7], size=h, p=[0.1, 0.3, 0.3, 0.2, 0.1])
+        digits = rng.integers(1, 4, size=(int(counts.sum()), 4))
+        removed = np.minimum(rng.integers(10 ** (digits - 1) - (digits == 1), 10**digits), 511)
+        rounds.append(
+            TraceRound(
+                plane_id=int(rng.choice(_PLANE_IDS)),
+                points=tuple(tuple(rng.integers(0, 512, 4).tolist()) for _ in range(3)),
+                cut=np.stack([pids, counts], axis=1).astype(np.int32).reshape(-1, 2),
+                removed=removed.astype(np.int32).reshape(-1, 4),
+                discarded=tuple(rng.choice(_PLANE_IDS, size=int(rng.integers(0, 3))).tolist()),
+            )
+        )
+    modulus = (1, 1, 0, 0, 0, 0, 0, 0, 0, 1)
+    return ConstructionTrace(p=2, e=9, modulus=modulus, q=q, policy="lex", seed=None, rounds=tuple(rounds))
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("q", [512, 7])  # q = 7: most codes lie past q, as in a tampered file
+def test_trace_writer_on_hand_built_rounds(seed, q, tmp_path, monkeypatch):
+    trace = _hand_trace(np.random.default_rng(seed), q)
+    path = tmp_path / "trace.json"
+    config = {"out": 'a"b\\c\u00e9\n"removals": {}'}
+    for block_rows in (1 << 14, 3):  # one block, and blocks of a round or two
+        monkeypatch.setattr(fields, "_ROWS_BLOCK", block_rows)
+        trace.save_json(path, config=config)
+        assert path.read_bytes() == _slow_trace_bytes(trace, config=config)
+
+
+def test_trace_writer_with_no_rounds(tmp_path):
+    trace = ConstructionTrace(p=5, e=1, modulus=(0, 1), q=5, policy="seeded", seed=2**70, rounds=())
+    path = tmp_path / "trace.json"
+    trace.save_json(path, zz=[{}])  # a key after "rounds"
+    assert path.read_bytes() == _slow_trace_bytes(trace, zz=[{}])
 
 
 def test_sequence_json_roundtrip(tmp_path):
