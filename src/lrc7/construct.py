@@ -26,6 +26,7 @@ import json
 import random
 import warnings
 from dataclasses import dataclass, field as dc_field
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -165,12 +166,14 @@ def _round_from_json(i: int, rd: dict) -> TraceRound:
         raise ValueError(f"round {i}: every plane id must be an int32")
     cut = sorted((int(pid), pts) for pid, pts in rd["removals"].items())
     rows = [pt for _, pts in cut for pt in pts]
-    try:
-        removed = np.array(rows or np.empty((0, 4), dtype=np.int32))
-    except ValueError:  # ragged rows
-        removed = np.empty(0)
-    codes = removed.astype(np.int32) if removed.dtype.kind in "iu" else None
-    if removed.ndim != 2 or removed.shape[1] != 4 or codes is None or not np.array_equal(codes, removed):
+    try:  # the types of one flat list as loaded: numpy would read a true among ints as 1
+        flat = list(chain.from_iterable(rows))
+        ok = set(map(len, rows)) <= {4} and set(map(type, flat)) <= {int}
+        removed = np.fromiter(flat, dtype=np.int64, count=len(flat)).reshape(-1, 4) if ok else None
+    except (TypeError, OverflowError):  # a point that is no list, a code past int64
+        removed = None
+    codes = None if removed is None else removed.astype(np.int32)
+    if codes is None or not np.array_equal(codes, removed):
         raise ValueError(f"round {i}: every removed point must be four int32 codes")
     try:
         cut_rows = np.array([(pid, len(pts)) for pid, pts in cut], dtype=np.int32).reshape(-1, 2)
@@ -215,17 +218,19 @@ class ConstructionTrace:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ConstructionTrace":
+        """The trace `to_json_dict` or `save_json` wrote.  The header, like
+        each round, must hold JSON integers as written: a q of 4.9 or a seed
+        of "1" is refused, not coerced."""
         rounds = tuple(_round_from_json(i, rd) for i, rd in enumerate(d["rounds"], start=1))
         field = field_from_header(d)
-        return cls(
-            p=field.p,
-            e=field.e,
-            modulus=field.modulus,
-            q=int(d["q"]),
-            policy=d["policy"],
-            seed=d["seed"],
-            rounds=rounds,
-        )
+        q, policy, seed = d["q"], d["policy"], d["seed"]
+        if type(q) is not int or q != field.q:
+            raise ValueError(f"trace q must be the JSON integer p**e = {field.q}, got {q!r}")
+        if policy not in POLICIES:
+            raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
+        if seed is not None and type(seed) is not int:
+            raise ValueError(f"trace seed must be null or a JSON integer, got {seed!r}")
+        return cls(field.p, field.e, field.modulus, q, policy, seed, rounds)
 
     def save_json(self, path, **extra) -> None:
         """Write the bytes of ``json_text({**self.to_json_dict(), **extra})``

@@ -258,7 +258,7 @@ class FieldSpec:
         if self.e == 1:
             return f"GF({self.q})"
         mod = "+".join(
-            ("x^%d" % i if i > 1 else "x") if c == 1 else f"{c}" + ("" if i == 0 else ("x" if i == 1 else f"x^{i}"))
+            ("" if c == 1 and i else str(c)) + ("" if i == 0 else "x" if i == 1 else f"x^{i}")
             for i, c in reversed(list(enumerate(self.modulus)))
             if c
         )
@@ -286,8 +286,13 @@ def field_header(field) -> dict:
 
 
 def field_from_header(d: dict) -> FieldSpec:
-    """Rebuild the field named by a JSON header (see `field_header`)."""
-    return FieldSpec(int(d["p"]), int(d["e"]), d["modulus"])
+    """Rebuild the field named by a JSON header (see `field_header`).  p, e
+    and the modulus entries must be JSON integers as written: 2.7, "2" or
+    true is refused, not coerced."""
+    p, e, modulus = d["p"], d["e"], d["modulus"]
+    if not (isinstance(modulus, list) and set(map(type, [p, e, *modulus])) <= {int}):
+        raise ValueError("field header p, e and modulus must hold JSON integers")
+    return FieldSpec(p, e, modulus)
 
 
 # byte -> 1 for an opening bracket, 2 for a closing one, 3 for a comma; and

@@ -268,6 +268,28 @@ def test_verify_rejects_bool_entry(tmp_path, capsys):
     assert stderr == "error: cannot load matrix: codes must be integers, got a bool entry\n"
 
 
+@pytest.mark.parametrize("key,value", [("rows", 7.9), ("cols", "9"), ("p", 2.0), ("e", True), ("modulus", [1, 1, 1.0]), ("modulus", 3)])
+def test_verify_rejects_non_integer_header(key, value, tmp_path, capsys):
+    # "rows": 7.9 once loaded through int(); a modulus of 3 once raised TypeError
+    data = json.loads(fixture_path("h1").read_text())
+    data[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, stdout, stderr = run_cli(capsys, "verify", str(bad))
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("error: cannot load matrix: ") and "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("top", [[1, 2], "h1", 7, None])
+def test_verify_rejects_a_file_that_is_no_object(top, tmp_path, capsys):
+    # a top-level list once raised TypeError through the header lookup
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(top))
+    code, stdout, stderr = run_cli(capsys, "verify", str(bad))
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("error: cannot load matrix: matrix JSON must be an object")
+
+
 def test_construct_low_distance_cap_is_inconclusive(tmp_path, capsys):
     # cap 5 only establishes d >= 6: reported, not failed, and d is left
     # out of the declared parameters, so the matrix still verifies

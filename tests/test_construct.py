@@ -475,8 +475,8 @@ def test_first_round_removes_an_empty_int32_block(tmp_path):
 
 @pytest.mark.parametrize(
     "point",
-    [[0, 1, 1], "0111", [0, 1, "x", 1], [0, 1, 1.5, 1], [0, 1, 1, 2**40], None],
-    ids=["three", "string", "str-code", "float", "huge", "all-three"],
+    [[0, 1, 1], "0111", [0, 1, "x", 1], [0, 1, 1.5, 1], [0, 1, 1, 2**40], [0, 1, 1, 2**70], [0, True, 1, 1], 7, None],
+    ids=["three", "string", "str-code", "float", "huge", "past-int64", "bool", "int", "all-three"],
 )
 def test_malformed_removal_names_its_round(point, tmp_path):
     _, trace = run_algorithm1(GF4, "lex")
@@ -490,6 +490,60 @@ def test_malformed_removal_names_its_round(point, tmp_path):
         next(iter(rd["removals"].values()))[-1] = point
     with pytest.raises(ValueError, match=rf"^round {i}: every removed point must be four int32 codes$"):
         ConstructionTrace.from_json_dict(data)
+
+
+def test_bool_removal_is_refused_not_read_as_1(tmp_path):
+    # numpy upcasts a true among ints to 1: [0, true, 0, true] once loaded
+    # equal to the recorded [0, 1, 0, 1], and replayed
+    _, trace = run_algorithm1(GF4, "lex")
+    data = trace.to_json_dict()
+    i, rd = next((i, rd) for i, rd in enumerate(data["rounds"], start=1) if rd["removals"])
+    pts = next(iter(rd["removals"].values()))
+    j = next(j for j, pt in enumerate(pts) if 1 in pt)
+    pts[j] = [True if x == 1 else x for x in pts[j]]
+    with pytest.raises(ValueError, match=rf"^round {i}: every removed point must be four int32 codes$"):
+        ConstructionTrace.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("q", 4.9),
+        ("q", 4.0),
+        ("q", "4"),
+        ("q", True),
+        ("q", 16),
+        ("p", 2.7),
+        ("p", "2"),
+        ("p", True),
+        ("e", 2.0),
+        ("e", "2"),
+        ("modulus", [1, 1, 1.0]),
+        ("modulus", [1, True, 1]),
+        ("modulus", "111"),
+        ("policy", 5),
+        ("policy", "greedy"),
+        ("seed", "x"),
+        ("seed", 1.0),
+        ("seed", False),
+    ],
+)
+def test_malformed_trace_header_is_refused(key, value):
+    """The header is taken as written, not coerced with int(): each of
+    these once loaded a trace equal to the q = 4 original, or replayed."""
+    _, trace = run_algorithm1(GF4, "lex")
+    data = json.loads(json.dumps(trace.to_json_dict()))
+    assert ConstructionTrace.from_json_dict(data) == trace
+    data[key] = value
+    with pytest.raises(ValueError):
+        ConstructionTrace.from_json_dict(data)
+
+
+def test_trace_header_keeps_a_null_or_integer_seed():
+    for policy, seed in (("lex", None), ("seeded", 0), ("seeded", 7)):
+        _, trace = run_algorithm1(GF4, policy, seed)
+        loaded = ConstructionTrace.from_json_dict(json.loads(json.dumps(trace.to_json_dict())))
+        assert loaded == trace and loaded.seed == seed
 
 
 @pytest.mark.parametrize(

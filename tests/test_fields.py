@@ -100,6 +100,25 @@ def test_field_equality_and_hash():
     assert field_create(2, 2) != field_create(5)
 
 
+@pytest.mark.parametrize(
+    "pe, text",
+    [
+        ((7, 1), "GF(7)"),
+        ((2, 2), "GF(4; x^2+x+1)"),
+        ((2, 3), "GF(8; x^3+x+1)"),
+        ((3, 2), "GF(9; x^2+1)"),
+        ((5, 2), "GF(25; x^2+2)"),
+        ((3, 3), "GF(27; x^3+2x+1)"),
+    ],
+)
+def test_field_repr_names_the_modulus(pe, text):
+    # a constant term of 1 once printed as x: x^2+x+1 read "x^2+x+x"
+    assert repr(field_create(*pe)) == text
+    with pytest.raises(ValueError) as exc:
+        _codes(field_create(*pe), [pe[0] ** pe[1]])
+    assert str(exc.value) == f"code out of range for {text}"
+
+
 # ---------------------------------------------------------------------------
 # arithmetic
 # ---------------------------------------------------------------------------

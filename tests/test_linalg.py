@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrc7.fields import field_create
+from lrc7.fields import factor_prime_power, field_create
 from lrc7.linalg import (
     AmbiguousSystemError,
     InconsistentSystemError,
     MatrixF,
+    _matmul_codes,
     _solve_stack,
     kernel_basis,
     load_matrix_csv,
@@ -200,6 +201,48 @@ def test_matrix_validation():
     assert M.array.dtype == np.int32 and M.array.tolist() == [[2, 1], [0, 1]]
 
 
+def _slow_matmul(field, A, B) -> list[list[int]]:
+    """The oracle for `_matmul_codes`: a triple loop through field.mul and field.add."""
+    (m, k), n = A.shape, B.shape[1]
+    A, B = A.tolist(), B.tolist()
+    out = [[0] * n for _ in range(m)]
+    for i in range(m):
+        for j in range(n):
+            for t in range(k):
+                out[i][j] = field.add(out[i][j], field.mul(A[i][t], B[t][j]))
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 509, 4, 8, 9, 16, 25, 27, 64])
+@pytest.mark.parametrize("m,k,n", [(0, 3, 2), (3, 0, 2), (3, 2, 0), (1, 1, 1), (5, 9, 4), (2, 40, 3)])
+def test_matmul_codes_matches_a_scalar_triple_loop(q, m, k, n):
+    # prime fields take one int64 product mod p, extension fields the tables
+    field = field_create(*factor_prime_power(q))
+    rng = np.random.default_rng(q * 1000 + m * 100 + k * 10 + n)
+    A = rng.integers(0, q, (m, k)).astype(np.int32)
+    B = rng.integers(0, q, (k, n)).astype(np.int32)
+    if m and k:
+        A[0] = q - 1  # the largest terms
+    if k and n:
+        B[:, 0] = q - 1
+    out = _matmul_codes(field, A, B)
+    assert out.dtype == np.int32 and out.shape == (m, n)
+    assert out.tolist() == _slow_matmul(field, A, B)
+
+
+def test_matmul_codes_accumulates_past_int32():
+    # 10^4 terms of up to 508^2 sum past 2^31: an int32 accumulator wraps
+    field, k = field_create(509), 10**4
+    rng = np.random.default_rng(509)
+    A = rng.integers(0, 509, (2, k)).astype(np.int32)
+    B = rng.integers(0, 509, (k, 2)).astype(np.int32)
+    A[0], B[:, 0] = 508, 508
+    assert 508**2 * k > 2**31
+    out = _matmul_codes(field, A, B)
+    assert out[0, 0] == k % 509  # 508 = -1 mod 509
+    assert out.tolist() == _slow_matmul(field, A, B)
+
+
 def test_matmul_refuses_mixed_fields():
     # int codes carry no field: the owner check lives on the matrices
     A = MatrixF(field_create(5), [[1, 2]])
@@ -251,6 +294,19 @@ def test_matrix_json_rejects_bad_shape():
         )
     with pytest.raises(ValueError):
         matrix_from_json_dict({"p": 2, "e": 1})
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("rows", 1.9), ("rows", 1.0), ("rows", "1"), ("rows", True), ("cols", 2.0), ("cols", None), ("p", 3.0), ("p", "3"), ("e", True), ("modulus", [0, 1.0]), ("modulus", None)],
+)
+def test_matrix_json_header_must_hold_integers(key, value):
+    # "rows": 1.9 once loaded through int(), as did a "p" of "3"
+    d = {"p": 3, "e": 1, "modulus": [0, 1], "rows": 1, "cols": 2, "entries": [[1, 2]]}
+    assert matrix_from_json_dict(d)[0].array.tolist() == [[1, 2]]
+    d[key] = value
+    with pytest.raises(ValueError):
+        matrix_from_json_dict(d)
 
 
 @pytest.mark.parametrize("entries", [[[1.9, "2"]], [[1.5, 2]], [["1", "2"]], [[True, False]], [[1, None]], [[2, True]]])
