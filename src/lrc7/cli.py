@@ -21,7 +21,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import asdict, fields as dc_fields
+from dataclasses import fields as dc_fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -310,8 +310,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
         write_json(ns.out, summary)
     if ns.jsonl:
         with open(ns.jsonl, "w") as fh:
-            for rec in stats.records:
-                fh.write(json.dumps(asdict(rec), sort_keys=True) + "\n")
+            stats.write_jsonl(fh)
     print(json_text(summary))
     return EXIT_OK
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 import importlib.resources
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
@@ -363,6 +364,9 @@ def repair_global(code: LrcCode, word: Received) -> tuple[int, ...]:
 # -- repair simulation -------------------------------------------------------------
 
 
+_SIM_BLOCK_BYTES = 1 << 22  # bounds one block's messages and codewords in `simulate_repairs`
+
+
 @dataclass(frozen=True)
 class TrialRecord:
     trial: int
@@ -372,17 +376,51 @@ class TrialRecord:
     helpers: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RepairStats:
-    """Aggregated simulator output plus the per-trial records."""
+    """Simulator output as arrays over the trials: the erased positions
+    (trials, f), whether each trial was local, whether it succeeded and the
+    symbols it read.  `records` builds the TrialRecords on first read."""
 
-    trials: int
-    successes: int
-    local_trials: int
-    erased_symbols: int
-    locally_repaired_symbols: int
-    helpers_total: int
-    records: tuple[TrialRecord, ...] = dc_field(repr=False)
+    erasures: np.ndarray
+    local: np.ndarray
+    ok: np.ndarray
+    helpers: np.ndarray
+
+    def __post_init__(self):
+        for a in self._arrays():
+            a.setflags(write=False)  # the records, once built, stay true
+
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return self.erasures, self.local, self.ok, self.helpers
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RepairStats):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in zip(self._arrays(), other._arrays()))
+
+    @cached_property
+    def records(self) -> tuple[TrialRecord, ...]:
+        return tuple(
+            TrialRecord(t, tuple(erased), "local" if is_local else "global", good, h)
+            for t, (erased, is_local, good, h) in enumerate(zip(*(a.tolist() for a in self._arrays())))
+        )
+
+    def write_jsonl(self, fh) -> None:
+        """Write each record as the line json.dumps(asdict(record),
+        sort_keys=True) gives, from the arrays, 65,536 trials at a time."""
+        for lo in range(0, self.trials, 1 << 16):
+            rows = zip(range(lo, self.trials), *(a[lo : lo + (1 << 16)].tolist() for a in self._arrays()))
+            fh.writelines(f'{{"erased": {e}, "helpers": {h}, "mode": "{("global", "local")[loc]}", '
+                          f'"success": {str(ok).lower()}, "trial": {t}}}\n' for t, e, loc, ok, h in rows)
+
+    # the counters, as sums over the arrays
+    trials = property(lambda self: self.ok.size)
+    successes = property(lambda self: int(self.ok.sum()))
+    local_trials = property(lambda self: int(self.local.sum()))
+    erased_symbols = property(lambda self: self.erasures.size)
+    locally_repaired_symbols = property(lambda self: self.local_trials * self.erasures.shape[1])
+    helpers_total = property(lambda self: int(self.helpers.sum()))
 
     @property
     def success_rate(self) -> float:
@@ -463,31 +501,38 @@ def simulate_repairs(code: LrcCode, trials: int, failure_model: str, seed: int =
 
     A trial is repaired locally when every touched group has exactly one
     erasure; otherwise one global repair covers the whole pattern.  All
-    randomness derives from the seed, one child stream per trial, drawn for
-    all trials at once (`draws._trial_draws`).
-
-    The messages are encoded in one product through G and the erasures kept
-    as one (trials, f) array.  In a local trial no partner is erased, so
-    every erased symbol is compared, in one gather, with minus the sum of
-    its two group partners (the rule of `_local_rule`).  The global trials
-    are solved in stacks, one elimination of [H over the erased columns |
-    -syndrome] per trial (`linalg._solve_stack`), and every trial's repaired
-    symbols are compared with its own codeword.
+    randomness derives from the seed, one child stream per trial.  Blocks
+    of trials are drawn (`draws._trial_draws`), encoded in one product
+    through G and repaired (`_repair_block`); only the outcome arrays stay.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     kind, f = parse_failure_model(failure_model)
-    field = code.field
-    n, k, q = code.n, code.k, field.q
+    n, k, q = code.n, code.k, code.field.q
     if kind == "multi-uniform" and f > n:
         raise ValueError(f"cannot erase {f} of {n} symbols")
     groups = np.array(code.groups)
-    msgs, E = _trial_draws(seed, trials, q, k, kind, f, groups)
-    words = _matmul_codes(field, msgs, code.G.array)
+    width = {"single-uniform": 1, "multi-uniform": f, "group-burst": groups.shape[1]}[kind]
+    arrays = (np.empty((trials, width), np.int32), *(np.empty(trials, t) for t in (bool, bool, np.int32)))
+    block = max(1, _SIM_BLOCK_BYTES // (8 * (n + k)))
+    for lo in range(0, trials, block):
+        msgs, E = _trial_draws(seed, min(block, trials - lo), q, k, kind, f, groups, lo)
+        for a, part in zip(arrays, (E, *_repair_block(code, groups, _matmul_codes(code.field, msgs, code.G.array), E))):
+            a[lo : lo + block] = part
+    return RepairStats(*arrays)
+
+
+def _repair_block(code: LrcCode, groups: np.ndarray, words: np.ndarray, E: np.ndarray):
+    """(local, ok, helpers) for codewords words[t] with positions E[t]
+    erased.  A local trial compares each erased symbol with minus the sum
+    of its two group partners (`_local_rule`) in one gather; the global
+    trials are solved in stacks, one elimination of [H over the erased
+    columns | -syndrome] per trial (`linalg._solve_stack`)."""
+    field, H, (T, f) = code.field, code.H.array, E.shape
     touched = np.sort(code._group_of[E], axis=1)
     local = (touched[:, 1:] != touched[:, :-1]).all(axis=1)
-    ok = np.zeros(trials, dtype=bool)
-    helpers = np.zeros(trials, dtype=np.int64)
+    ok = np.zeros(T, dtype=bool)
+    helpers = np.where(local, 2 * f, code.n - f).astype(np.int32)
 
     rows = np.flatnonzero(local)
     if rows.size:
@@ -496,12 +541,9 @@ def simulate_repairs(code: LrcCode, trials: int, failure_model: str, seed: int =
         partners = g[g != e[:, :, None]].reshape(*e.shape, 2)
         w = words[r[:, :, None], partners]
         ok[rows] = (field._NEG_NP[field._ADD_NP[w[..., 0], w[..., 1]]] == words[r, e]).all(axis=1)
-        helpers[rows] = 2 * E.shape[1]
 
-    H = code.H.array
     glob = np.flatnonzero(~local)
-    helpers[glob] = n - E.shape[1]
-    chunk = max(1, (1 << 14) // (H.shape[0] * (E.shape[1] + 1)))  # a few hundred KiB of temporaries at any trial count
+    chunk = max(1, (1 << 16) // (H.shape[0] * (f + 1)))  # about a MiB of temporaries at any trial count
     for lo in range(0, glob.size, chunk):
         rows = glob[lo : lo + chunk]
         e, r = E[rows], rows[:, None]
@@ -510,20 +552,7 @@ def simulate_repairs(code: LrcCode, trials: int, failure_model: str, seed: int =
         rhs = field.arr_neg(_matmul_codes(field, received, H.T))
         x, unique = _solve_stack(field, H.T[e].transpose(0, 2, 1), rhs)
         ok[rows] = unique & (x == words[r, e]).all(axis=1)
-
-    records = tuple(
-        TrialRecord(t, tuple(erased), "local" if is_local else "global", good, h)
-        for t, (erased, is_local, good, h) in enumerate(zip(E.tolist(), local.tolist(), ok.tolist(), helpers.tolist()))
-    )
-    return RepairStats(
-        trials=trials,
-        successes=int(ok.sum()),
-        local_trials=int(local.sum()),
-        erased_symbols=E.size,
-        locally_repaired_symbols=int(local.sum()) * E.shape[1],
-        helpers_total=int(helpers.sum()),
-        records=records,
-    )
+    return local, ok, helpers
 
 
 # -- bundled example matrices -----------------------------------------------------

@@ -154,17 +154,21 @@ def _round_from_json(i: int, rd: dict) -> TraceRound:
     The removed points are read as recorded, so a wrong code stays wrong
     for `replay_trace` to find.  The other fields must be JSON integers
     as written: 0.9, 1.0, "5" or true is refused, not coerced."""
-    plane_id, points, discarded = rd["plane_id"], rd["points"], rd["discarded"]
+    if not isinstance(rd, dict) or {"plane_id", "points", "discarded", "removals"} - rd.keys():
+        raise ValueError(f"round {i} must be an object with plane_id, points, discarded and removals")
+    plane_id, points, discarded, removals = rd["plane_id"], rd["points"], rd["discarded"], rd["removals"]
     ok = type(plane_id) is int and _ints(discarded) and isinstance(points, (list, tuple)) and all(map(_ints, points))
     if not ok:
         raise ValueError(f"round {i}: plane_id, points and discarded must hold JSON integers")
+    if not isinstance(removals, dict):
+        raise ValueError(f"round {i}: removals must be an object")
     try:
-        canonical = all(str(int(key)) == key for key in rd["removals"])  # as str(pid) writes it
+        canonical = all(str(int(key)) == key for key in removals)  # as str(pid) writes it
     except ValueError:
         canonical = False
     if not canonical:
         raise ValueError(f"round {i}: every plane id must be an int32")
-    cut = sorted((int(pid), pts) for pid, pts in rd["removals"].items())
+    cut = sorted((int(pid), pts) for pid, pts in removals.items())
     rows = [pt for _, pts in cut for pt in pts]
     try:  # the types of one flat list as loaded: numpy would read a true among ints as 1
         flat = list(chain.from_iterable(rows))
@@ -221,9 +225,15 @@ class ConstructionTrace:
         """The trace `to_json_dict` or `save_json` wrote.  The header, like
         each round, must hold JSON integers as written: a q of 4.9 or a seed
         of "1" is refused, not coerced."""
-        rounds = tuple(_round_from_json(i, rd) for i, rd in enumerate(d["rounds"], start=1))
-        field = field_from_header(d)
-        q, policy, seed = d["q"], d["policy"], d["seed"]
+        if not isinstance(d, dict):
+            raise ValueError(f"trace JSON must be an object, got {type(d).__name__}")
+        try:
+            field, q, policy, seed, rounds = field_from_header(d), d["q"], d["policy"], d["seed"], d["rounds"]
+        except KeyError as exc:
+            raise ValueError(f"trace JSON is missing key {exc}") from exc
+        if not isinstance(rounds, (list, tuple)):
+            raise ValueError(f"trace rounds must be a list, got {type(rounds).__name__}")
+        rounds = tuple(_round_from_json(i, rd) for i, rd in enumerate(rounds, start=1))
         if type(q) is not int or q != field.q:
             raise ValueError(f"trace q must be the JSON integer p**e = {field.q}, got {q!r}")
         if policy not in POLICIES:

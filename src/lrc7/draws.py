@@ -90,11 +90,11 @@ def _bounded_draws(parent: np.random.SeedSequence, t: np.ndarray, bounds) -> tup
     return vals, ((m & _M32) < (2**32 - b) % b).any(axis=1)
 
 
-def _trial_draws(seed, trials: int, q: int, k: int, kind: str, f: Optional[int], groups: np.ndarray):
-    """Every trial's message (trials, k) and erased positions (trials, f),
-    as default_rng draws them on the t-th child of SeedSequence(seed):
-    integers(0, q, size=k), then integers(0, n), choice(n, f, replace=False)
-    (sorted) or the group integers(0, L).
+def _trial_draws(seed, trials: int, q: int, k: int, kind: str, f: Optional[int], groups: np.ndarray, start: int = 0):
+    """The messages (trials, k) and erased positions (trials, f) of trials
+    start, ..., start + trials - 1, as default_rng draws them on the t-th
+    child of SeedSequence(seed): integers(0, q, size=k), then integers(0, n),
+    choice(n, f, replace=False) (sorted) or the group integers(0, L).
 
     Blocks of trials, bounded in bytes, are drawn at once (`_bounded_draws`).
     choice is Floyd's algorithm: step j = n - f, ..., n - 1 draws v from
@@ -107,10 +107,10 @@ def _trial_draws(seed, trials: int, q: int, k: int, kind: str, f: Optional[int],
     erasure_bounds = list(range(n - f + 1, n + 1)) if kind == "multi-uniform" else [n if kind == "single-uniform" else L]
     bounds = [q] * k + erasure_bounds
     msgs = np.empty((trials, k), dtype=np.int64)
-    E = np.empty((trials, {"single-uniform": 1, "multi-uniform": f, "group-burst": 3}[kind]), dtype=np.intp)
+    E = np.empty((trials, {"single-uniform": 1, "multi-uniform": f, "group-burst": 3}[kind]), dtype=np.int32)
     block = max(1, _DRAW_BLOCK_BYTES // (48 * len(bounds) + n))  # about 48 bytes a draw, n a trial for `taken`
     for lo in range(0, trials, block):
-        t = np.arange(lo, min(lo + block, trials))
+        t = np.arange(start + lo, start + min(lo + block, trials))
         vals, redo = _bounded_draws(parent, t, bounds)
         msgs[lo : lo + t.size], e = vals[:, :k], vals[:, k:]
         if kind == "multi-uniform":
@@ -122,8 +122,8 @@ def _trial_draws(seed, trials: int, q: int, k: int, kind: str, f: Optional[int],
         elif kind == "group-burst":
             e = groups[e[:, 0]]
         E[lo : lo + t.size] = e
-        for r in t[redo].tolist():
-            rng = np.random.default_rng(np.random.SeedSequence(parent.entropy, spawn_key=(r,)))
+        for r in (t[redo] - start).tolist():
+            rng = np.random.default_rng(np.random.SeedSequence(parent.entropy, spawn_key=(start + r,)))
             msgs[r] = rng.integers(0, q, size=k)
             if kind == "single-uniform":
                 E[r] = rng.integers(0, n)

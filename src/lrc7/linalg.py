@@ -163,40 +163,41 @@ def solve_columns(field: FieldSpec, arr: np.ndarray, rhs: np.ndarray) -> np.ndar
 def _solve_stack(field: FieldSpec, A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve the stack of systems A[t] @ x = b[t] (A of shape (T, m, f), b of
     shape (T, m)) by one Gauss-Jordan elimination of [A[t] | b[t]] for all t,
-    each matrix taking its own pivot rows.
+    each matrix taking its own pivot rows, left in place.
 
     Returns (x, unique): x[t] is the solution where unique[t], and zeros
     where some column of A[t] has no pivot (several solutions, as always
     when f > m).  Raises InconsistentSystemError when some system has no
-    solution, as `solve_columns` does.  The working copy and temporaries are
-    a few times the size of the stack, so callers bound T.
-    """
+    solution, as `solve_columns` does.  Laid out (m, f + 1, T), each step
+    runs along the systems: over GF(p) it subtracts integer products and
+    reduces only the pivot row and the cleared column mod p (each of at
+    most m pivots lowers an entry by under p^2), over GF(p^e) it looks up
+    tables.  Callers bound T: the temporaries are a few times the stack."""
     T, m, f = A.shape
-    R = np.concatenate([A, b[:, :, None]], axis=2).astype(np.int32, copy=False)
-    mul, sub, inv = field._MUL_NP, field._SUB_NP, field._INV_NP
-    rows = np.arange(m)
-    r = np.zeros(T, dtype=np.intp)  # pivots found so far, per matrix
+    mul, sub, inv, p = field._MUL_NP, field._SUB_NP, field._INV_NP, field.p if field.e == 1 else 0
+    dtype = np.int64 if min(m, f) * p * p >= 2**31 - p else np.int32
+    R = np.concatenate([A, b[:, :, None]], axis=2).transpose(1, 2, 0).astype(dtype, order="C")
+    t = np.arange(T)
+    free = np.ones((m, T), dtype=bool)  # rows not yet a pivot, per system
+    pivots = np.empty((f, T), dtype=np.intp)
     unique = np.ones(T, dtype=bool)
     for c in range(f):
-        cand = (R[:, :, c] != 0) & (rows >= r[:, None])
-        found = cand.any(axis=1)
+        col = R[:, c] % p if p else R[:, c].copy()
+        cand = (col != 0) & free
+        found = cand.any(axis=0)
         unique &= found
-        s = np.flatnonzero(found)
-        rs, ps = r[s], cand[s].argmax(axis=1)
-        piv = R[s, ps]
-        R[s, ps] = R[s, rs]
-        piv = mul[inv[piv[:, c]][:, None], piv]
-        R[s, rs] = piv
-        fac = R[s, :, c]
-        fac[np.arange(s.size), rs] = 0
-        R[s] = sub[R[s], mul[fac[:, :, None], piv[:, None, :]]]
-        r[s] += 1
-    if ((R[:, :, f] != 0) & (rows >= r[:, None])).any():
+        pivots[c] = ps = cand.argmax(axis=0)  # row 0, left as it is, where none is found
+        piv = R[ps, :, t] % p if p else R[ps, :, t]
+        lead = np.where(found, inv[piv[:, c]], 1)[:, None]
+        R[ps, :, t] = piv = piv * lead % p if p else mul[lead, piv]
+        col[ps, t] = 0
+        col *= found
+        R = np.subtract(R, col[:, None] * piv.T, out=R) if p else sub[R, mul[col[:, None], piv.T]]
+        free[ps, t] &= ~found
+    last = R[:, f] % p if p else R[:, f]
+    if ((last != 0) & free).any():
         raise InconsistentSystemError("no solution")
-    x = np.zeros((T, f), dtype=np.int32)
-    if f <= m:  # a unique system has its pivots on rows 0..f-1, in order
-        x[unique] = R[unique, :f, f]
-    return x, unique
+    return np.where(unique, last[pivots, t], 0).T.astype(np.int32), unique
 
 
 def _matmul_codes(field: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:

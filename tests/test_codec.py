@@ -1,12 +1,15 @@
 import dataclasses
 import functools
+import io
 import itertools
+import json
 import random
 
 import numpy as np
 import pytest
 
-from lrc7 import draws
+from lrc7 import codec, draws
+from lrc7.cli import main
 from lrc7.bounds import classify
 from lrc7.codec import (
     EnumerationBudgetError,
@@ -610,15 +613,24 @@ def _reference_simulation(code, trials, failure_model, seed):
             except UnrecoverableErasureError:
                 ok = False
             records.append(TrialRecord(t, erased, "global", ok, n - len(erased)))
-    local = [r for r in records if r.mode == "local"]
     return RepairStats(
-        trials=trials,
-        successes=sum(r.success for r in records),
-        local_trials=len(local),
-        erased_symbols=sum(len(r.erased) for r in records),
-        locally_repaired_symbols=sum(len(r.erased) for r in local),
-        helpers_total=sum(r.helpers for r in records),
-        records=tuple(records),
+        erasures=np.array([r.erased for r in records], dtype=np.int32),
+        local=np.array([r.mode == "local" for r in records]),
+        ok=np.array([r.success for r in records]),
+        helpers=np.array([r.helpers for r in records], dtype=np.int32),
+    )
+
+
+def _counters(records):
+    """RepairStats' counters, summed over a list of TrialRecords."""
+    local = [r for r in records if r.mode == "local"]
+    return (
+        len(records),
+        sum(r.success for r in records),
+        len(local),
+        sum(len(r.erased) for r in records),
+        sum(len(r.erased) for r in local),
+        sum(r.helpers for r in records),
     )
 
 
@@ -638,6 +650,9 @@ def test_simulator_matches_per_trial_reference(name, model):
     fast, slow = _simulated(name, model)
     assert fast == slow
     assert fast.records == slow.records
+    counters = (fast.trials, fast.successes, fast.local_trials, fast.erased_symbols,
+                fast.locally_repaired_symbols, fast.helpers_total)
+    assert counters == _counters(slow.records)
 
 
 def test_simulator_reference_corpus_covers_every_path():
@@ -695,6 +710,46 @@ def _fast_draws(seed, trials, q, k, failure_model, groups):
 def test_trial_draws_match_numpy_generators(seed, q, k, L, model):
     groups = np.arange(3 * L).reshape(L, 3)
     assert _fast_draws(seed, 40, q, k, model, groups) == _numpy_draws(seed, 40, q, k, model, groups)
+
+
+def test_trial_draws_from_an_offset_are_a_slice_of_the_run():
+    # q = 3 * 2^30 + 1 rejects about a quarter of the message draws, which are redrawn through numpy
+    groups = np.arange(18).reshape(6, 3)
+    for q in (7, 3 * 2**30 + 1):
+        for model in ("single-uniform", "multi-uniform(6)", "group-burst"):
+            msgs, E = _trial_draws(2**32, 50, q, 8, *parse_failure_model(model), groups)
+            part_msgs, part_E = _trial_draws(2**32, 20, q, 8, *parse_failure_model(model), groups, 25)
+            assert (part_msgs == msgs[25:45]).all() and (part_E == E[25:45]).all()
+
+
+def test_simulator_blocks_give_the_one_block_result(monkeypatch):
+    whole = {m: simulate_repairs(_sim_code("h2"), 200, m, 3) for m in _SIM_MODELS}
+    monkeypatch.setattr(codec, "_SIM_BLOCK_BYTES", 8 * 26 * 7)  # h2: n + k = 26, blocks of 7 trials
+    for model, stats in whole.items():
+        assert simulate_repairs(_sim_code("h2"), 200, model, 3) == stats
+
+
+def test_simulator_builds_records_only_when_read(monkeypatch, tmp_path):
+    built = []
+    monkeypatch.setattr(codec, "TrialRecord", lambda *a: built.append(a) or TrialRecord(*a))
+    stats = simulate_repairs(_sim_code("h2"), 300, "multi-uniform(2)", 5)
+    stats.summary_dict()
+    assert stats.successes == 300 and built == []
+    for out in (["--out", str(tmp_path / "s.json")], ["--jsonl", str(tmp_path / "t.jsonl")]):
+        assert main(["simulate", "h2", "--trials", "300", "--failure-model", "group-burst", *out]) == 0
+    assert built == []
+    assert len(stats.records) == 300 and len(built) == 300
+    assert stats.records is stats.records and len(built) == 300  # built once
+
+
+def test_jsonl_lines_are_json_dumps_of_the_records():
+    # 70,000 trials cross write_jsonl's 65,536-trial blocks; multi-uniform(8) fails some trials
+    for trials, model in ((70000, "single-uniform"), (500, "multi-uniform(2)"), (500, "multi-uniform(8)")):
+        stats = simulate_repairs(_sim_code("h2"), trials, model, 11)
+        fh = io.StringIO()
+        stats.write_jsonl(fh)
+        assert fh.getvalue() == "".join(json.dumps(dataclasses.asdict(r), sort_keys=True) + "\n" for r in stats.records)
+    assert 0 < stats.successes < 500
 
 
 def test_trial_draws_cross_block_boundaries(monkeypatch):

@@ -539,6 +539,37 @@ def test_malformed_trace_header_is_refused(key, value):
         ConstructionTrace.from_json_dict(data)
 
 
+def _q4_trace_json():
+    _, trace = run_algorithm1(GF4, "lex")
+    return json.loads(json.dumps(trace.to_json_dict()))
+
+
+def test_trace_without_q_is_refused():
+    data = _q4_trace_json()
+    del data["q"]
+    with pytest.raises(ValueError, match="^trace JSON is missing key 'q'$"):
+        ConstructionTrace.from_json_dict(data)
+
+
+def test_trace_with_null_rounds_is_refused():
+    data = _q4_trace_json()
+    data["rounds"] = None
+    with pytest.raises(ValueError, match="^trace rounds must be a list, got NoneType$"):
+        ConstructionTrace.from_json_dict(data)
+
+
+def test_trace_round_that_is_a_list_is_refused():
+    data = _q4_trace_json()
+    data["rounds"][1] = [data["rounds"][1]["plane_id"]]
+    with pytest.raises(ValueError, match="^round 2 must be an object with plane_id, points, discarded and removals$"):
+        ConstructionTrace.from_json_dict(data)
+
+
+def test_trace_that_is_no_object_is_refused():
+    with pytest.raises(ValueError, match="^trace JSON must be an object, got list$"):
+        ConstructionTrace.from_json_dict([_q4_trace_json()])
+
+
 def test_trace_header_keeps_a_null_or_integer_seed():
     for policy, seed in (("lex", None), ("seeded", 0), ("seeded", 7)):
         _, trace = run_algorithm1(GF4, policy, seed)

@@ -140,7 +140,8 @@ def _one_at_a_time(field, A, b):
     return x, unique
 
 
-@pytest.mark.parametrize("p, e", [(2, 1), (2, 2), (3, 2), (11, 1), (3, 3)])
+# prime fields take the integer branch, GF(509), the largest prime, at its widest products
+@pytest.mark.parametrize("p, e", [(2, 1), (2, 2), (3, 2), (7, 1), (11, 1), (509, 1), (3, 3)])
 @pytest.mark.parametrize("m, f", [(10, 6), (6, 6), (4, 1), (3, 5)], ids=["tall", "square", "one-column", "f>m"])
 def test_solve_stack_matches_solve_columns(p, e, m, f):
     field = field_create(p, e)
