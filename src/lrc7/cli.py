@@ -52,15 +52,17 @@ def _config(**flags) -> dict:
 
 
 def _int_list(text: str) -> list[int]:
-    """'4' -> [4]; '4,5,7' -> [4,5,7]; '4..9' -> [4..9]."""
+    """'4' -> [4]; '4,5,7' -> [4,5,7]; '4..9' -> [4..9]; an empty list
+    ('', ',' or '5..4') is refused."""
     text = text.strip()
+    lo, dots, hi = text.partition("..")
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(tok) for tok in text.split(",") if tok]
+        values = list(range(int(lo), int(hi) + 1)) if dots else [int(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int list: {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty int list: {text!r}")
+    return values
 
 
 def _positive_int(text: str) -> int:

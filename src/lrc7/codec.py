@@ -319,7 +319,10 @@ def _local_rule(code: LrcCode, pos: int, erased) -> tuple[int, int]:
 
 
 def _repair_local_info(code: LrcCode, word: Received, pos: int) -> tuple[int, int]:
-    """(repaired code, helpers read); raises LocalRepairError on partner loss."""
+    """(repaired code, helpers read); raises LocalRepairError on partner loss
+    and ValueError unless pos is an int (not a bool) in [0, n)."""
+    if isinstance(pos, bool) or not isinstance(pos, (int, np.integer)) or not 0 <= pos < code.n:
+        raise ValueError(f"position must be an int in [0, {code.n}), got {pos!r}")
     field = code.field
     codes, erased = _received_codes(code, word)
     if word[pos] is not None:
@@ -332,7 +335,8 @@ def repair_local(code: LrcCode, word: Received, pos: int) -> int:
     """Repair one erased position from its group check alone; returns its code.
 
     Reads exactly the two group partners.  Raises LocalRepairError when a
-    partner is erased too.
+    partner is erased too, and ValueError unless pos is an int (not a bool)
+    in [0, n).
     """
     value, _ = _repair_local_info(code, word, pos)
     return value

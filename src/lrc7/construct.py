@@ -3,15 +3,15 @@
 The constructor keeps one candidate point set per spread plane (its q + 1
 projective points) in a mutable `_Survivors` state: an owner array over the
 PG(3, q) point index and a count of the points each plane has left.  Each
-round (`_round`, shared by `run_algorithm1` and `replay_trace`) picks a
-surviving plane and three of its points, scales representatives u1, u2, u0
-with u0 = u1 - u2, drops the plane, and removes every surviving point that
-lies in a plane spanned by one new and one earlier representative.  Planes
-left with fewer than three points are discarded; the loop ends when no
-plane is left.  Each round's trace keeps the removed points as one (m, 4)
-int32 array of canonical codes and the count removed from each plane as
-one (h, 2) int32 array, so a run holds no Python object per removed point
-or cut plane.
+round of `run_algorithm1` (`_round`) picks a surviving plane and three of
+its points, scales representatives u1, u2, u0 with u0 = u1 - u2, drops the
+plane, and removes every surviving point that lies in a plane spanned by
+one new and one earlier representative.  Planes left with fewer than three
+points are discarded; the loop ends when no plane is left.  Each round's
+trace keeps the removed points as one (m, 4) int32 array of canonical
+codes and the count removed from each plane as one (h, 2) int32 array, so
+a run holds no Python object per removed point or cut plane.
+`replay_trace` reproduces a run by re-running its header.
 
 The resulting pairs (u1, u2) satisfy three conditions that make the
 assembled block parity-check matrix a distance >= 7, locality 2 code:
@@ -56,49 +56,43 @@ def guaranteed_min_rounds(q: int) -> int:
 
 
 class VectorSequence:
-    """Ordered pairs (u1, u2) of length-4 vectors; u0(i) = u1(i) - u2(i)."""
+    """Ordered pairs (u1, u2) of length-4 vectors, held as one read-only
+    (L, 2, 4) int32 `array`; u0(i) = u1(i) - u2(i)."""
 
-    __slots__ = ("field", "pairs")
+    __slots__ = ("field", "array")
 
     def __init__(self, field: FieldSpec, pairs):
-        arr = _codes(field, pairs)
+        arr = _codes(field, pairs)  # a new array, so freezing it leaves the input alone
         if arr.size and arr.shape[1:] != (2, 4):
             raise ValueError(f"expected pairs of two length-4 vectors, got shape {arr.shape}")
         self.field = field
-        self.pairs = tuple((tuple(u1), tuple(u2)) for u1, u2 in arr.tolist())
+        self.array = arr.reshape(-1, 2, 4)
+        self.array.flags.writeable = False
 
     @property
     def L(self) -> int:
-        return len(self.pairs)
+        return len(self.array)
 
-    def u1(self, i: int) -> tuple[int, ...]:
-        return self.pairs[i][0]
+    @property
+    def pairs(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """The pairs (u1, u2) as tuples of int codes."""
+        return tuple((tuple(u1), tuple(u2)) for u1, u2 in self.array.tolist())
 
-    def u2(self, i: int) -> tuple[int, ...]:
-        return self.pairs[i][1]
-
-    def u0(self, i: int) -> tuple[int, ...]:
-        sub = self.field.sub
-        return tuple(sub(a, b) for a, b in zip(*self.pairs[i]))
-
-    def triple(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        """(u0, u1, u2) of pair i (0-based)."""
-        return (self.u0(i), self.u1(i), self.u2(i))
+    def triples(self) -> np.ndarray:
+        """(L, 3, 4) int32 array of (u0, u1, u2) per pair."""
+        u1, u2 = self.array[:, 0], self.array[:, 1]
+        return np.stack([self.field.arr_sub(u1, u2), u1, u2], axis=1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorSequence):
             return NotImplemented
-        return self.field == other.field and self.pairs == other.pairs
+        return self.field == other.field and np.array_equal(self.array, other.array)
 
     def __repr__(self) -> str:
         return f"VectorSequence(q={self.field.q}, L={self.L})"
 
     def to_json_dict(self) -> dict:
-        return {
-            **field_header(self.field),
-            "q": self.field.q,
-            "pairs": [[list(u1), list(u2)] for u1, u2 in self.pairs],
-        }
+        return {**field_header(self.field), "q": self.field.q, "pairs": self.array.tolist()}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "VectorSequence":
@@ -349,7 +343,7 @@ class PairSpanTable:
         if seq.L < 1:
             raise ValueError("sequence is empty")
         field, L, q = seq.field, seq.L, seq.field.q
-        V = np.array([seq.triple(t) for t in range(L)], dtype=np.int32)
+        V = seq.triples()
         nonzero = V.any(axis=2)
         reps = np.full((L, 3), -1, dtype=np.int32)
         reps[nonzero] = point_index(field, V[nonzero])
@@ -443,9 +437,9 @@ class PairSpanTable:
         i, j = (int(v[p]) for v in np.triu_indices(L, 1))
         a, b, t = ab // 3, ab % 3, int(self.plane_of[x])
         w = point_codes(field.q, x)
-        ua, ub = self.seq.triple(i)[a], self.seq.triple(j)[b]
-        alpha, beta = solve_columns(field, np.array([ua, ub]).T, w).tolist()
-        A, B = solve_columns(field, np.array(self.seq.pairs[t]).T, w).tolist()
+        V = self.seq.triples()
+        alpha, beta = solve_columns(field, np.stack([V[i, a], V[j, b]], axis=1), w).tolist()
+        A, B = solve_columns(field, self.seq.array[t].T, w).tolist()
         unit = ((1, field.neg(1)), (1, 0), (0, 1))  # u0, u1, u2 in the basis u1, u2
         return {
             i: tuple(field.neg(field.mul(alpha, e)) for e in unit[a]),
@@ -484,9 +478,6 @@ class _Survivors:
         self.left = np.full(len(B), field.q + 1)
         self.reps = np.zeros((0, 4), dtype=np.int32)
 
-    def ids(self) -> list[int]:
-        return np.flatnonzero(self.left).tolist()
-
     def points_of(self, plane_id: int) -> list[tuple[int, ...]]:
         """The surviving points of one plane, ascending."""
         idx = self.plane_points[plane_id]
@@ -497,14 +488,15 @@ class _Survivors:
         self.left[planes] = 0
 
 
-def _round(family: _Survivors, pairs: list, plane_id: int, points, policy: str, rng) -> TraceRound:
-    """One round: choose a triple among `points` of plane plane_id and
-    append its pair (u1, u2) to pairs; then drop the plane, remove every
-    surviving point on a span of one new and one earlier representative,
-    and discard the planes left with fewer than three points."""
-    field = family.field
-    u0, u1, u2 = choose_triple(field, points, policy, rng)
-    pairs.append((u1, u2))
+def _round(family: _Survivors, policy: str, rng) -> TraceRound:
+    """One round: pick a surviving plane (the least id under 'lex', else
+    `rng.choice`) and a triple among its points (`choose_triple`), append
+    the triple to family.reps, drop the plane, remove every surviving point
+    on a span of one new and one earlier representative, and discard the
+    planes left with fewer than three points."""
+    field, ids = family.field, np.flatnonzero(family.left).tolist()
+    plane_id = ids[0] if policy == "lex" else rng.choice(ids)
+    u0, u1, u2 = choose_triple(field, family.points_of(plane_id), policy, rng)
     chosen = tuple(sorted(canonical_rep(field, v) for v in (u0, u1, u2)))
     family.drop([plane_id])
     cur, old = np.array([u0, u1, u2], dtype=np.int32), family.reps
@@ -549,43 +541,31 @@ def run_algorithm1(field: FieldSpec, policy: str = "lex", seed: Optional[int] = 
         seed = None
         rng = None
     family = _Survivors(field)
-    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     rounds: list[TraceRound] = []
-    while ids := family.ids():
-        pid = ids[0] if policy == "lex" else rng.choice(ids)
-        rounds.append(_round(family, pairs, pid, family.points_of(pid), policy, rng))
-    trace = ConstructionTrace(
-        p=field.p,
-        e=field.e,
-        modulus=field.modulus,
-        q=field.q,
-        policy=policy,
-        seed=seed,
-        rounds=tuple(rounds),
-    )
-    return VectorSequence(field, pairs), trace
+    while family.left.any():
+        rounds.append(_round(family, policy, rng))
+    trace = ConstructionTrace(field.p, field.e, field.modulus, field.q, policy, seed, tuple(rounds))
+    return VectorSequence(field, family.reps.reshape(-1, 3, 4)[:, 1:]), trace
 
 
 def replay_trace(trace: ConstructionTrace) -> VectorSequence:
-    """Re-execute a recorded run and validate it step by step.
+    """Re-run the trace's header (field, policy, seed) through
+    `run_algorithm1` and compare the rounds one by one.
 
-    Raises ReplayError when any recorded choice or removal disagrees with
-    the recomputation; otherwise returns the identical VectorSequence.
+    Raises ReplayError naming the first recorded round that differs from
+    the re-run, or the mismatch in round count; otherwise returns the
+    re-run's VectorSequence.  A q < 4 replay warns of nothing.
     """
     field = FieldSpec(trace.p, trace.e, trace.modulus)
-    family = _Survivors(field)
-    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for i, rd in enumerate(trace.rounds, start=1):
-        if not (0 <= rd.plane_id < family.left.size and family.left[rd.plane_id]):
-            raise ReplayError(f"round {i}: plane {rd.plane_id} is not available")
-        points = set(rd.points)
-        if len(points) != 3 or not points <= set(family.points_of(rd.plane_id)):
-            raise ReplayError(f"round {i}: the recorded points are not three available points")
-        if _round(family, pairs, rd.plane_id, rd.points, "lex", None) != rd:
-            raise ReplayError(f"round {i}: the recomputed round differs from the recording")
-    if family.ids():
-        raise ReplayError("recorded rounds end before the family is empty")
-    return VectorSequence(field, pairs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        seq, again = run_algorithm1(field, trace.policy, trace.seed)
+    for i, (rd, want) in enumerate(zip(trace.rounds, again.rounds), start=1):
+        if rd != want:
+            raise ReplayError(f"round {i}: the recorded round differs from the re-run")
+    if trace.L != again.L:
+        raise ReplayError(f"the trace records {trace.L} rounds, the re-run of its header makes {again.L}")
+    return seq
 
 
 # -- parity-check assembly ------------------------------------------------------
@@ -604,10 +584,7 @@ def assemble_parity_check(seq: VectorSequence, check: bool = True) -> MatrixF:
         report = verify_conditions(seq)
         if not report.ok:
             raise ValueError(f"sequence fails the pair conditions: {report}")
-    field = seq.field
     H = np.zeros((L + 4, 3 * L), dtype=np.int32)
-    for t in range(L):
-        H[t, 3 * t : 3 * t + 3] = 1
-        H[L:, 3 * t] = seq.u1(t)
-        H[L:, 3 * t + 1] = seq.u2(t)
-    return MatrixF(field, H)
+    H[:L].reshape(L, L, 3)[np.arange(L), np.arange(L)] = 1
+    H[L:].reshape(4, L, 3)[:, :, :2] = seq.array.transpose(2, 0, 1)
+    return MatrixF(seq.field, H)

@@ -531,6 +531,26 @@ def test_malformed_int_list_is_rejected_at_parsing(argv, flag, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["construct", "--q", "9", "--modulus", "5..4"], "--modulus"),
+        (["construct", "--q", "9", "--modulus", ","], "--modulus"),
+        (["bounds", "--q", ",", "--d", "7"], "--q"),
+        (["bounds", "--q", "4..3"], "--q"),
+    ],
+    ids=["construct-modulus-range", "construct-modulus-comma", "bounds-q-comma", "bounds-q-range"],
+)
+def test_empty_int_list_is_rejected_at_parsing(argv, flag, capsys):
+    # each was once read as no list: the default modulus, --q ignored, or "provide at least one"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert f"argument {flag}: empty int list: " in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

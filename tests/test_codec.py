@@ -441,6 +441,17 @@ def test_local_repair_requires_erased_position(h1_code):
         repair_local(h1_code, list(cw), 0)
 
 
+@pytest.mark.parametrize("pos", [-1, 18, True, 1.0, "17"])
+def test_local_repair_rejects_a_bad_position(h2_code, pos):
+    # last symbol erased: -1 once read it and blamed an erased partner,
+    # 18 raised IndexError and True was read as position 1
+    word: list = list(encode(h2_code, [1] * 8))
+    word[17] = None
+    with pytest.raises(ValueError, match=r"^position must be an int in \[0, 18\), got "):
+        repair_local(h2_code, word, pos)
+    assert repair_local(h2_code, word, np.int64(17)) == repair_local(h2_code, word, 17)
+
+
 def test_global_repair_no_erasures_is_identity(h1_code):
     cw = encode(h1_code, [3, 1])
     assert repair_global(h1_code, list(cw)) == cw

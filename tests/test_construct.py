@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -103,13 +104,14 @@ def test_trace_rounds_match_rank_oracle(field, policy, seed):
     q = field.q
     seq, trace = run_algorithm1(field, policy, seed)
     family = {pl.id: set(plane_points(pl)) for pl in build_2_spread(field)}
+    triples = seq.triples().tolist()
     for i, rd in enumerate(trace.rounds):
-        reps = seq.triple(i)
+        reps = triples[i]
         assert rd.points == tuple(sorted(canonical_rep(field, u) for u in reps))
         assert set(rd.points) <= family.pop(rd.plane_id)
         removed = {}
         for a in reps:
-            for b in (u for j in range(i) for u in seq.triple(j)):
+            for b in (u for j in range(i) for u in triples[j]):
                 on = [(pid, pt) for pid, pts in family.items() for pt in pts if small_rank(field, [a, b, pt]) == 2]
                 assert len(on) <= q - 1
                 for pid, pt in on:
@@ -215,10 +217,10 @@ def _conditions_by_rank(seq):
     def r(rows):
         return rank(MatrixF(field, rows))
 
-    tr = [seq.triple(i) for i in range(L)]
-    c1 = next((i for i in range(L) if r([seq.u1(i), seq.u2(i)]) != 2), None)
+    tr, pairs = seq.triples().tolist(), seq.pairs
+    c1 = next((i for i in range(L) if r(pairs[i]) != 2), None)
     c2 = next(
-        ((i, j) for i in range(L) for j in range(i + 1, L) if r([seq.u1(i), seq.u2(i), seq.u1(j), seq.u2(j)]) != 4),
+        ((i, j) for i in range(L) for j in range(i + 1, L) if r([*pairs[i], *pairs[j]]) != 4),
         None,
     )
     c3 = next(
@@ -340,8 +342,8 @@ def test_assembled_shape_and_blocks():
         assert list(row[3 * t : 3 * t + 3]) == [1, 1, 1]
         assert row.sum() == 3  # weight exactly 3
         assert not H.array[L:, 3 * t + 2].any()  # zero bottom block
-        assert tuple(H.array[L:, 3 * t]) == seq.u1(t)
-        assert tuple(H.array[L:, 3 * t + 1]) == seq.u2(t)
+        assert tuple(H.array[L:, 3 * t]) == seq.pairs[t][0]
+        assert tuple(H.array[L:, 3 * t + 1]) == seq.pairs[t][1]
 
 
 def test_assemble_requires_three_pairs():
@@ -404,6 +406,36 @@ def test_replay_detects_tampering():
     )
     with pytest.raises(ReplayError):
         replay_trace(tampered)
+
+
+@pytest.mark.parametrize("header", [{"seed": 4}, {"policy": "lex"}], ids=["seed", "policy"])
+def test_replay_rejects_a_changed_header(header):
+    """The header decides the run: a seeded trace whose seed or policy was
+    changed does not replay, though each round on its own is well formed."""
+    _, trace = run_algorithm1(GF7, "seeded", 3)
+    with pytest.raises(ReplayError, match=r"^round \d+: "):
+        replay_trace(dataclasses.replace(trace, **header))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_replay_of_a_small_field_trace_is_silent(q):
+    with pytest.warns(UserWarning, match="q >= 4"):
+        seq, trace = run_algorithm1(field_create(q), "seeded", 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert replay_trace(trace) == seq
+
+
+def test_sequence_array_is_read_only():
+    pairs = np.array([PAIR, PAIR], dtype=np.int32)
+    seq = VectorSequence(GF4, pairs)
+    assert seq.array.shape == (2, 2, 4) and seq.array.dtype == np.int32
+    with pytest.raises(ValueError, match="read-only"):
+        seq.array[0, 0, 0] = 2
+    pairs[0, 0, 0] = 2  # the input stays writable and is not shared
+    assert seq.pairs == (PAIR, PAIR)
+    seq, _ = run_algorithm1(GF4, "lex")
+    assert not seq.array.flags.writeable
 
 
 def _bad_rounds(rounds, case):
