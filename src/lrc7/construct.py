@@ -26,17 +26,20 @@ import json
 import random
 import warnings
 from dataclasses import dataclass, field as dc_field
-from itertools import chain
+from itertools import chain, groupby
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .fields import FieldSpec, field_from_header, field_header, write_json, write_rows_json
+from .fields import FieldSpec, _decimal_text, _keyed_rows_text, field_from_header, field_header, json_text, write_json
 from .linalg import MatrixF, _codes, solve_columns
 from .spread import _spread_bases, canonical_rep, point_codes, point_index, span_point_index
 
 POLICIES = ("lex", "seeded")
+
+# rounds of a trace that `ConstructionTrace.save_json` lays out at once, counted in rows
+_ROWS_BLOCK = 1 << 14
 
 
 class ReplayError(ValueError):
@@ -162,6 +165,8 @@ def _round_from_json(i: int, rd: dict) -> TraceRound:
         canonical = False
     if not canonical:
         raise ValueError(f"round {i}: every plane id must be an int32")
+    if not all(isinstance(pts, (list, tuple)) for pts in removals.values()):
+        raise ValueError(f"round {i}: every plane's removed points must be a list")
     cut = sorted((int(pid), pts) for pid, pts in removals.items())
     rows = [pt for _, pts in cut for pt in pts]
     try:  # the types of one flat list as loaded: numpy would read a true among ints as 1
@@ -197,22 +202,16 @@ class ConstructionTrace:
         return len(self.rounds)
 
     def to_json_dict(self) -> dict:
+        return self._json_dict(map(_removals_json, self.rounds))
+
+    def _json_dict(self, removals) -> dict:
+        """The trace as a JSON object, with removals[t] as round t's removals."""
         # the point tuples go to the encoder as they are: it writes tuples as lists
-        return {
-            **field_header(self),
-            "q": self.q,
-            "policy": self.policy,
-            "seed": self.seed,
-            "rounds": [
-                {
-                    "plane_id": rd.plane_id,
-                    "points": rd.points,
-                    "removals": _removals_json(rd),
-                    "discarded": rd.discarded,
-                }
-                for rd in self.rounds
-            ],
-        }
+        rounds = [
+            {"plane_id": rd.plane_id, "points": rd.points, "removals": r, "discarded": rd.discarded}
+            for rd, r in zip(self.rounds, removals)
+        ]
+        return {**field_header(self), "q": self.q, "policy": self.policy, "seed": self.seed, "rounds": rounds}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ConstructionTrace":
@@ -238,11 +237,35 @@ class ConstructionTrace:
 
     def save_json(self, path, **extra) -> None:
         """Write the bytes of ``json_text({**self.to_json_dict(), **extra})``
-        and a final newline, from the round arrays (`fields.write_rows_json`)."""
-        rounds = [{"discarded": rd.discarded, "plane_id": rd.plane_id, "points": rd.points} for rd in self.rounds]
-        payload = {**field_header(self), "q": self.q, "policy": self.policy, "seed": self.seed, "rounds": rounds}
-        objects = [(rd.cut, rd.removed) for rd in self.rounds]
-        write_rows_json(path, {**payload, **extra}, "rounds", "removals", objects, self.q, self.q**2 + 1)
+        and a final newline, with no Python object per removed point.
+
+        `json_text` writes the keys up to "rounds" with each round's removals
+        as ``{}``.  "rounds" ends that text and holds only ints otherwise, so
+        its last L ``"removals": {}`` are the rounds' own.  Each is filled from
+        the round's arrays (`fields._keyed_rows_text`), in blocks of about
+        `_ROWS_BLOCK` rows, and the keys after "rounds" follow.
+        """
+        payload = {**self._json_dict([{}] * self.L), **extra}
+        head = json_text({k: v for k, v in payload.items() if k <= "rounds"})
+        tail = json_text({k: v for k, v in payload.items() if k > "rounds"})[1:-2]  # no braces; "seed" at least
+        opening = b'"removals": {'
+        parts = iter(head[:-2].encode().rsplit(opening + b"}", self.L))
+        size = np.array([len(rd.cut) + len(rd.removed) for rd in self.rounds], dtype=np.int64)
+        block_of = ((np.cumsum(size) - size) // _ROWS_BLOCK).tolist()
+        value_keys, key_keys = _decimal_text(range(self.q)), _decimal_text(range(self.q**2 + 1))
+        with open(path, "wb") as fh:
+            fh.write(next(parts))
+            for _, block in groupby(zip(block_of, self.rounds), key=lambda pair: pair[0]):
+                block = [rd for _, rd in block]
+                cutting = [(rd.cut, rd.removed) for rd in block if len(rd.cut)]
+                inner = iter(_keyed_rows_text(cutting, 8, value_keys, key_keys) if cutting else ())
+                for rd in block:
+                    fh.write(opening)
+                    if len(rd.cut):
+                        fh.write(next(inner))
+                        fh.write(b"\n      ")
+                    fh.write(b"}" + next(parts))
+            fh.write(f",{tail}\n}}\n".encode())
 
     @classmethod
     def load_json(cls, path) -> "ConstructionTrace":

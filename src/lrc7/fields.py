@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import groupby
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -129,6 +128,9 @@ class FieldSpec:
         if modulus is None:
             modulus = _default_modulus(p, e)
         else:
+            modulus = list(modulus)
+            if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in modulus):
+                raise ValueError(f"modulus coefficients must be integers, got {modulus!r}")
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != e + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree e, given as e+1 coefficients")
@@ -295,72 +297,16 @@ def field_from_header(d: dict) -> FieldSpec:
     return FieldSpec(p, e, modulus)
 
 
-# byte -> 1 for an opening bracket, 2 for a closing one, 3 for a comma; and
-# the step each kind takes the depth by
-_JSON_KIND = np.zeros(256, dtype=np.uint8)
-_JSON_KIND[[ord("["), ord("{")]] = 1
-_JSON_KIND[[ord("]"), ord("}")]] = 2
-_JSON_KIND[ord(",")] = 3
-_JSON_STEP = np.array([0, 1, -1, 0], dtype=np.int32)
-
-
-def _json_layout(obj) -> np.ndarray:
-    """The ASCII bytes of ``json.dumps(obj, indent=2, sort_keys=True)``.
-
-    The stdlib's indented encoder is pure Python; the compact one is in C.
-    So the C encoder writes the compact text, whose only whitespace is the
-    space after each key's colon, and one vectorised pass lays it out: every
-    comma and bracket outside a string gets the encoder's newline and
-    indent (after a comma or an opening bracket, before a closing one),
-    except the pair of an empty ``[]`` or ``{}``.  A quote opens or closes
-    a string unless an odd run of backslashes precedes it.
-    """
-    b = np.frombuffer(json.dumps(obj, sort_keys=True, separators=(",", ": ")).encode("ascii"), dtype=np.uint8)
-    quote = (b == ord('"')).view(np.uint8)
-    backslash = b == ord("\\")
-    if backslash.any():
-        # the run of backslashes before each quote starts after the last
-        # other byte before it
-        last = np.where(backslash, -1, np.arange(b.size))
-        np.maximum.accumulate(last, out=last)
-        at = np.flatnonzero(quote[1:]) + 1
-        quote[at[(at - 1 - last[at - 1]) % 2 == 1]] = 0
-    kind = _JSON_KIND[b]
-    kind[np.bitwise_xor.accumulate(quote).view(bool)] = 0  # inside a string
-    # an empty container, an opening bracket right before a closing one,
-    # stays as it is and leaves every other depth as it is
-    empty = np.flatnonzero((kind[:-1] == 1) & (kind[1:] == 2))
-    kind[empty] = kind[empty + 1] = 0
-    pos = np.flatnonzero(kind).astype(np.int32 if b.size < 1 << 31 else np.int64)
-    kind = kind[pos]
-    width = 1 + 2 * np.cumsum(_JSON_STEP[kind], dtype=np.int32)
-    at = pos + (kind != 2)  # the inserted run goes before byte `at`
-    total = b.size + int(width.sum(dtype=np.int64))
-    index = np.int32 if total < 1 << 31 else np.int64
-    # where each byte of the compact text lands: one step per byte plus the
-    # width inserted before it
-    dest = np.ones(b.size, dtype=index)
-    dest[0] = 0
-    dest[at] += width
-    np.cumsum(dest, out=dest)
-    out = np.full(total, ord(" "), dtype=np.uint8)
-    out[dest] = b
-    out[dest[at] - width] = ord("\n")
-    return out
-
-
 def json_text(obj) -> str:
-    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)``, through the C
-    encoder (see `_json_layout`)."""
-    return str(_json_layout(obj), "ascii")
+    """The text of every JSON artifact and printed object:
+    ``json.dumps(obj, indent=2, sort_keys=True)``."""
+    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def write_json(path, payload: dict) -> None:
-    """Write payload as indented JSON with sorted keys and a final newline
-    (the bytes of ``json_text(payload) + "\\n"``)."""
+    """Write ``json_text(payload)`` and a final newline."""
     with open(path, "wb") as fh:
-        fh.write(_json_layout(payload))
-        fh.write(b"\n")
+        fh.write(json_text(payload).encode() + b"\n")
 
 
 # -- keyed integer rows --------------------------------------------------------
@@ -457,47 +403,3 @@ def _keyed_rows_text(objects, indent: int, value_keys: tuple, key_keys: tuple) -
     final = np.append(obj[order][1:] != obj[order][:-1], True)
     out[last, tail : tail + n] = ends.reshape(4, n)[2 * bare + final]
     return [r[r != 0] for r in np.split(out, last[final][:-1] + 1)]
-
-
-# records of rows that `write_rows_json` lays out at once, counted in rows
-_ROWS_BLOCK = 1 << 14
-
-
-def write_rows_json(path, payload: dict, listed: str, rows_key: str, objects, value_count: int, key_count: int) -> None:
-    """Write what `write_json` writes for payload when each record
-    payload[listed][t], a dict of ints and lists of ints whose keys sort
-    before rows_key, also holds rows_key: the object ``{str(key): [row,
-    ...]}`` of the pair objects[t] = (cut, rows) (see `_keyed_rows_text`),
-    or ``{}`` when cut is empty.  No Python object is made per row.
-
-    `_json_layout` writes the keys up to `listed` with the records, then
-    the keys after it.  The records hold only ints, so the last
-    len(records) + 1 closing braces of the first text are the records' and
-    its own.  Each record's object goes in before its closing line, in
-    blocks of records of about `_ROWS_BLOCK` rows.  The text of the values
-    in [0, value_count) and the keys in [0, key_count) is made once.
-    """
-    text = _json_layout({k: v for k, v in payload.items() if k <= listed})
-    tail = _json_layout({k: v for k, v in payload.items() if k > listed})[1:-2].tobytes()
-    closes = (np.flatnonzero(text == ord("}"))[-len(objects) - 1 : -1] - 5).tolist()  # "\n    }"
-    size = np.array([len(cut) + len(rows) for cut, rows in objects], dtype=np.int64)
-    blocks = groupby(range(len(objects)), key=((np.cumsum(size) - size) // _ROWS_BLOCK).tolist().__getitem__)
-    value_keys, key_keys = _decimal_text(range(value_count)), _decimal_text(range(key_count))
-    opening, at = f',\n      "{rows_key}": {{'.encode(), 0
-    with open(path, "wb") as fh:
-        for _, block in blocks:
-            block = list(block)
-            cutting = [t for t in block if len(objects[t][0])]
-            inner = _keyed_rows_text([objects[t] for t in cutting], 8, value_keys, key_keys) if cutting else ()
-            inner = dict(zip(cutting, inner))
-            for t in block:
-                fh.write(text[at : closes[t]])
-                fh.write(opening)
-                if t in inner:
-                    fh.write(inner[t])
-                    fh.write(b"\n      }")
-                else:
-                    fh.write(b"}")
-                at = closes[t]
-        fh.write(text[at:-2])
-        fh.write(b"," + tail + b"\n}\n" if tail else b"\n}\n")

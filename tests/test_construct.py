@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lrc7 import fields
+from lrc7 import construct
 from lrc7.codec import min_distance
 from lrc7.construct import (
     ConstructionTrace,
@@ -524,6 +524,16 @@ def test_malformed_removal_names_its_round(point, tmp_path):
         ConstructionTrace.from_json_dict(data)
 
 
+@pytest.mark.parametrize("entry", [7, None], ids=["int", "null"])
+def test_removals_entry_that_is_no_list_names_its_round(entry):
+    _, trace = run_algorithm1(GF4, "lex")
+    data = json.loads(json.dumps(trace.to_json_dict()))
+    i, rd = next((i, rd) for i, rd in enumerate(data["rounds"], start=1) if rd["removals"])
+    rd["removals"]["5"] = entry
+    with pytest.raises(ValueError, match=rf"^round {i}: every plane's removed points must be a list$"):
+        ConstructionTrace.from_json_dict(data)
+
+
 def test_bool_removal_is_refused_not_read_as_1(tmp_path):
     # numpy upcasts a true among ints to 1: [0, true, 0, true] once loaded
     # equal to the recorded [0, 1, 0, 1], and replayed
@@ -747,23 +757,33 @@ def _hand_trace(rng, q: int) -> ConstructionTrace:
     return ConstructionTrace(p=2, e=9, modulus=modulus, q=q, policy="lex", seed=None, rounds=tuple(rounds))
 
 
+# extra keys: a string holding the removals stub, and the stub itself in a
+# key before "rounds" and in one after it
+_EXTRAS = (
+    {"config": {"out": 'a"b\\c\u00e9\n"removals": {}'}},
+    {"config": {"removals": {}}},
+    {"zz": {"removals": {}}},
+)
+
+
 @pytest.mark.parametrize("seed", range(12))
 @pytest.mark.parametrize("q", [512, 7])  # q = 7: most codes lie past q, as in a tampered file
 def test_trace_writer_on_hand_built_rounds(seed, q, tmp_path, monkeypatch):
     trace = _hand_trace(np.random.default_rng(seed), q)
     path = tmp_path / "trace.json"
-    config = {"out": 'a"b\\c\u00e9\n"removals": {}'}
     for block_rows in (1 << 14, 3):  # one block, and blocks of a round or two
-        monkeypatch.setattr(fields, "_ROWS_BLOCK", block_rows)
-        trace.save_json(path, config=config)
-        assert path.read_bytes() == _slow_trace_bytes(trace, config=config)
+        monkeypatch.setattr(construct, "_ROWS_BLOCK", block_rows)
+        for extra in _EXTRAS:
+            trace.save_json(path, **extra)
+            assert path.read_bytes() == _slow_trace_bytes(trace, **extra)
 
 
 def test_trace_writer_with_no_rounds(tmp_path):
     trace = ConstructionTrace(p=5, e=1, modulus=(0, 1), q=5, policy="seeded", seed=2**70, rounds=())
     path = tmp_path / "trace.json"
-    trace.save_json(path, zz=[{}])  # a key after "rounds"
-    assert path.read_bytes() == _slow_trace_bytes(trace, zz=[{}])
+    for extra in ({"zz": [{}]}, *_EXTRAS[1:]):  # zz: a key after "rounds"
+        trace.save_json(path, **extra)
+        assert path.read_bytes() == _slow_trace_bytes(trace, **extra)
 
 
 def test_sequence_json_roundtrip(tmp_path):

@@ -61,6 +61,18 @@ def test_wrong_degree_modulus_rejected():
         field_create(2, 2, [1, 1, 1, 1])
 
 
+@pytest.mark.parametrize("modulus", [[1, 1.5, 1], [1, True, 1], ["1", "1", "1"]])
+def test_non_integer_modulus_coefficient_rejected(modulus):
+    # refused, not truncated or coerced to the modulus (1, 1, 1)
+    with pytest.raises(ValueError, match="^modulus coefficients must be integers"):
+        field_create(2, 2, modulus)
+
+
+def test_modulus_coefficients_are_reduced_mod_p():
+    assert field_create(2, 2, [3, 1, 1]).modulus == (1, 1, 1)
+    assert field_create(2, 2, np.array([1, 3, 1])).modulus == (1, 1, 1)
+
+
 def test_nonprime_characteristic_rejected():
     for bad in (-3, 0, 1, 4, 6, 9, 2.0, True):
         with pytest.raises(ValueError, match="characteristic must be a prime integer"):
