@@ -26,20 +26,17 @@ import json
 import random
 import warnings
 from dataclasses import dataclass, field as dc_field
-from itertools import chain, groupby
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .fields import FieldSpec, _decimal_text, _keyed_rows_text, field_from_header, field_header, json_text, write_json
+from .fields import FieldSpec, field_from_header, field_header, json_text, write_json
 from .linalg import MatrixF, _codes, solve_columns
 from .spread import _spread_bases, canonical_rep, point_codes, point_index, span_point_index
 
 POLICIES = ("lex", "seeded")
-
-# rounds of a trace that `ConstructionTrace.save_json` lays out at once, counted in rows
-_ROWS_BLOCK = 1 << 14
 
 
 class ReplayError(ValueError):
@@ -99,7 +96,17 @@ class VectorSequence:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "VectorSequence":
-        return cls(field_from_header(d), d["pairs"])
+        """The sequence `to_json_dict` wrote; its q must be the JSON integer
+        p**e of its header."""
+        if not isinstance(d, dict):
+            raise ValueError(f"sequence JSON must be an object, got {type(d).__name__}")
+        try:
+            field, q, pairs = field_from_header(d), d["q"], d["pairs"]
+        except KeyError as exc:
+            raise ValueError(f"sequence JSON is missing key {exc}") from exc
+        if type(q) is not int or q != field.q:
+            raise ValueError(f"sequence q must be the JSON integer p**e = {field.q}, got {q!r}")
+        return cls(field, pairs)
 
     def save_json(self, path) -> None:
         write_json(path, self.to_json_dict())
@@ -237,34 +244,44 @@ class ConstructionTrace:
 
     def save_json(self, path, **extra) -> None:
         """Write the bytes of ``json_text({**self.to_json_dict(), **extra})``
-        and a final newline, with no Python object per removed point.
+        and a final newline, with no Python object per removed point.  An
+        extra key that is one of the trace's own raises ValueError.
 
         `json_text` writes the keys up to "rounds" with each round's removals
         as ``{}``.  "rounds" ends that text and holds only ints otherwise, so
-        its last L ``"removals": {}`` are the rounds' own.  Each is filled from
-        the round's arrays (`fields._keyed_rows_text`), in blocks of about
-        `_ROWS_BLOCK` rows, and the keys after "rounds" follow.
+        its last L ``"removals": {}`` are the rounds' own.  Each is filled by
+        one bytes ``%`` of the round's plane ids, each followed by its
+        points' codes, with the planes in the order ``sort_keys`` gives their
+        texts ("10" before "2", "-" first); the keys after "rounds" follow.
         """
-        payload = {**self._json_dict([{}] * self.L), **extra}
+        payload = self._json_dict([{}] * self.L)
+        clash = sorted(payload.keys() & extra.keys())
+        if clash:
+            raise ValueError(f"extra key {clash[0]!r} collides with the trace format")
+        payload.update(extra)
         head = json_text({k: v for k, v in payload.items() if k <= "rounds"})
         tail = json_text({k: v for k, v in payload.items() if k > "rounds"})[1:-2]  # no braces; "seed" at least
         opening = b'"removals": {'
-        parts = iter(head[:-2].encode().rsplit(opening + b"}", self.L))
-        size = np.array([len(rd.cut) + len(rd.removed) for rd in self.rounds], dtype=np.int64)
-        block_of = ((np.cumsum(size) - size) // _ROWS_BLOCK).tolist()
-        value_keys, key_keys = _decimal_text(range(self.q)), _decimal_text(range(self.q**2 + 1))
+        parts = head[:-2].encode().rsplit(opening + b"}", self.L)
+        point = b"\n          [" + b",".join([b"\n            %d"] * 4) + b"\n          ]"
+        plane = {0: b'\n        "%d": []'}  # the text of a plane with m removed points, by m
         with open(path, "wb") as fh:
-            fh.write(next(parts))
-            for _, block in groupby(zip(block_of, self.rounds), key=lambda pair: pair[0]):
-                block = [rd for _, rd in block]
-                cutting = [(rd.cut, rd.removed) for rd in block if len(rd.cut)]
-                inner = iter(_keyed_rows_text(cutting, 8, value_keys, key_keys) if cutting else ())
-                for rd in block:
-                    fh.write(opening)
-                    if len(rd.cut):
-                        fh.write(next(inner))
-                        fh.write(b"\n      ")
-                    fh.write(b"}" + next(parts))
+            fh.write(parts[0])
+            for rd, part in zip(self.rounds, parts[1:]):
+                fh.write(opening)
+                if len(rd.cut):
+                    pids, counts = rd.cut.T
+                    order = np.argsort(pids.astype(str), kind="stable")
+                    m = counts[order]
+                    start = np.cumsum(m) - m
+                    # the removed rows plane by plane in key order, each plane's id before its codes
+                    at = np.repeat((np.cumsum(counts) - counts)[order] - start, m) + np.arange(m.sum())
+                    values = np.insert(rd.removed[at].ravel(), 4 * start, pids[order]).tolist()
+                    m = m.tolist()
+                    for k in set(m) - plane.keys():
+                        plane[k] = b'\n        "%d": [' + b",".join([point] * k) + b"\n        ]"
+                    fh.write(b",".join(map(plane.__getitem__, m)) % tuple(values) + b"\n      ")
+                fh.write(b"}" + part)
             fh.write(f",{tail}\n}}\n".encode())
 
     @classmethod

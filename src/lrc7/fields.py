@@ -308,98 +308,3 @@ def write_json(path, payload: dict) -> None:
     with open(path, "wb") as fh:
         fh.write(json_text(payload).encode() + b"\n")
 
-
-# -- keyed integer rows --------------------------------------------------------
-
-
-def _decimal_text(values) -> tuple[np.ndarray, np.ndarray]:
-    """The decimal text of each int as one row of ASCII bytes, NUL-padded
-    at the end to whole uint32 words; and the rank of each text in the
-    order ``sort_keys`` gives keys, where "10" comes before "2"."""
-    texts = [str(v) for v in values]
-    width = -(-max(map(len, texts), default=1) // 4) * 4
-    rank = np.empty(len(texts), dtype=np.int32)
-    rank[sorted(range(len(texts)), key=texts.__getitem__)] = np.arange(len(texts), dtype=np.int32)
-    padded = "".join(t.ljust(width, "\0") for t in texts).encode("ascii")
-    return np.frombuffer(padded, dtype=np.uint8).reshape(-1, width), rank
-
-
-def _text_at(values: np.ndarray, table: tuple) -> tuple[np.ndarray, tuple]:
-    """values as rows of table, the `_decimal_text` of 0, 1, 2, ...; when
-    some value lies outside it, the rows of a table of the distinct values
-    instead."""
-    if values.min() >= 0 and values.max() < len(table[1]):
-        return values, table
-    distinct, at = np.unique(values, return_inverse=True)
-    return at.reshape(values.shape), _decimal_text(distinct.tolist())
-
-
-def _template(*parts) -> tuple[bytes, list[int]]:
-    """The bytes of parts, where an int n stands for a slot of n NUL bytes
-    that starts on a uint32 word (NUL bytes pad up to it), padded at the
-    end to whole words; and the word at which each slot starts."""
-    out, words = b"", []
-    for part in parts:
-        if isinstance(part, int):
-            out += bytes(-len(out) % 4)
-            words.append(len(out) // 4)
-            part = bytes(part)
-        out += part
-    return out + bytes(-len(out) % 4), words
-
-
-def _keyed_rows_text(objects, indent: int, value_keys: tuple, key_keys: tuple) -> list[np.ndarray]:
-    """The text between the braces of each object ``{str(key): [row, ...]}``
-    as `json_text` lays it out with its keys indented by `indent` spaces.
-
-    An object is a pair (cut, rows): cut holds (key, count) int rows, and
-    the (m, w) int array rows holds each key's count rows in turn; it has
-    at least one key.  value_keys and key_keys are the `_decimal_text` of
-    0, 1, 2, ... for the values and the keys; values or keys outside them
-    get a table of their own (`_text_at`).
-
-    One row of bytes per int row, in the text's order (each object's keys
-    as ``sort_keys`` orders them, a key's rows as given): the key's opening
-    line when the row is its first, the row's lines, and a comma, or the
-    key's closing line after its last row.  A key with no rows gets one
-    row holding the key and ``[]``.  The values and keys are copied in as
-    uint32 words of NUL-padded text, which no JSON text holds, and one mask
-    per object drops the NUL bytes.
-    """
-    cut = np.concatenate([c for c, _ in objects])
-    width = objects[0][1].shape[1]
-    # a key with no rows reads the values where its rows would start (the
-    # zero row when it is the last) and drops them
-    rows = np.concatenate([*(r for _, r in objects), np.zeros((1, width), dtype=np.int32)])
-    key_at, (key_text, key_rank) = _text_at(cut[:, 0], key_keys)
-    obj = np.repeat(np.arange(len(objects), dtype=np.int32), [len(c) for c, _ in objects])
-    # by object, then by key text: two stable sorts
-    order = np.argsort(key_rank[key_at], kind="stable")
-    order = order[np.argsort(obj[order], kind="stable")]
-    count = cut[order, 1]
-    nrows = np.maximum(count, 1)
-    last = np.cumsum(nrows) - 1
-    first = last - nrows + 1
-    at = np.repeat((np.cumsum(cut[:, 1]) - cut[:, 1])[order] - first, nrows) + np.arange(last[-1] + 1)
-    bare = count == 0
-    values, (value_text, _) = _text_at(rows[at], value_keys)
-    W, Wk, pad = value_text.shape[1], key_text.shape[1], "\n" + " " * indent
-    key, (word,) = _template(f'{pad}"'.encode(), Wk, b'": [')
-    lines = [part for k in range(width) for part in ((("," if k else "") + pad + "    ").encode(), W)]
-    row, words = _template(f"{pad}  [".encode(), *lines, f"{pad}  ]".encode())
-    # the closing text of a key's last row: a key with rows, then one
-    # without, each before another key and as its object's last
-    n = len(pad) + 2
-    ends = np.frombuffer((pad + "]," + pad + "]\0" + "],".ljust(n, "\0") + "]".ljust(n, "\0")).encode(), dtype=np.uint8)
-    tail = len(key) + len(row)
-    out = np.zeros((at.size, -(-(tail + n) // 4) * 4), dtype=np.uint8)
-    out[:, len(key) : tail + 1] = np.frombuffer(row + b",", dtype=np.uint8)
-    cells, k0 = out.view(np.uint32), len(key) // 4
-    for k, w in enumerate(words):
-        cells[:, k0 + w : k0 + w + W // 4] = value_text.view(np.uint32)[values[:, k]]
-    out[first, : len(key)] = np.frombuffer(key, dtype=np.uint8)
-    cells[first, word : word + Wk // 4] = key_text.view(np.uint32)[key_at[order]]
-    out[first[bare], len(key) : tail] = 0
-    final = np.append(obj[order][1:] != obj[order][:-1], True)
-    out[last, tail : tail + n] = ends.reshape(4, n)[2 * bare + final]
-    return [r[r != 0] for r in np.split(out, last[final][:-1] + 1)]

@@ -5,8 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from lrc7 import construct
 from lrc7.codec import min_distance
 from lrc7.construct import (
     ConstructionTrace,
@@ -325,6 +326,28 @@ def test_vector_sequence_load_json_validates(tmp_path):
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError):
             VectorSequence.load_json(path)
+
+
+def _without(key):
+    return lambda d: {k: v for k, v in d.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda d: [d], "sequence JSON must be an object, got list"),
+        (_without("pairs"), "sequence JSON is missing key 'pairs'"),
+        (_without("q"), "sequence JSON is missing key 'q'"),
+        (_without("modulus"), "sequence JSON is missing key 'modulus'"),
+        (lambda d: {**d, "q": 5}, r"sequence q must be the JSON integer p\*\*e = 4, got 5"),
+        (lambda d: {**d, "q": 4.0}, r"sequence q must be the JSON integer p\*\*e = 4, got 4.0"),
+        (lambda d: {**d, "q": True}, r"sequence q must be the JSON integer p\*\*e = 4, got True"),
+    ],
+)
+def test_sequence_json_with_a_bad_header_is_refused(edit, message):
+    d = edit(VectorSequence(GF4, [PAIR]).to_json_dict())
+    with pytest.raises(ValueError, match=message):
+        VectorSequence.from_json_dict(d)
 
 
 # ---------------------------------------------------------------------------
@@ -768,14 +791,53 @@ _EXTRAS = (
 
 @pytest.mark.parametrize("seed", range(12))
 @pytest.mark.parametrize("q", [512, 7])  # q = 7: most codes lie past q, as in a tampered file
-def test_trace_writer_on_hand_built_rounds(seed, q, tmp_path, monkeypatch):
+def test_trace_writer_on_hand_built_rounds(seed, q, tmp_path):
     trace = _hand_trace(np.random.default_rng(seed), q)
     path = tmp_path / "trace.json"
-    for block_rows in (1 << 14, 3):  # one block, and blocks of a round or two
-        monkeypatch.setattr(construct, "_ROWS_BLOCK", block_rows)
-        for extra in _EXTRAS:
-            trace.save_json(path, **extra)
-            assert path.read_bytes() == _slow_trace_bytes(trace, **extra)
+    for extra in _EXTRAS:
+        trace.save_json(path, **extra)
+        assert path.read_bytes() == _slow_trace_bytes(trace, **extra)
+
+
+_int32 = st.integers(-(2**31), 2**31 - 1)
+_plane_id = st.sampled_from(_PLANE_IDS) | _int32
+
+
+def _random_round(plane_id, removals, discarded) -> TraceRound:
+    """A round cutting the planes of removals, in the order drawn."""
+    cut = [(pid, len(pts)) for pid, pts in removals.items()]
+    removed = [pt for pts in removals.values() for pt in pts]
+    points = ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0))
+    return TraceRound(plane_id, points, np.array(cut, dtype=np.int32).reshape(-1, 2), np.array(removed, dtype=np.int32).reshape(-1, 4), discarded)
+
+
+_random_rounds = st.lists(
+    st.builds(
+        _random_round,
+        _plane_id,
+        st.dictionaries(_plane_id, st.lists(st.tuples(_int32, _int32, _int32, _int32), max_size=7), max_size=6),
+        st.lists(_plane_id, max_size=3).map(tuple),
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rounds=_random_rounds)
+def test_trace_writer_on_random_rounds(rounds, tmp_path):
+    trace = ConstructionTrace(p=2, e=9, modulus=(1, 1, 0, 0, 0, 0, 0, 0, 0, 1), q=512, policy="lex", seed=None, rounds=tuple(rounds))
+    path = tmp_path / "trace.json"
+    trace.save_json(path)
+    assert path.read_bytes() == _slow_trace_bytes(trace)
+
+
+@pytest.mark.parametrize("key", ["p", "e", "modulus", "q", "policy", "seed", "rounds"])
+def test_trace_writer_refuses_an_extra_key_of_its_own(key, tmp_path):
+    _, trace = run_algorithm1(GF4, "lex")
+    path = tmp_path / "trace.json"
+    with pytest.raises(ValueError, match=f"extra key '{key}' collides with the trace format"):
+        trace.save_json(path, **{key: []})
+    assert not path.exists()
 
 
 def test_trace_writer_with_no_rounds(tmp_path):

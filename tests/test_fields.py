@@ -2,8 +2,6 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from lrc7.fields import (
     MAX_FIELD_ORDER,
@@ -399,30 +397,6 @@ def test_pow_matches_repeated_multiplication(p, e):
 # ---------------------------------------------------------------------------
 # JSON text
 # ---------------------------------------------------------------------------
-
-# strings that hit the layout's masks: quotes, backslash runs, brackets and
-# commas inside strings, and non-ASCII text the encoder escapes
-_json_str = st.text(st.sampled_from('"\\[]{},: x\n\x00\xe9\u2603\U0001f600') | st.characters(), max_size=6)
-_json_scalar = (
-    st.none()
-    | st.booleans()
-    | st.integers(min_value=-(10**40), max_value=10**40)
-    | st.floats(allow_nan=True, allow_infinity=True)
-    | _json_str
-)
-_json_payload = st.recursive(
-    _json_scalar,
-    lambda kids: st.lists(kids, max_size=4)
-    | st.lists(kids, max_size=4).map(tuple)
-    | st.dictionaries(_json_str, kids, max_size=4),
-    max_leaves=40,
-)
-
-
-@settings(max_examples=400, deadline=None)
-@given(_json_payload)
-def test_json_text_is_the_stdlib_indented_encoding(obj):
-    assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
 def _nested(depth: int):
