@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
+import functools
 import io
 import json
 import os
@@ -320,6 +321,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
 # -- argument parsing -----------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lrc7", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

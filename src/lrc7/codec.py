@@ -508,7 +508,10 @@ def simulate_repairs(code: LrcCode, trials: int, failure_model: str, seed: int =
     randomness derives from the seed, one child stream per trial.  Blocks
     of trials are drawn (`draws._trial_draws`), encoded in one product
     through G and repaired (`_repair_block`); only the outcome arrays stay.
+    The seed is a non-negative int, so that every run can be repeated.
     """
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     kind, f = parse_failure_model(failure_model)

@@ -564,8 +564,11 @@ def run_algorithm1(field: FieldSpec, policy: str = "lex", seed: Optional[int] = 
     Returns (VectorSequence, ConstructionTrace).  For q >= 4 the output
     length L is at least guaranteed_min_rounds(q) and satisfies the three
     sequence conditions whenever L >= 3; smaller q runs to completion but
-    only after emitting a warning.
+    only after emitting a warning.  The seed is an int or None (0 under
+    'seeded'); 'lex' ignores it.
     """
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+        raise ValueError(f"seed must be an int or None, got {seed!r}")
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     if field.q < 4:

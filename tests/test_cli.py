@@ -492,6 +492,14 @@ def test_simulate_erasing_more_than_n_is_a_usage_error(capsys):
     assert "Traceback" not in stderr
 
 
+def test_simulate_negative_seed_is_a_usage_error(capsys):
+    # numpy's own error ("expected non-negative integer") named no seed
+    code, stdout, stderr = run_cli(capsys, "simulate", "h2", "--trials", "10", "--failure-model", "group-burst", "--seed", "-1")
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: seed must be a non-negative int, got -1\n"
+
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_simulate_rejects_fewer_than_one_trial(trials, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -549,6 +557,50 @@ def test_empty_int_list_is_rejected_at_parsing(argv, flag, capsys):
     out, err = capsys.readouterr()
     assert f"argument {flag}: empty int list: " in err
     assert "Traceback" not in err and out == ""
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), argparse's exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+_CACHED_PARSER_CALLS = [
+    ["construct", "--q", "4", "--format", "json"],
+    ["bounds", "--q", "4..3"],
+    ["bounds", "--q", "4..9", "--d", "7", "--r", "2"],
+    ["bounds", "--n", "9", "--k", "2", "--d", "7", "--r", "2", "--q", "4"],
+    ["verify", "h1"],
+    ["simulate", "h2", "--trials", "50", "--failure-model", "group-burst", "--seed", "1"],
+    ["--help"],
+]
+
+
+def test_cached_parser_keeps_calls_independent(capsys):
+    """main builds its parser once per process: each call through the shared
+    parser gives the outcome of the same call through a freshly built one.
+    The list flags of one bounds call do not leak into the next."""
+    cli._build_parser.cache_clear()
+    shared = [_outcome(capsys, argv) for argv in _CACHED_PARSER_CALLS]
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 0, 0, 0]
+    for argv, got in zip(_CACHED_PARSER_CALLS, shared):
+        cli._build_parser.cache_clear()
+        assert got == _outcome(capsys, argv), argv
+    # the parser binds the cmd_* functions at its first build, so nothing
+    # may patch them; everything else they call is read at call time
+    parser = cli._build_parser()
+    for argv, run in (
+        (["construct", "--q", "4"], cli.cmd_construct),
+        (["verify", "h1"], cli.cmd_verify),
+        (["bounds"], cli.cmd_bounds),
+        (["simulate", "h1", "--trials", "1", "--failure-model", "group-burst"], cli.cmd_simulate),
+    ):
+        assert parser.parse_args(argv).run is run
 
 
 def test_unknown_command_exits_2():

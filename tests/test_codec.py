@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -550,6 +551,14 @@ def test_simulator_determinism(h1_code):
 def test_simulator_rejects_fewer_than_one_trial(h1_code, trials):
     with pytest.raises(ValueError, match="at least one trial"):
         simulate_repairs(h1_code, trials=trials, failure_model="single-uniform")
+
+
+@pytest.mark.parametrize("seed", [None, True, False, -1, 1.5, "3", np.int64(3)], ids=repr)
+def test_simulator_refuses_a_seed_that_is_no_non_negative_int(h1_code, seed, monkeypatch):
+    # None would draw fresh OS entropy, True would run as 1, -1 failed inside numpy
+    monkeypatch.setattr(codec, "_trial_draws", lambda *a: pytest.fail("drew before checking the seed"))
+    with pytest.raises(ValueError, match=re.escape(f"seed must be a non-negative int, got {seed!r}")):
+        simulate_repairs(h1_code, trials=5, failure_model="single-uniform", seed=seed)
 
 
 def test_simulator_mixed_pattern_routing(h1_code):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 import warnings
 
 import numpy as np
@@ -177,6 +178,22 @@ def test_small_q_warns_and_terminates():
 def test_unknown_policy_rejected():
     with pytest.raises(ValueError, match="policy"):
         run_algorithm1(GF4, "random")
+
+
+@pytest.mark.parametrize("policy", ["seeded", "lex"])
+@pytest.mark.parametrize("seed", [True, False, 1.5, "7", np.int64(7)], ids=repr)
+def test_seed_that_is_no_int_is_refused_before_any_work(policy, seed):
+    # the trace could not carry it: load_json refuses a seed that is no JSON integer
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # q = 3 warns only once the seed has passed
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an int or None, got {seed!r}")):
+            run_algorithm1(field_create(3), policy, seed)
+
+
+def test_seeded_run_without_a_seed_is_seed_zero():
+    seq, trace = run_algorithm1(GF4, "seeded", None)
+    assert trace.seed == 0
+    assert (seq, trace) == run_algorithm1(GF4, "seeded", 0)
 
 
 # ---------------------------------------------------------------------------
