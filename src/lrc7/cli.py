@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 from .bounds import BoundsReport, bounds_report, dim_bound_eq3
 from .codec import (
     GroupDetectionError,
+    _STREAM_VERSION,
     _block_table,
     code_from_parity_check,
     fixture_names,
@@ -298,7 +299,7 @@ def cmd_bounds(ns: argparse.Namespace) -> int:
 
 def cmd_simulate(ns: argparse.Namespace) -> int:
     cfg = _config(command="simulate", input=ns.matrix, trials=ns.trials, failure_model=ns.failure_model,
-                  seed=ns.seed, out=ns.out)
+                  seed=ns.seed, stream=_STREAM_VERSION, out=ns.out)
     try:
         M, _ = load_matrix_json(fixture_path(ns.matrix) if ns.matrix in fixture_names() else ns.matrix)
         code = code_from_parity_check(M)

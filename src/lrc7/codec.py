@@ -24,7 +24,6 @@ import numpy as np
 
 from .bounds import CodeParams
 from .construct import PairSpanTable, VectorSequence
-from .draws import _trial_draws
 from .fields import FieldSpec
 from .linalg import (
     AmbiguousSystemError,
@@ -368,7 +367,9 @@ def repair_global(code: LrcCode, word: Received) -> tuple[int, ...]:
 # -- repair simulation -------------------------------------------------------------
 
 
-_SIM_BLOCK_BYTES = 1 << 22  # bounds one block's messages and codewords in `simulate_repairs`
+_SIM_BLOCK_BYTES = 1 << 22  # one block's messages and codewords in `simulate_repairs`, in whole stream units
+_STREAM_TRIALS = 1024  # trials per unit of the seeded stream; trial t is drawn in unit t // _STREAM_TRIALS
+_STREAM_VERSION = 2  # the stream `_trial_draws` defines, recorded in `lrc7 simulate`'s config
 
 
 @dataclass(frozen=True)
@@ -505,10 +506,12 @@ def simulate_repairs(code: LrcCode, trials: int, failure_model: str, seed: int =
 
     A trial is repaired locally when every touched group has exactly one
     erasure; otherwise one global repair covers the whole pattern.  All
-    randomness derives from the seed, one child stream per trial.  Blocks
-    of trials are drawn (`draws._trial_draws`), encoded in one product
-    through G and repaired (`_repair_block`); only the outcome arrays stay.
-    The seed is a non-negative int, so that every run can be repeated.
+    randomness derives from the seed through stream 2 (`_trial_draws`):
+    trial t depends only on (seed, t), so a run's first T trials are the
+    T-trial run.  Blocks of whole stream units are drawn, encoded in one
+    product through G and repaired (`_repair_block`); only the outcome
+    arrays stay.  The seed is a non-negative int, so that every run can be
+    repeated.
     """
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValueError(f"seed must be a non-negative int, got {seed!r}")
@@ -521,12 +524,37 @@ def simulate_repairs(code: LrcCode, trials: int, failure_model: str, seed: int =
     groups = np.array(code.groups)
     width = {"single-uniform": 1, "multi-uniform": f, "group-burst": groups.shape[1]}[kind]
     arrays = (np.empty((trials, width), np.int32), *(np.empty(trials, t) for t in (bool, bool, np.int32)))
-    block = max(1, _SIM_BLOCK_BYTES // (8 * (n + k)))
+    block = _STREAM_TRIALS * max(1, _SIM_BLOCK_BYTES // (8 * (n + k) * _STREAM_TRIALS))
     for lo in range(0, trials, block):
-        msgs, E = _trial_draws(seed, min(block, trials - lo), q, k, kind, f, groups, lo)
+        msgs, E = _trial_draws(seed, lo, min(lo + block, trials), q, k, kind, f, groups)
         for a, part in zip(arrays, (E, *_repair_block(code, groups, _matmul_codes(code.field, msgs, code.G.array), E))):
             a[lo : lo + block] = part
     return RepairStats(*arrays)
+
+
+def _trial_draws(seed: int, lo: int, hi: int, q: int, k: int, kind: str, f: Optional[int], groups: np.ndarray):
+    """The messages (hi - lo, k) and erased positions of trials lo, ...,
+    hi - 1, with lo a multiple of _STREAM_TRIALS.  Each unit u of
+    _STREAM_TRIALS trials draws its B trials from two generators,
+    PCG64(SeedSequence(seed, spawn_key=(u, i))): i = 0 draws the messages,
+    integers(0, q, (B, k)); i = 1 the erasures, integers(0, n, (B, 1)), the
+    sorted first f columns of (B, n) rows of arange(n) each permuted, or
+    groups[integers(0, L, B)].
+    """
+    n, parts = groups.size, []
+    for start in range(lo, hi, _STREAM_TRIALS):
+        B = min(_STREAM_TRIALS, hi - start)
+        u = start // _STREAM_TRIALS
+        msg_rng, erasure_rng = (np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(u, i))) for i in (0, 1))
+        if kind == "single-uniform":
+            E = erasure_rng.integers(0, n, (B, 1))
+        elif kind == "multi-uniform":
+            E = np.sort(erasure_rng.permuted(np.broadcast_to(np.arange(n), (B, n)), axis=1)[:, :f], axis=1)
+        else:
+            E = groups[erasure_rng.integers(0, len(groups), B)]
+        parts.append((msg_rng.integers(0, q, (B, k)), E))
+    msgs, E = zip(*parts)
+    return np.concatenate(msgs), np.concatenate(E, dtype=np.int32)
 
 
 def _repair_block(code: LrcCode, groups: np.ndarray, words: np.ndarray, E: np.ndarray):

@@ -238,8 +238,8 @@ class ConstructionTrace:
             raise ValueError(f"trace q must be the JSON integer p**e = {field.q}, got {q!r}")
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-        if seed is not None and type(seed) is not int:
-            raise ValueError(f"trace seed must be null or a JSON integer, got {seed!r}")
+        if seed is not None and (type(seed) is not int or seed < 0):
+            raise ValueError(f"trace seed must be null or a non-negative JSON integer, got {seed!r}")
         return cls(field.p, field.e, field.modulus, q, policy, seed, rounds)
 
     def save_json(self, path, **extra) -> None:
@@ -564,11 +564,12 @@ def run_algorithm1(field: FieldSpec, policy: str = "lex", seed: Optional[int] = 
     Returns (VectorSequence, ConstructionTrace).  For q >= 4 the output
     length L is at least guaranteed_min_rounds(q) and satisfies the three
     sequence conditions whenever L >= 3; smaller q runs to completion but
-    only after emitting a warning.  The seed is an int or None (0 under
-    'seeded'); 'lex' ignores it.
+    only after emitting a warning.  The seed is a non-negative int or None
+    (0 under 'seeded'); 'lex' ignores it.
     """
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise ValueError(f"seed must be an int or None, got {seed!r}")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
+        # random.Random uses abs(seed): a negative seed would build its positive twin's code
+        raise ValueError(f"seed must be a non-negative int or None, got {seed!r}")
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     if field.q < 4:

@@ -456,6 +456,7 @@ def test_simulate_single_uniform(tmp_path, capsys):
     )
     assert code == 0
     payload = json.loads(stdout)
+    assert payload["config"]["stream"] == 2  # the seeded stream's version, recorded with the run
     assert payload["success_rate"] == 1.0
     assert payload["mean_helpers_per_symbol"] == 2.0
     assert json.loads(summary_path.read_text()) == payload
@@ -498,6 +499,16 @@ def test_simulate_negative_seed_is_a_usage_error(capsys):
     assert code == 2
     assert stdout == ""
     assert stderr == "error: seed must be a non-negative int, got -1\n"
+
+
+def test_construct_negative_seed_is_a_usage_error(tmp_path, capsys):
+    # random.Random would seed with abs(-5): seed 5's code under another config
+    out = tmp_path / "run"
+    code, stdout, stderr = run_cli(capsys, "construct", "--q", "7", "--policy", "seeded", "--seed", "-5", "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: seed must be a non-negative int or None, got -5\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from lrc7 import codec, draws
+from lrc7 import codec
 from lrc7.cli import main
 from lrc7.bounds import classify
 from lrc7.codec import (
@@ -20,6 +20,7 @@ from lrc7.codec import (
     RepairStats,
     TrialRecord,
     UnrecoverableErasureError,
+    _trial_draws,
     code_from_parity_check,
     encode,
     load_fixture,
@@ -32,7 +33,6 @@ from lrc7.codec import (
     wilson_interval,
 )
 from lrc7.construct import VectorSequence, assemble_parity_check, run_algorithm1
-from lrc7.draws import _bounded_draws, _trial_draws
 from lrc7.fields import field_create
 from lrc7.linalg import MatrixF, kernel_basis, matmul, rank
 
@@ -573,10 +573,11 @@ def test_simulator_mixed_pattern_routing(h1_code):
 
 
 # simulate_repairs against a per-trial reference built only from the public
-# encode, repair_local and repair_global, on the same child streams.  Corpus:
-# h1 (characteristic 2), h2, a seeded q = 5 constructor output, and h2 with
-# one more check, weight 2 inside group 0: its H has L + 5 rows, so it is no
-# block code, and group 0 has a second check that local repair does not read.
+# encode, repair_local and repair_global, on stream 2 written out below.
+# Corpus: h1 (characteristic 2), h2, a seeded q = 5 constructor output, and
+# h2 with one more check, weight 2 inside group 0: its H has L + 5 rows, so
+# it is no block code, and group 0 has a second check that local repair
+# does not read.
 _SIM_SEEDS = {"h1": 21, "h2": 22, "q5": 23, "h2-two-checks": 24}
 _SIM_MODELS = ("single-uniform", "group-burst", "multi-uniform(2)", "multi-uniform(6)")
 
@@ -606,19 +607,33 @@ def _symbols_read(code, word, pos, value):
     return count
 
 
-def _reference_simulation(code, trials, failure_model, seed):
+def _stream_v2_draws(seed, trials, q, k, failure_model, groups):
+    """Stream 2 as numpy's spawn tree: unit u (trials 1024u to 1024u + 1023)
+    is child u of SeedSequence(seed), and its children 0 and 1 draw the
+    unit's messages and erasures."""
     kind, f = parse_failure_model(failure_model)
-    n, k, q = code.n, code.k, code.field.q
-    records = []
-    for t, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
-        rng = np.random.default_rng(child)
-        codeword = encode(code, [int(x) for x in rng.integers(0, q, size=k)])
+    n, units = groups.size, -(-trials // 1024)
+    msgs, E = [], []
+    for u, unit in enumerate(np.random.SeedSequence(seed).spawn(units)):
+        B = min(1024, trials - 1024 * u)
+        msg_rng, erasure_rng = (np.random.default_rng(child) for child in unit.spawn(2))
+        msgs += msg_rng.integers(0, q, (B, k)).tolist()
         if kind == "single-uniform":
-            erased = (int(rng.integers(0, n)),)
+            E += erasure_rng.integers(0, n, (B, 1)).tolist()
         elif kind == "multi-uniform":
-            erased = tuple(sorted(int(x) for x in rng.choice(n, size=f, replace=False)))
+            E += np.sort(erasure_rng.permuted(np.tile(np.arange(n), (B, 1)), axis=1)[:, :f], axis=1).tolist()
         else:
-            erased = tuple(code.groups[int(rng.integers(0, len(code.groups)))])
+            E += groups[erasure_rng.integers(0, len(groups), B)].tolist()
+    return msgs, E
+
+
+def _reference_simulation(code, trials, failure_model, seed):
+    n = code.n
+    records = []
+    msgs, E = _stream_v2_draws(seed, trials, code.field.q, code.k, failure_model, np.array(code.groups))
+    for t, (message, erased) in enumerate(zip(msgs, E)):
+        codeword = encode(code, message)
+        erased = tuple(erased)
         word = [None if j in erased else c for j, c in enumerate(codeword)]
         if len({code.group_index_of(j) for j in erased}) == len(erased):
             ok, helpers = True, 0
@@ -685,13 +700,11 @@ def test_simulator_reference_corpus_covers_every_path():
     assert any(r.mode == "global" and r.success for r in records)
 
 
-# `draws._trial_draws` against numpy's own per-trial generators, element by
+# `codec._trial_draws` against stream 2 as the spawn tree, element by
 # element.  Seeds: 0, 1, 2^32 (two entropy words) and 2^128 + 7 (five
-# words, so the spawn word's hashes start 4 later).  Shapes (q, k, L):
-# h2's, a q = 11 code with k = 20, one group with k = 1, where group-burst
-# draws nothing, and n = 10002, where choice(n, 300) shuffles a tail and
-# every trial is drawn through numpy; multi-uniform(n) starts Floyd's
-# algorithm at j = 0, which draws nothing either.
+# words).  Shapes (q, k, L): h2's, a q = 11 code with k = 20, one group with
+# k = 1, where group-burst draws integers(0, 1), and n = 10002;
+# multi-uniform(n) erases every position.
 _DRAW_SEEDS = (0, 1, 2**32, 2**128 + 7)
 _DRAW_CASES = [
     (7, 8, 6, "single-uniform"),
@@ -705,23 +718,8 @@ _DRAW_CASES = [
 ]
 
 
-def _numpy_draws(seed, trials, q, k, failure_model, groups):
-    kind, f = parse_failure_model(failure_model)
-    msgs, E = [], []
-    for child in np.random.SeedSequence(seed).spawn(trials):
-        rng = np.random.default_rng(child)
-        msgs.append(rng.integers(0, q, size=k).tolist())
-        if kind == "single-uniform":
-            E.append([int(rng.integers(0, groups.size))])
-        elif kind == "multi-uniform":
-            E.append(sorted(rng.choice(groups.size, size=f, replace=False).tolist()))
-        else:
-            E.append(groups[rng.integers(0, len(groups))].tolist())
-    return msgs, E
-
-
 def _fast_draws(seed, trials, q, k, failure_model, groups):
-    msgs, E = _trial_draws(seed, trials, q, k, *parse_failure_model(failure_model), groups)
+    msgs, E = _trial_draws(seed, 0, trials, q, k, *parse_failure_model(failure_model), groups)
     return msgs.tolist(), E.tolist()
 
 
@@ -729,24 +727,34 @@ def _fast_draws(seed, trials, q, k, failure_model, groups):
 @pytest.mark.parametrize("q, k, L, model", _DRAW_CASES)
 def test_trial_draws_match_numpy_generators(seed, q, k, L, model):
     groups = np.arange(3 * L).reshape(L, 3)
-    assert _fast_draws(seed, 40, q, k, model, groups) == _numpy_draws(seed, 40, q, k, model, groups)
+    assert _fast_draws(seed, 40, q, k, model, groups) == _stream_v2_draws(seed, 40, q, k, model, groups)
 
 
 def test_trial_draws_from_an_offset_are_a_slice_of_the_run():
-    # q = 3 * 2^30 + 1 rejects about a quarter of the message draws, which are redrawn through numpy
+    # q = 3 * 2^30 + 1 makes numpy reject about a quarter of its 32-bit message draws
     groups = np.arange(18).reshape(6, 3)
     for q in (7, 3 * 2**30 + 1):
         for model in ("single-uniform", "multi-uniform(6)", "group-burst"):
-            msgs, E = _trial_draws(2**32, 50, q, 8, *parse_failure_model(model), groups)
-            part_msgs, part_E = _trial_draws(2**32, 20, q, 8, *parse_failure_model(model), groups, 25)
-            assert (part_msgs == msgs[25:45]).all() and (part_E == E[25:45]).all()
+            msgs, E = _trial_draws(2**32, 0, 3000, q, 8, *parse_failure_model(model), groups)
+            for lo, hi in ((1024, 2048), (2048, 2100), (0, 1500)):
+                part_msgs, part_E = _trial_draws(2**32, lo, hi, q, 8, *parse_failure_model(model), groups)
+                assert (part_msgs == msgs[lo:hi]).all() and (part_E == E[lo:hi]).all()
+
+
+@pytest.mark.parametrize("model", ("single-uniform", "group-burst", "multi-uniform(6)"))
+def test_simulator_run_is_a_prefix_of_a_longer_run(model):
+    # h2: 1,500 trials end inside the second stream unit of 1,024
+    short, long = (simulate_repairs(_sim_code("h2"), trials, model, 4) for trials in (1500, 3000))
+    assert short == RepairStats(*(a[:1500] for a in long._arrays()))
 
 
 def test_simulator_blocks_give_the_one_block_result(monkeypatch):
-    whole = {m: simulate_repairs(_sim_code("h2"), 200, m, 3) for m in _SIM_MODELS}
-    monkeypatch.setattr(codec, "_SIM_BLOCK_BYTES", 8 * 26 * 7)  # h2: n + k = 26, blocks of 7 trials
-    for model, stats in whole.items():
-        assert simulate_repairs(_sim_code("h2"), 200, model, 3) == stats
+    whole = {m: simulate_repairs(_sim_code("h2"), 2500, m, 3) for m in _SIM_MODELS}
+    # h2: n + k = 26, so 2,047 trials' bytes round down to one stream unit, and 1 byte rounds up to one
+    for block_bytes in (8 * 26 * 2047, 1):
+        monkeypatch.setattr(codec, "_SIM_BLOCK_BYTES", block_bytes)
+        for model, stats in whole.items():
+            assert simulate_repairs(_sim_code("h2"), 2500, model, 3) == stats
 
 
 def test_simulator_builds_records_only_when_read(monkeypatch, tmp_path):
@@ -772,33 +780,40 @@ def test_jsonl_lines_are_json_dumps_of_the_records():
     assert 0 < stats.successes < 500
 
 
-def test_trial_draws_cross_block_boundaries(monkeypatch):
-    blocks = []
-    draw = draws._bounded_draws
-    monkeypatch.setattr(draws, "_DRAW_BLOCK_BYTES", 4096)  # blocks of 9 and 5 trials
-    monkeypatch.setattr(draws, "_bounded_draws", lambda parent, t, bounds: blocks.append(t.size) or draw(parent, t, bounds))
+def test_trial_draws_cross_block_boundaries():
+    # 2,500 trials span three stream units; each unit's generators start afresh
     groups = np.arange(18).reshape(6, 3)
-    for model in ("single-uniform", "multi-uniform(6)"):
-        assert _fast_draws(2**128 + 7, 50, 7, 8, model, groups) == _numpy_draws(2**128 + 7, 50, 7, 8, model, groups)
-    assert len(blocks) > 2 and sum(blocks) == 100
+    for model in ("single-uniform", "multi-uniform(6)", "group-burst"):
+        assert _fast_draws(2**128 + 7, 2500, 7, 8, model, groups) == _stream_v2_draws(2**128 + 7, 2500, 7, 8, model, groups)
 
 
-def test_rejected_draws_are_flagged_and_redrawn():
-    # bound b = 3 * 2^30 + 1: numpy rejects a 32-bit draw u when u * b mod
-    # 2^32 is below (2^32 - b) mod b = 2^30 - 1, about a quarter of draws
-    b, k, trials, seed = 3 * 2**30 + 1, 4, 64, 5
-    vals, rejected = _bounded_draws(np.random.SeedSequence(seed), np.arange(trials), [b] * k)
-    expected = []
-    for child in np.random.SeedSequence(seed).spawn(trials):
-        raw = np.random.PCG64(child).random_raw(k // 2).tolist()
-        halves = [w for r in raw for w in (r & 0xFFFFFFFF, r >> 32)]
-        expected.append(any(u * b % 2**32 < (2**32 - b) % b for u in halves))
-    assert rejected.tolist() == expected
-    assert 0 < sum(expected) < trials
-    groups = np.arange(3).reshape(1, 3)
-    numpy_msgs, _ = _numpy_draws(seed, trials, b, k, "single-uniform", groups)
-    assert vals[~rejected].tolist() == [m for m, r in zip(numpy_msgs, expected) if not r]
-    assert _fast_draws(seed, trials, b, k, "single-uniform", groups)[0] == numpy_msgs
+# chi-square tests of the erasure draws: 20,000 trials (20 stream units) on
+# h2 and the seeded q = 5 corpus code, each statistic below df + 5 sqrt(2 df)
+_CHI2_SEEDS = {"h2": 41, "q5": 42}
+
+
+def _chi2_below_bound(counts):
+    expected, df = counts.sum() / counts.size, counts.size - 1
+    return ((counts - expected) ** 2 / expected).sum() < df + 5 * np.sqrt(2 * df)
+
+
+@pytest.mark.parametrize("name", sorted(_CHI2_SEEDS))
+def test_erasure_draws_are_uniform(name):
+    code, trials = _sim_code(name), 20000
+    groups = np.array(code.groups)
+    n, L = code.n, len(groups)
+
+    def erasures(model):
+        return _trial_draws(_CHI2_SEEDS[name], 0, trials, code.field.q, code.k, *parse_failure_model(model), groups)[1]
+
+    single = erasures("single-uniform")
+    assert single.shape == (trials, 1) and _chi2_below_bound(np.bincount(single[:, 0], minlength=n))
+    multi = erasures("multi-uniform(6)")
+    assert (np.diff(multi, axis=1) > 0).all()  # six distinct positions per trial, sorted
+    assert _chi2_below_bound(np.bincount(multi.ravel(), minlength=n))  # each position's marginal
+    burst = erasures("group-burst")
+    index = code._group_of[burst[:, 0]]
+    assert (burst == groups[index]).all() and _chi2_below_bound(np.bincount(index, minlength=L))
 
 
 def test_one_group_code_matches_per_trial_reference():

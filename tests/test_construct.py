@@ -181,12 +181,13 @@ def test_unknown_policy_rejected():
 
 
 @pytest.mark.parametrize("policy", ["seeded", "lex"])
-@pytest.mark.parametrize("seed", [True, False, 1.5, "7", np.int64(7)], ids=repr)
+@pytest.mark.parametrize("seed", [True, False, 1.5, "7", np.int64(7), -5], ids=repr)
 def test_seed_that_is_no_int_is_refused_before_any_work(policy, seed):
-    # the trace could not carry it: load_json refuses a seed that is no JSON integer
+    # the trace could not carry it: load_json refuses a seed that is no non-negative JSON
+    # integer; random.Random would seed -5 as 5
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # q = 3 warns only once the seed has passed
-        with pytest.raises(ValueError, match=re.escape(f"seed must be an int or None, got {seed!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be a non-negative int or None, got {seed!r}")):
             run_algorithm1(field_create(3), policy, seed)
 
 
@@ -608,6 +609,7 @@ def test_bool_removal_is_refused_not_read_as_1(tmp_path):
         ("seed", "x"),
         ("seed", 1.0),
         ("seed", False),
+        ("seed", -5),
     ],
 )
 def test_malformed_trace_header_is_refused(key, value):
