@@ -26,14 +26,14 @@ import json
 import random
 import warnings
 from dataclasses import dataclass, field as dc_field
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .fields import FieldSpec, field_from_header, field_header, json_text, write_json
-from .linalg import MatrixF, _codes, solve_columns
+from .fields import FieldSpec, field_from_header, field_header, json_key_order, json_text, write_json
+from .linalg import MatrixF, _codes, solve_pair
 from .spread import _spread_bases, canonical_rep, point_codes, point_index, span_point_index
 
 POLICIES = ("lex", "seeded")
@@ -127,13 +127,8 @@ class TraceRound:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TraceRound):
             return NotImplemented
-        return (
-            self.plane_id == other.plane_id
-            and self.points == other.points
-            and np.array_equal(self.cut, other.cut)
-            and self.discarded == other.discarded
-            and np.array_equal(self.removed, other.removed)
-        )
+        same = (self.plane_id, self.points, self.discarded) == (other.plane_id, other.points, other.discarded)
+        return same and np.array_equal(self.cut, other.cut) and np.array_equal(self.removed, other.removed)
 
 
 def _removals_json(rd: TraceRound) -> dict[str, list[tuple[int, ...]]]:
@@ -150,7 +145,7 @@ def _removals_json(rd: TraceRound) -> dict[str, list[tuple[int, ...]]]:
 
 def _ints(xs) -> bool:
     """Whether xs lists ints as `json.loads` makes them (bool is not)."""
-    return isinstance(xs, (list, tuple)) and all(type(x) is int for x in xs)
+    return isinstance(xs, (list, tuple)) and set(map(type, xs)) <= {int}
 
 
 def _round_from_json(i: int, rd: dict) -> TraceRound:
@@ -164,18 +159,24 @@ def _round_from_json(i: int, rd: dict) -> TraceRound:
     ok = type(plane_id) is int and _ints(discarded) and isinstance(points, (list, tuple)) and all(map(_ints, points))
     if not ok:
         raise ValueError(f"round {i}: plane_id, points and discarded must hold JSON integers")
+    if len(points) != 3 or set(map(len, points)) != {4}:
+        raise ValueError(f"round {i}: the chosen points must be three points of four codes")
+    ints = (plane_id, *discarded, *chain.from_iterable(points))
+    if not -(2**31) <= min(ints) <= max(ints) < 2**31:
+        raise ValueError(f"round {i}: plane_id, every chosen code and every discarded plane id must be an int32")
     if not isinstance(removals, dict):
         raise ValueError(f"round {i}: removals must be an object")
     try:
-        canonical = all(str(int(key)) == key for key in removals)  # as str(pid) writes it
-    except ValueError:
-        canonical = False
-    if not canonical:
+        ids = list(map(int, removals))
+    except ValueError:  # refused below: [] lists no key
+        ids = []
+    if list(map(str, ids)) != list(removals):  # as str(pid) writes it
         raise ValueError(f"round {i}: every plane id must be an int32")
-    if not all(isinstance(pts, (list, tuple)) for pts in removals.values()):
+    if not all(map(isinstance, removals.values(), repeat((list, tuple)))):
         raise ValueError(f"round {i}: every plane's removed points must be a list")
-    cut = sorted((int(pid), pts) for pid, pts in removals.items())
-    rows = [pt for _, pts in cut for pt in pts]
+    ids.sort()
+    cut = list(map(removals.__getitem__, map(str, ids)))
+    rows = list(chain.from_iterable(cut))
     try:  # the types of one flat list as loaded: numpy would read a true among ints as 1
         flat = list(chain.from_iterable(rows))
         ok = set(map(len, rows)) <= {4} and set(map(type, flat)) <= {int}
@@ -186,7 +187,7 @@ def _round_from_json(i: int, rd: dict) -> TraceRound:
     if codes is None or not np.array_equal(codes, removed):
         raise ValueError(f"round {i}: every removed point must be four int32 codes")
     try:
-        cut_rows = np.array([(pid, len(pts)) for pid, pts in cut], dtype=np.int32).reshape(-1, 2)
+        cut_rows = np.array([ids, list(map(len, cut))], dtype=np.int32).T.copy()
     except OverflowError:
         raise ValueError(f"round {i}: every plane id must be an int32") from None
     return TraceRound(plane_id, tuple(map(tuple, points)), cut_rows, codes, tuple(discarded))
@@ -271,7 +272,7 @@ class ConstructionTrace:
                 fh.write(opening)
                 if len(rd.cut):
                     pids, counts = rd.cut.T
-                    order = np.argsort(pids.astype(str), kind="stable")
+                    order = json_key_order(pids)
                     m = counts[order]
                     start = np.cumsum(m) - m
                     # the removed rows plane by plane in key order, each plane's id before its codes
@@ -304,7 +305,7 @@ def choose_triple(field: FieldSpec, points, policy: str = "lex", rng: Optional[r
     Policy 'lex' selects the three canonically smallest points, 'seeded'
     samples three with the supplied rng.
     """
-    pts = list(dict.fromkeys(tuple(int(x) for x in p) for p in points))
+    pts = list(dict.fromkeys(tuple(map(int, p)) for p in points))
     if len(pts) < 3:
         raise ValueError(f"need at least 3 points, got {len(pts)}")
     if policy == "lex":
@@ -316,9 +317,7 @@ def choose_triple(field: FieldSpec, points, policy: str = "lex", rng: Optional[r
     else:
         raise ValueError(f"unknown policy {policy!r}")
     v1, v2, v3 = [pts[i] for i in sorted(chosen)]
-    A = np.array([v1, v2], dtype=np.int32).T
-    coeffs = solve_columns(field, A, np.array(v3, dtype=np.int32))
-    alpha, beta = int(coeffs[0]), int(coeffs[1])
+    alpha, beta = solve_pair(field, v1, v2, v3)
     if alpha == 0 or beta == 0:
         raise ValueError("chosen points are not in general position in the plane")
     mul = field.mul
@@ -459,7 +458,7 @@ class PairSpanTable:
         It is read from the least point w, on the first span(u_a(i), u_b(j))
         that has one, that lies in a third plane P_t and is none of the
         representatives; None when there is no such point.  Two
-        `solve_columns` give w = alpha*u_a(i) + beta*u_b(j) = A*u1(t) +
+        `solve_pair` calls give w = alpha*u_a(i) + beta*u_b(j) = A*u1(t) +
         B*u2(t), so the word does not depend on the order of a span's
         points.  Returned as {group g: (A, B)}: the codeword is
         (A, B, -(A + B)) on group g, whose image A*u1(g) + B*u2(g) the
@@ -476,10 +475,10 @@ class PairSpanTable:
         x = int(self.spans[p, ab][hit[p, ab]].min())
         i, j = (int(v[p]) for v in np.triu_indices(L, 1))
         a, b, t = ab // 3, ab % 3, int(self.plane_of[x])
-        w = point_codes(field.q, x)
+        w = point_codes(field.q, x).tolist()
         V = self.seq.triples()
-        alpha, beta = solve_columns(field, np.stack([V[i, a], V[j, b]], axis=1), w).tolist()
-        A, B = solve_columns(field, self.seq.array[t].T, w).tolist()
+        alpha, beta = solve_pair(field, V[i, a].tolist(), V[j, b].tolist(), w)
+        A, B = solve_pair(field, *self.seq.array[t].tolist(), w)
         unit = ((1, field.neg(1)), (1, 0), (0, 1))  # u0, u1, u2 in the basis u1, u2
         return {
             i: tuple(field.neg(field.mul(alpha, e)) for e in unit[a]),
@@ -519,9 +518,10 @@ class _Survivors:
         self.reps = np.zeros((0, 4), dtype=np.int32)
 
     def points_of(self, plane_id: int) -> list[tuple[int, ...]]:
-        """The surviving points of one plane, ascending."""
+        """The surviving points of one plane, ascending: their indices sorted as
+        ints (np.sort maps 0.1 MiB more of numpy's code into a run)."""
         idx = self.plane_points[plane_id]
-        return sorted(map(tuple, point_codes(self.field.q, idx[self.owner[idx] >= 0]).tolist()))
+        return list(map(tuple, point_codes(self.field.q, sorted(idx[self.owner[idx] >= 0].tolist())).tolist()))
 
     def drop(self, planes) -> None:
         self.owner[self.plane_points[planes]] = -1

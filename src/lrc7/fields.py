@@ -303,6 +303,20 @@ def json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
+def json_key_order(ids: np.ndarray) -> np.ndarray:
+    """The stable order in which `json_text` sorts the texts of int32 keys
+    ("-" first, "10" before "2"), from one int64 key: the sign bit, the
+    digits left-aligned to 10 places, and the width, as a text sorts before
+    the longer texts it begins."""
+    # arithmetic only, no np.abs or bit operators: a first call of a ufunc
+    # loop the rest of a run never uses maps more of numpy's code (peak RSS)
+    tens = 10 ** np.arange(10, dtype=np.int64)
+    x = ids.astype(np.int64)
+    a = np.where(x < 0, 0 - x, x)
+    width = (a[:, None] >= tens[1:]).sum(axis=1) + 1
+    return np.argsort((x >= 0) * 2**38 + a * tens[10 - width] * 16 + width, kind="stable")
+
+
 def write_json(path, payload: dict) -> None:
     """Write ``json_text(payload)`` and a final newline."""
     with open(path, "wb") as fh:

@@ -246,6 +246,24 @@ def _echelon_step(field: FieldSpec, vec, ech):
     return None
 
 
+def solve_pair(field: FieldSpec, x, y, w) -> tuple[int, int]:
+    """The unique (alpha, beta) with w = alpha*x + beta*y, for code
+    sequences x, y, w of one length n; raises as `solve_columns` does on
+    the columns [x y] and w.  x and y carry (1, 0) and (0, 1) past their
+    n codes, so reducing w against them leaves -(alpha, beta) there."""
+    n, ech = len(w), []
+    for vec in ((*x, 1, 0), (*y, 0, 1)):
+        step = _echelon_step(field, vec, ech)
+        if step[0] < n:
+            ech.append(step)
+    step = _echelon_step(field, (*w, 0, 0), ech)
+    if step is not None and step[0] < n:
+        raise InconsistentSystemError("no solution")
+    if len(ech) < 2:
+        raise AmbiguousSystemError("solution is not unique")
+    return (0, 0) if step is None else (field._NEG[step[2][n]], field._NEG[step[2][n + 1]])
+
+
 def small_rank(field: FieldSpec, rows) -> int:
     """Rank of a short list of code tuples (pure-Python elimination)."""
     ech = []

@@ -692,6 +692,40 @@ def test_malformed_round_field_names_its_round(field, value, tmp_path):
         ConstructionTrace.from_json_dict(data)
 
 
+_SHAPE = "the chosen points must be three points of four codes"
+_INT32 = "plane_id, every chosen code and every discarded plane id must be an int32"
+
+
+@pytest.mark.parametrize(
+    "field,edit,message",
+    [
+        ("points", lambda pts: [[0, 1]], _SHAPE),
+        ("points", lambda pts: [], _SHAPE),
+        ("points", lambda pts: pts[:2], _SHAPE),
+        ("points", lambda pts: [*pts, pts[0]], _SHAPE),
+        ("points", lambda pts: [pts[0], pts[1], pts[2][:3]], _SHAPE),
+        ("points", lambda pts: [pts[0], pts[1], [*pts[2], 0]], _SHAPE),
+        ("points", lambda pts: [pts[0], pts[1], [*pts[2][:3], 2**40]], _INT32),
+        ("points", lambda pts: [pts[0], pts[1], [*pts[2][:3], -(2**31) - 1]], _INT32),
+        ("plane_id", lambda pid: 2**40, _INT32),
+        ("plane_id", lambda pid: 2**31, _INT32),
+        ("discarded", lambda ids: [*ids, 2**40], _INT32),
+        ("discarded", lambda ids: [-(2**31) - 1], _INT32),
+    ],
+    ids=[
+        "one-short-point", "no-points", "two-points", "four-points", "three-codes", "five-codes",
+        "code-2^40", "code-below-int32", "plane-2^40", "plane-2^31", "discarded-2^40", "discarded-below-int32",
+    ],
+)
+def test_round_that_no_run_could_record_names_its_round(field, edit, message):
+    """Chosen points that are not three of four codes, and a plane id or
+    code past int32, are refused by name, as in removals."""
+    data = _q4_trace_json()
+    data["rounds"][1][field] = edit(data["rounds"][1][field])
+    with pytest.raises(ValueError, match=rf"^round 2: {message}$"):
+        ConstructionTrace.from_json_dict(data)
+
+
 @pytest.mark.parametrize("key", ["x", "", "-", "--5", "05", "+5", "-0", " 5", "1_0", "\u0665", "5.0"])
 def test_malformed_plane_key_names_its_round(key, tmp_path):
     _, trace = run_algorithm1(GF4, "lex")

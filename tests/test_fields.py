@@ -2,12 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lrc7.fields import (
     MAX_FIELD_ORDER,
     FieldSpec,
     factor_prime_power,
     field_create,
+    json_key_order,
     json_text,
     write_json,
 )
@@ -433,3 +436,26 @@ def test_json_text_edge_cases(obj, tmp_path):
     assert json_text(obj) == expected
     write_json(tmp_path / "out.json", obj)
     assert (tmp_path / "out.json").read_bytes() == (expected + "\n").encode()
+
+
+# both sides of every digit-count boundary, the int32 ends and 0, of either sign
+_KEY_IDS = sorted(
+    {s * v for k in range(1, 10) for v in (10**k - 1, 10**k, 10**k + 1) for s in (1, -1)}
+    | {0, 1, -1, 2**31 - 1, -(2**31), -(2**31) + 1}
+)
+
+
+@given(st.lists(st.sampled_from(_KEY_IDS) | st.integers(-(2**31), 2**31 - 1), max_size=40))
+def test_json_key_order_is_the_order_of_the_texts(ids):
+    """Repeated ids included: the order is stable, as the text sort is."""
+    ids = np.array(ids, dtype=np.int32)
+    assert json_key_order(ids).tolist() == np.argsort(ids.astype(str), kind="stable").tolist()
+
+
+def test_json_key_order_of_the_boundaries():
+    ids = np.array(_KEY_IDS[::-1], dtype=np.int32)
+    order = json_key_order(ids)
+    assert order.tolist() == np.argsort(ids.astype(str), kind="stable").tolist()
+    # the order in which the encoder writes them as keys
+    written = list(json.loads(json_text(dict.fromkeys(map(str, ids.tolist()), 0))))
+    assert written == [str(v) for v in ids[order].tolist()]

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -23,6 +24,7 @@ from lrc7.linalg import (
     save_matrix_json,
     small_rank,
     solve_columns,
+    solve_pair,
 )
 
 FIELDS = [field_create(2), field_create(3), field_create(2, 2), field_create(5), field_create(7), field_create(3, 2)]
@@ -123,6 +125,65 @@ def test_solve_detects_ambiguity_and_inconsistency():
         solve_columns(f, A, np.array([1, 2], dtype=np.int32))
     with pytest.raises(InconsistentSystemError):
         solve_columns(f, A, np.array([1, 3], dtype=np.int32))
+
+
+def _pair_outcome(solve, field, x, y, w):
+    """solve's (alpha, beta) for w = alpha*x + beta*y, or its error class."""
+    try:
+        return tuple(int(c) for c in solve(field, x, y, w))
+    except (AmbiguousSystemError, InconsistentSystemError) as exc:
+        return type(exc)
+
+
+def _columns(field, x, y, w):
+    return solve_columns(field, np.array([x, y], dtype=np.int32).T, np.array(w, dtype=np.int32))
+
+
+def _assert_pair_solves_agree(field, cases):
+    outcomes = set()
+    for x, y, w in cases:
+        want = _pair_outcome(_columns, field, x, y, w)
+        assert _pair_outcome(solve_pair, field, x, y, w) == want, (x, y, w)
+        outcomes.add(want if isinstance(want, type) else tuple)
+    return outcomes
+
+
+def test_solve_pair_matches_solve_columns_exhaustively_over_gf2():
+    field = field_create(2)
+    vecs = list(itertools.product(range(2), repeat=4))
+    cases = itertools.product(vecs, vecs, vecs)
+    assert _assert_pair_solves_agree(field, cases) == {tuple, AmbiguousSystemError, InconsistentSystemError}
+
+
+def test_solve_pair_matches_solve_columns_on_every_gf3_pair():
+    """Every (x, y) of GF(3)^4 with w = 0 and two sampled w (seed 3): one
+    in span(x, y), one uniform."""
+    field = field_create(3)
+    rng = np.random.default_rng(3)
+    vecs = list(itertools.product(range(3), repeat=4))
+    cases = []
+    for x, y in itertools.product(vecs, vecs):
+        a, b = rng.integers(0, 3, 2).tolist()
+        inside = tuple(field.add(field.mul(a, u), field.mul(b, v)) for u, v in zip(x, y))
+        cases += [(x, y, (0, 0, 0, 0)), (x, y, inside), (x, y, tuple(rng.integers(0, 3, 4).tolist()))]
+    assert _assert_pair_solves_agree(field, cases) == {tuple, AmbiguousSystemError, InconsistentSystemError}
+
+
+@pytest.mark.parametrize("q, seed", [(4, 40), (5, 50), (8, 80), (9, 90), (16, 160), (27, 270)])
+def test_solve_pair_matches_solve_columns_on_seeded_draws(q, seed):
+    """500 draws: x zero one time in eight, y a multiple of x one time in
+    four, w in span(x, y) two times in three and uniform otherwise."""
+    field = field_create(*factor_prime_power(q))
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(500):
+        x = rng.integers(0, q, 4) * (rng.random() >= 1 / 8)
+        c = int(rng.integers(0, q))
+        y = field.arr_mul(c, x) if rng.random() < 1 / 4 else rng.integers(0, q, 4)
+        a, b = (int(v) for v in rng.integers(0, q, 2))
+        w = field.arr_add(field.arr_mul(a, x), field.arr_mul(b, y)) if rng.random() < 2 / 3 else rng.integers(0, q, 4)
+        cases.append(tuple(tuple(int(v) for v in vec) for vec in (x, y, w)))
+    assert _assert_pair_solves_agree(field, cases) == {tuple, AmbiguousSystemError, InconsistentSystemError}
 
 
 def _one_at_a_time(field, A, b):
