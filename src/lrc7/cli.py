@@ -30,17 +30,17 @@ from .bounds import BoundsReport, bounds_report, dim_bound_eq3
 from .codec import (
     GroupDetectionError,
     _STREAM_VERSION,
-    _block_table,
     code_from_parity_check,
     fixture_names,
     fixture_path,
     min_distance,
     parse_failure_model,
     simulate_repairs,
+    weight7_certificate,
 )
-from .construct import assemble_parity_check, run_algorithm1
+from .construct import PairSpanTable, VectorSequence, assemble_parity_check, run_algorithm1
 from .fields import FieldSpec, factor_prime_power, json_text, write_json
-from .linalg import MatrixF, load_matrix_json, matrix_to_json_dict
+from .linalg import MatrixF, load_matrix_json, matrix_to_json_dict, rank
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -109,25 +109,20 @@ def _shown_distance(d: Optional[int], cap: int) -> int | str:
 # -- construct -----------------------------------------------------------------
 
 
-def _certify(H: MatrixF, cap: int) -> Optional[tuple[int, int, Optional[int]]]:
-    """(n, k, d) of the block code H, or None once stderr says why it fails.
-    The code and its pair-span table are freed on return, before any
-    artifact is written."""
-    code = code_from_parity_check(H)
-    # d >= 7 exactly when the three conditions hold, so the conditions are
-    # read only to name a failure, from the report that min_distance's
-    # table keeps
-    d = min_distance(code, cap=cap)
-    if d not in (7, 8):
-        report = _block_table(code).conditions()
-        if not report.ok:
-            print(f"verification failed: sequence conditions do not hold: {report}", file=sys.stderr)
-            return None
-        # a search capped below 8 that finds nothing only shows d >= cap + 1
-        if not (d is None and cap < 8):
-            print(f"verification failed: computed distance {d} not in {{7, 8}}", file=sys.stderr)
-            return None
-    return code.n, code.k, d
+def _certify(seq: VectorSequence, H: MatrixF, cap: int) -> Optional[tuple[int, int, Optional[int]]]:
+    """(n, k, d) of seq's block code H, or None once stderr says why it fails.
+    d is read from seq's pair-span table (`weight7_certificate`); only a
+    table with no weight-7 codeword (d >= 8) has the code built and searched."""
+    report, parts = weight7_certificate(PairSpanTable.of(seq))
+    if not report.ok:
+        print(f"verification failed: sequence conditions do not hold: {report}", file=sys.stderr)
+        return None
+    d = min_distance(code_from_parity_check(H), cap=cap) if parts is None else (7 if cap >= 7 else None)
+    # a search capped below 8 that finds nothing only shows d >= cap + 1
+    if d not in (7, 8) and not (d is None and cap < 8):
+        print(f"verification failed: computed distance {d} not in {{7, 8}}", file=sys.stderr)
+        return None
+    return H.cols, H.cols - rank(H), d
 
 
 def cmd_construct(ns: argparse.Namespace) -> int:
@@ -161,7 +156,7 @@ def cmd_construct(ns: argparse.Namespace) -> int:
             print(message)
     else:
         H = assemble_parity_check(seq, check=False)
-        certified = _certify(H, cap)
+        certified = _certify(seq, H, cap)
         if certified is None:
             return EXIT_VERIFICATION
         n, k, d = certified

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .bounds import CodeParams
-from .construct import PairSpanTable, VectorSequence
+from .construct import ConditionReport, PairSpanTable, VectorSequence
 from .fields import FieldSpec
 from .linalg import (
     AmbiguousSystemError,
@@ -62,7 +62,7 @@ class LrcCode:
     rows are the groups' 0/1 indicators, so each erased symbol is minus the
     sum of its two group partners."""
 
-    __slots__ = ("H", "G", "params", "groups", "_group_of", "_table")
+    __slots__ = ("H", "G", "params", "groups", "_group_of")
 
     def __init__(self, H: MatrixF, G: MatrixF, params: CodeParams, groups):
         self.H = H
@@ -72,7 +72,6 @@ class LrcCode:
         self._group_of = np.empty(params.n, dtype=np.intp)  # group index of each position
         for gi, g in enumerate(self.groups):
             self._group_of[list(g)] = gi
-        self._table = None  # the block code's PairSpanTable, filled by `_block_table`
 
     @property
     def field(self) -> FieldSpec:
@@ -199,31 +198,38 @@ def _group_set_distance(code: LrcCode, cap: int) -> Optional[int]:
 
 
 def _block_table(code: LrcCode) -> Optional[PairSpanTable]:
-    """The pair-span table (`construct.PairSpanTable`) of a block code, built
-    once per code; None unless H is the L group indicator rows plus exactly
-    four rows h.
+    """The pair-span table (`construct.PairSpanTable`) of a block code; None
+    unless H is the L group indicator rows plus exactly four rows h.
 
     On group (g0, g1, g2) a codeword is (a, b, -(a + b)) and its image
     a*u1 + b*u2 with u1 = h(g0) - h(g2), u2 = h(g1) - h(g2), so the code is
     the block code of those pairs.
     """
     L = len(code.groups)
-    if code._table is None and code.H.rows == L + 4:
-        field, h, g = code.field, code.H.array[L:], np.array(code.groups).T
-        u1, u2 = field.arr_sub(h[:, g[0]], h[:, g[2]]), field.arr_sub(h[:, g[1]], h[:, g[2]])
-        code._table = PairSpanTable.of(VectorSequence(field, np.stack([u1.T, u2.T], axis=1)))
-    return code._table
+    if code.H.rows != L + 4:
+        return None
+    field, h, g = code.field, code.H.array[L:], np.array(code.groups).T
+    u1, u2 = field.arr_sub(h[:, g[0]], h[:, g[2]]), field.arr_sub(h[:, g[1]], h[:, g[2]])
+    return PairSpanTable.of(VectorSequence(field, np.stack([u1.T, u2.T], axis=1)))
+
+
+def weight7_certificate(table: PairSpanTable) -> tuple[ConditionReport, Optional[dict[int, tuple[int, int]]]]:
+    """The d = 7 rule: a pair-span table's conditions report and, when c1-c3
+    hold (d >= 7), a weight-7 codeword's groups (`weight7_parts`), which
+    prove d = 7, or None (d >= 8)."""
+    report = table.conditions()
+    return report, table.weight7_parts() if report.ok else None
 
 
 def _weight7_witness(code: LrcCode) -> Optional[np.ndarray]:
-    """A weight-7 codeword that, with the three sequence conditions, proves
-    d = 7, read from the block code's pair-span table (`_block_table`).
+    """A weight-7 codeword that proves d = 7 (`weight7_certificate`), read
+    from the block code's pair-span table (`_block_table`).
 
     None when H is not a block code, a condition fails (d <= 6) or no
     weight-7 codeword exists (d >= 8).
     """
     table = _block_table(code)
-    parts = table.weight7_parts() if table is not None and table.conditions().ok else None
+    parts = weight7_certificate(table)[1] if table is not None else None
     if parts is None:
         return None
     field, word = code.field, np.zeros(code.n, dtype=np.int32)
@@ -508,10 +514,10 @@ def simulate_repairs(code: LrcCode, trials: int, failure_model: str, seed: int =
     erasure; otherwise one global repair covers the whole pattern.  All
     randomness derives from the seed through stream 2 (`_trial_draws`):
     trial t depends only on (seed, t), so a run's first T trials are the
-    T-trial run.  Blocks of whole stream units are drawn, encoded in one
-    product through G and repaired (`_repair_block`); only the outcome
-    arrays stay.  The seed is a non-negative int, so that every run can be
-    repeated.
+    T-trial run.  Each block of whole stream units is drawn unit by unit
+    into the run's erasure array and one message buffer, encoded in one
+    product through G and repaired (`_repair_block`).  The seed is a
+    non-negative int, so that every run can be repeated.
     """
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValueError(f"seed must be a non-negative int, got {seed!r}")
@@ -525,10 +531,15 @@ def simulate_repairs(code: LrcCode, trials: int, failure_model: str, seed: int =
     width = {"single-uniform": 1, "multi-uniform": f, "group-burst": groups.shape[1]}[kind]
     arrays = (np.empty((trials, width), np.int32), *(np.empty(trials, t) for t in (bool, bool, np.int32)))
     block = _STREAM_TRIALS * max(1, _SIM_BLOCK_BYTES // (8 * (n + k) * _STREAM_TRIALS))
+    msgs = np.empty((min(block, trials), k), np.int64)
     for lo in range(0, trials, block):
-        msgs, E = _trial_draws(seed, lo, min(lo + block, trials), q, k, kind, f, groups)
-        for a, part in zip(arrays, (E, *_repair_block(code, groups, _matmul_codes(code.field, msgs, code.G.array), E))):
-            a[lo : lo + block] = part
+        hi = min(lo + block, trials)
+        M, E = msgs[: hi - lo], arrays[0][lo:hi]  # the block's messages and erasures
+        for s in range(0, hi - lo, _STREAM_TRIALS):
+            e = min(s + _STREAM_TRIALS, hi - lo)
+            M[s:e], E[s:e] = _trial_draws(seed, lo + s, lo + e, q, k, kind, f, groups)
+        for a, part in zip(arrays[1:], _repair_block(code, groups, _matmul_codes(code.field, M, code.G.array), E)):
+            a[lo:hi] = part
     return RepairStats(*arrays)
 
 

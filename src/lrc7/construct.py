@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import random
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Optional
@@ -375,7 +375,6 @@ class PairSpanTable:
     planes: np.ndarray
     spans: np.ndarray
     plane_of: np.ndarray
-    _report: Optional[ConditionReport] = dc_field(default=None, init=False, repr=False)
 
     @classmethod
     def of(cls, seq: VectorSequence) -> "PairSpanTable":
@@ -402,13 +401,7 @@ class PairSpanTable:
         return cls(seq, reps, planes, spans.reshape(pi.size, 9, q + 1), plane_of)
 
     def conditions(self) -> ConditionReport:
-        """c1, c2 and c3 with their first witnesses (see `ConditionReport`),
-        worked out on the first call and kept on the table."""
-        if self._report is None:
-            object.__setattr__(self, "_report", self._condition_report())
-        return self._report
-
-    def _condition_report(self) -> ConditionReport:
+        """c1, c2 and c3 with their first witnesses (see `ConditionReport`)."""
         L, reps, spans = self.seq.L, self.reps, self.spans
         dependent = self.planes[:, 0] < 0
         c1_w = int(dependent.argmax()) if dependent.any() else None

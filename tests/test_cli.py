@@ -146,6 +146,14 @@ def test_construct_reports_failed_sequence_conditions(cap, tmp_path, capsys, mon
     assert not out.exists()
 
 
+def _d8_run(*args, **kwargs):
+    """The seeded q = 9 output (seed 6) cut to 3 pairs: c1-c3 hold and its
+    table has no weight-7 codeword, so the block code has d = 8."""
+    field = field_create(3, 2)
+    seq, trace = run_algorithm1(field, "seeded", 6)
+    return VectorSequence(field, seq.pairs[:3]), trace
+
+
 @pytest.mark.parametrize(
     "argv, exit_code, shown",
     [
@@ -153,25 +161,32 @@ def test_construct_reports_failed_sequence_conditions(cap, tmp_path, capsys, mon
         (["--q", "7", "--distance-cap", "5"], 0, "(18, 8, >=6, 2)_7"),
         (["--q", "7", "--distance-cap", "6"], 0, "(18, 8, >=7, 2)_7"),
         (["--q", "5", "c3-fails"], 1, ""),
+        (["--q", "9", "d8"], 0, "(9, 2, 8, 2)_9"),
     ],
-    ids=["default-cap", "cap-5", "cap-6", "c3-fails"],
+    ids=["default-cap", "cap-5", "cap-6", "c3-fails", "d8"],
 )
 def test_construct_builds_one_pair_span_table(argv, exit_code, shown, capsys, monkeypatch):
-    # one table serves the distance and, below cap 7 or on a failure, the
-    # conditions report, which it works out once; the groups are detected
-    # once, when the code is built
-    tables, reports, detections = [], [], []
-    build, report, detect = PairSpanTable.of, PairSpanTable._condition_report, codec._detect_groups
+    # the sequence's one table gives the conditions, worked out once, and the
+    # weight-7 codeword: no code is built and no groups are detected.  Only a
+    # sequence with no weight-7 codeword (d = 8) builds the code, whose
+    # search reads the code's own table.
+    tables, reports, builds, detections, kernels = [], [], [], [], []
+    build, report, make = PairSpanTable.of, PairSpanTable.conditions, cli.code_from_parity_check
+    detect, kernel = codec._detect_groups, codec.kernel_basis
     monkeypatch.setattr(PairSpanTable, "of", staticmethod(lambda seq: tables.append(seq.L) or build(seq)))
-    monkeypatch.setattr(PairSpanTable, "_condition_report", lambda tab: reports.append(tab.seq.L) or report(tab))
+    monkeypatch.setattr(PairSpanTable, "conditions", lambda tab: reports.append(tab.seq.L) or report(tab))
+    monkeypatch.setattr(cli, "code_from_parity_check", lambda H: builds.append(H.rows) or make(H))
     monkeypatch.setattr(codec, "_detect_groups", lambda H: detections.append(H.rows) or detect(H))
-    if "c3-fails" in argv:
+    monkeypatch.setattr(codec, "kernel_basis", lambda H: kernels.append(H.rows) or kernel(H))
+    run = {"c3-fails": _c3_failing_run, "d8": _d8_run}.get(argv[-1])
+    if run is not None:
         argv = argv[:-1]
-        monkeypatch.setattr(cli, "run_algorithm1", _c3_failing_run)
+        monkeypatch.setattr(cli, "run_algorithm1", run)
     code, stdout, _ = run_cli(capsys, "construct", *argv)
     assert code == exit_code
     assert stdout.startswith(shown)
-    assert len(tables) == len(reports) == len(detections) == 1
+    counts = [len(tables), len(reports), len(builds), len(detections), len(kernels)]
+    assert counts == ([2, 2, 1, 1, 1] if run is _d8_run else [1, 1, 0, 0, 0])
 
 
 @pytest.mark.parametrize(

