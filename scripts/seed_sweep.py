@@ -16,15 +16,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from lrc7.codec import code_from_parity_check, min_distance  # noqa: E402
+from lrc7.codec import block_distance  # noqa: E402
 from lrc7.construct import (  # noqa: E402
+    PairSpanTable,
     assemble_parity_check,
     guaranteed_min_rounds,
     run_algorithm1,
-    verify_conditions,
 )
 from lrc7.fields import FieldSpec, factor_prime_power, write_json  # noqa: E402
-from lrc7.linalg import matrix_to_json_dict  # noqa: E402
+from lrc7.linalg import matrix_to_json_dict, rank  # noqa: E402
 
 
 def sweep(q: int, seeds: int, out: str | None) -> None:
@@ -41,20 +41,20 @@ def sweep(q: int, seeds: int, out: str | None) -> None:
           + (f", guaranteed L >= {floor}" if floor else ""))
     label = policy if seed is None else f"{policy} seed={seed}"
     print(f"  best: L={seq.L} (n={3 * seq.L}) from {label}")
-    if not verify_conditions(seq).ok:
+    report, d = block_distance(PairSpanTable.of(seq))
+    if not report.ok:
         print("  WARNING: best run fails the sequence conditions", file=sys.stderr)
         return
     if out:
         H = assemble_parity_check(seq, check=False)  # the conditions were checked above
-        code = code_from_parity_check(H)
-        d = min_distance(code)
+        n, k = H.cols, H.cols - rank(H)
         outdir = Path(out)
         outdir.mkdir(parents=True, exist_ok=True)
         seq.save_json(outdir / "sequence.json")
         trace.save_json(outdir / "trace.json")
-        payload = matrix_to_json_dict(H, {"params": {"n": code.n, "k": code.k, "d": d, "r": 2}})
+        payload = matrix_to_json_dict(H, {"params": {"n": n, "k": k, "d": d, "r": 2}})
         write_json(outdir / "matrix.json", payload)
-        print(f"  saved ({code.n}, {code.k}, {d}, 2)_{q} to {outdir}/")
+        print(f"  saved ({n}, {k}, {d}, 2)_{q} to {outdir}/")
 
 
 def main() -> int:

@@ -30,13 +30,13 @@ from .bounds import BoundsReport, bounds_report, dim_bound_eq3
 from .codec import (
     GroupDetectionError,
     _STREAM_VERSION,
+    block_distance,
     code_from_parity_check,
     fixture_names,
     fixture_path,
     min_distance,
     parse_failure_model,
     simulate_repairs,
-    weight7_certificate,
 )
 from .construct import PairSpanTable, VectorSequence, assemble_parity_check, run_algorithm1
 from .fields import FieldSpec, factor_prime_power, json_text, write_json
@@ -110,19 +110,13 @@ def _shown_distance(d: Optional[int], cap: int) -> int | str:
 
 
 def _certify(seq: VectorSequence, H: MatrixF, cap: int) -> Optional[tuple[int, int, Optional[int]]]:
-    """(n, k, d) of seq's block code H, or None once stderr says why it fails.
-    d is read from seq's pair-span table (`weight7_certificate`); only a
-    table with no weight-7 codeword (d >= 8) has the code built and searched."""
-    report, parts = weight7_certificate(PairSpanTable.of(seq))
+    """(n, k, d) of seq's block code H, with d read from seq's pair-span
+    table (`block_distance`), or None once stderr says why it fails."""
+    report, d = block_distance(PairSpanTable.of(seq))
     if not report.ok:
         print(f"verification failed: sequence conditions do not hold: {report}", file=sys.stderr)
         return None
-    d = min_distance(code_from_parity_check(H), cap=cap) if parts is None else (7 if cap >= 7 else None)
-    # a search capped below 8 that finds nothing only shows d >= cap + 1
-    if d not in (7, 8) and not (d is None and cap < 8):
-        print(f"verification failed: computed distance {d} not in {{7, 8}}", file=sys.stderr)
-        return None
-    return H.cols, H.cols - rank(H), d
+    return H.cols, H.cols - rank(H), d if d <= cap else None
 
 
 def cmd_construct(ns: argparse.Namespace) -> int:

@@ -2,12 +2,13 @@
 
 An LrcCode bundles the parity-check matrix H, a kernel-derived generator G,
 the repair groups (disjoint triples, read from H's leading 0/1 indicator
-rows), and the parameters.  On top of it sit exact minimum
-distance (for an LrcCode, d = 7 read from the pair-span table when it
-applies, else kernels enumerated over sets of repair groups; for a plain
-matrix, column-subset enumeration with early exit), an independent
-minimum-weight oracle (full codeword enumeration), local and global erasure
-repair, and a seeded repair simulator.
+rows), and the parameters.  On top of it sit exact minimum distance (for
+a pair sequence's block code that meets the three conditions, d = 7 or 8
+read from its pair-span table; for any other LrcCode, kernels enumerated
+over sets of repair groups; for a plain matrix, column-subset enumeration
+with early exit), an independent minimum-weight oracle (full codeword
+enumeration), local and global erasure repair, and a seeded repair
+simulator.
 """
 
 from __future__ import annotations
@@ -213,29 +214,26 @@ def _block_table(code: LrcCode) -> Optional[PairSpanTable]:
     return PairSpanTable.of(VectorSequence(field, np.stack([u1.T, u2.T], axis=1)))
 
 
-def weight7_certificate(table: PairSpanTable) -> tuple[ConditionReport, Optional[dict[int, tuple[int, int]]]]:
-    """The d = 7 rule: a pair-span table's conditions report and, when c1-c3
-    hold (d >= 7), a weight-7 codeword's groups (`weight7_parts`), which
-    prove d = 7, or None (d >= 8)."""
-    report = table.conditions()
-    return report, table.weight7_parts() if report.ok else None
+def block_distance(table: PairSpanTable) -> tuple[ConditionReport, Optional[int]]:
+    """The distance rule for the block code of a pair sequence: the table's
+    conditions report and d, which is 7 or 8 when c1-c3 hold and L >= 3,
+    and None otherwise.
 
-
-def _weight7_witness(code: LrcCode) -> Optional[np.ndarray]:
-    """A weight-7 codeword that proves d = 7 (`weight7_certificate`), read
-    from the block code's pair-span table (`_block_table`).
-
-    None when H is not a block code, a condition fails (d <= 6) or no
-    weight-7 codeword exists (d >= 8).
+    The conditions give d >= 7, and a weight-7 point of the table
+    (`weight7_parts`) gives d = 7.  With no such point d = 8: take three
+    pairs i, j, t.  P_j + P_t is all of GF(q)^4 (c2), so u0(i) = x + y with
+    x in P_j and y in P_t, both nonzero.  If x and y are both
+    representatives, c3 fails.  If exactly one is, the other lies on the
+    span of u0(i) and that representative and in a third plane, and is no
+    representative: a weight-7 point.  So neither is: with x = A_j*u1(j) +
+    B_j*u2(j) and y = A_t*u1(t) + B_t*u2(t), the word (1, -1, 0 | -A_j,
+    -B_j, A_j + B_j | -A_t, -B_t, A_t + B_t) on groups i, j, t is a
+    codeword of weight 8.
     """
-    table = _block_table(code)
-    parts = weight7_certificate(table)[1] if table is not None else None
-    if parts is None:
-        return None
-    field, word = code.field, np.zeros(code.n, dtype=np.int32)
-    for g, (a, b) in parts.items():
-        word[list(code.groups[g])] = (a, b, field.neg(field.add(a, b)))
-    return word
+    report = table.conditions()
+    if not report.ok or table.seq.L < 3:
+        return report, None
+    return report, 7 if table.weight7_parts() is not None else 8
 
 
 def min_distance(code: Union[LrcCode, MatrixF], cap: int = 8) -> Optional[int]:
@@ -243,19 +241,21 @@ def min_distance(code: Union[LrcCode, MatrixF], cap: int = 8) -> Optional[int]:
     dependent parity-check columns, searched up to ``cap``.
 
     Returns None when every subset of at most ``cap`` columns is
-    independent (distance >= cap + 1).  An LrcCode whose H is a pair
-    sequence's block code, with the three conditions holding and a weight-7
-    codeword on the pair-span table, has d = 7 (`_weight7_witness`); any
-    other LrcCode is searched over sets of its repair groups
+    independent (distance >= cap + 1).  An LrcCode whose H is the block
+    code of a pair sequence of L >= 3 pairs meeting the three conditions
+    has d = 7 or 8 by the rule of its pair-span table (`block_distance`);
+    any other LrcCode is searched over sets of its repair groups
     (`_group_set_distance`); a plain matrix, which has no groups, by
     depth-first enumeration of column subsets.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     if isinstance(code, LrcCode):
-        if _weight7_witness(code) is not None:
-            return 7 if cap >= 7 else None
-        return _group_set_distance(code, cap)
+        table = _block_table(code)
+        d = block_distance(table)[1] if table is not None else None
+        if d is None:
+            return _group_set_distance(code, cap)
+        return d if d <= cap else None
     field = code.field
     cols = [tuple(int(x) for x in code.array[:, j]) for j in range(code.cols)]
     for w in range(1, min(cap, code.cols) + 1):
@@ -537,35 +537,30 @@ def simulate_repairs(code: LrcCode, trials: int, failure_model: str, seed: int =
         M, E = msgs[: hi - lo], arrays[0][lo:hi]  # the block's messages and erasures
         for s in range(0, hi - lo, _STREAM_TRIALS):
             e = min(s + _STREAM_TRIALS, hi - lo)
-            M[s:e], E[s:e] = _trial_draws(seed, lo + s, lo + e, q, k, kind, f, groups)
+            M[s:e], E[s:e] = _trial_draws(seed, (lo + s) // _STREAM_TRIALS, e - s, q, k, kind, f, groups)
         for a, part in zip(arrays[1:], _repair_block(code, groups, _matmul_codes(code.field, M, code.G.array), E)):
             a[lo:hi] = part
     return RepairStats(*arrays)
 
 
-def _trial_draws(seed: int, lo: int, hi: int, q: int, k: int, kind: str, f: Optional[int], groups: np.ndarray):
-    """The messages (hi - lo, k) and erased positions of trials lo, ...,
-    hi - 1, with lo a multiple of _STREAM_TRIALS.  Each unit u of
-    _STREAM_TRIALS trials draws its B trials from two generators,
+def _trial_draws(seed: int, u: int, B: int, q: int, k: int, kind: str, f: Optional[int], groups: np.ndarray):
+    """The messages (B, k) and erased positions of the first B <=
+    _STREAM_TRIALS trials of stream unit u, trials u * _STREAM_TRIALS
+    onwards.  The unit draws from two generators,
     PCG64(SeedSequence(seed, spawn_key=(u, i))): i = 0 draws the messages,
     integers(0, q, (B, k)); i = 1 the erasures, integers(0, n, (B, 1)), the
     sorted first f columns of (B, n) rows of arange(n) each permuted, or
     groups[integers(0, L, B)].
     """
-    n, parts = groups.size, []
-    for start in range(lo, hi, _STREAM_TRIALS):
-        B = min(_STREAM_TRIALS, hi - start)
-        u = start // _STREAM_TRIALS
-        msg_rng, erasure_rng = (np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(u, i))) for i in (0, 1))
-        if kind == "single-uniform":
-            E = erasure_rng.integers(0, n, (B, 1))
-        elif kind == "multi-uniform":
-            E = np.sort(erasure_rng.permuted(np.broadcast_to(np.arange(n), (B, n)), axis=1)[:, :f], axis=1)
-        else:
-            E = groups[erasure_rng.integers(0, len(groups), B)]
-        parts.append((msg_rng.integers(0, q, (B, k)), E))
-    msgs, E = zip(*parts)
-    return np.concatenate(msgs), np.concatenate(E, dtype=np.int32)
+    n = groups.size
+    msg_rng, erasure_rng = (np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(u, i))) for i in (0, 1))
+    if kind == "single-uniform":
+        E = erasure_rng.integers(0, n, (B, 1))
+    elif kind == "multi-uniform":
+        E = np.sort(erasure_rng.permuted(np.broadcast_to(np.arange(n), (B, n)), axis=1)[:, :f], axis=1)
+    else:
+        E = groups[erasure_rng.integers(0, len(groups), B)]
+    return msg_rng.integers(0, q, (B, k)), E
 
 
 def _repair_block(code: LrcCode, groups: np.ndarray, words: np.ndarray, E: np.ndarray):

@@ -2,12 +2,11 @@
 
 Entries are integer codes in numpy arrays, checked once at the boundary
 (`_codes`); all eliminations are exact field arithmetic.  Includes the JSON
-and CSV matrix formats shared by the CLI tools and the bundled fixtures.
+matrix format shared by the CLI tools and the bundled fixtures.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 from typing import Optional
@@ -317,16 +316,3 @@ def save_matrix_json(path, M: MatrixF, extra: Optional[dict] = None) -> None:
 
 def load_matrix_json(path) -> tuple[MatrixF, dict]:
     return matrix_from_json_dict(json.loads(Path(path).read_text()))
-
-
-def save_matrix_csv(path, M: MatrixF) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in M.array:
-            writer.writerow(int(x) for x in row)
-
-
-def load_matrix_csv(path, field: FieldSpec) -> MatrixF:
-    with open(path, newline="") as fh:
-        rows = [[int(x) for x in row] for row in csv.reader(fh) if row]
-    return MatrixF(field, rows)

@@ -118,8 +118,7 @@ def test_criterion_4_dimension_attains_bound(corpus):
 
 def test_criterion_5_distance_law(corpus):
     """Every constructed code has d in {7, 8}, and d = 7 whenever n > q + 4,
-    via min_distance with cap 8: d = 7 read from the pair-span table, d = 8
-    from the group-set search."""
+    via min_distance with cap 8: d = 7 or 8 read from the pair-span table."""
     t0 = time.monotonic()
     observed = {7: 0, 8: 0}
     for q, label, seq in corpus:
@@ -132,7 +131,7 @@ def test_criterion_5_distance_law(corpus):
         observed[d] += 1
     elapsed = time.monotonic() - t0
     print(
-        f"CRITERION 5: PASS - distance law holds on {len(corpus)} codes by the pair-span table and group-set search "
+        f"CRITERION 5: PASS - distance law holds on {len(corpus)} codes by the pair-span table "
         f"(d=7: {observed[7]}, d=8: {observed[8]}; {elapsed:.1f}s)"
     )
 

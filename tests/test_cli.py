@@ -166,10 +166,8 @@ def _d8_run(*args, **kwargs):
     ids=["default-cap", "cap-5", "cap-6", "c3-fails", "d8"],
 )
 def test_construct_builds_one_pair_span_table(argv, exit_code, shown, capsys, monkeypatch):
-    # the sequence's one table gives the conditions, worked out once, and the
-    # weight-7 codeword: no code is built and no groups are detected.  Only a
-    # sequence with no weight-7 codeword (d = 8) builds the code, whose
-    # search reads the code's own table.
+    # the sequence's one table gives the conditions, worked out once, and d
+    # (7 or 8): no code is built and no groups are detected
     tables, reports, builds, detections, kernels = [], [], [], [], []
     build, report, make = PairSpanTable.of, PairSpanTable.conditions, cli.code_from_parity_check
     detect, kernel = codec._detect_groups, codec.kernel_basis
@@ -186,7 +184,7 @@ def test_construct_builds_one_pair_span_table(argv, exit_code, shown, capsys, mo
     assert code == exit_code
     assert stdout.startswith(shown)
     counts = [len(tables), len(reports), len(builds), len(detections), len(kernels)]
-    assert counts == ([2, 2, 1, 1, 1] if run is _d8_run else [1, 1, 0, 0, 0])
+    assert counts == [1, 1, 0, 0, 0]
 
 
 @pytest.mark.parametrize(

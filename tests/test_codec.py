@@ -20,7 +20,11 @@ from lrc7.codec import (
     RepairStats,
     TrialRecord,
     UnrecoverableErasureError,
+    _STREAM_TRIALS,
+    _block_table,
+    _group_set_distance,
     _trial_draws,
+    block_distance,
     code_from_parity_check,
     encode,
     load_fixture,
@@ -32,9 +36,9 @@ from lrc7.codec import (
     simulate_repairs,
     wilson_interval,
 )
-from lrc7.construct import VectorSequence, assemble_parity_check, run_algorithm1
+from lrc7.construct import PairSpanTable, VectorSequence, assemble_parity_check, run_algorithm1
 from lrc7.fields import field_create
-from lrc7.linalg import MatrixF, kernel_basis, matmul, rank
+from lrc7.linalg import MatrixF, kernel_basis, matmul, rank, solve_columns
 
 
 @pytest.fixture(scope="module")
@@ -183,13 +187,13 @@ def test_projective_points_are_one_per_point(q, dim):
     assert (leads == 1).all()  # normalised, so distinct rows are distinct points
 
 
-# The group-set search (min_distance on an LrcCode) against the column-subset
-# DFS (min_distance on its H), which shares no code with it.  Corpus: the
-# seeded constructor output at each q truncated to 3..6 pairs, each with one
-# copy whose random pair vector is replaced by a random vector; and codes
-# whose H is the group indicators over 6 random rows, which reach d = 8 and 9
-# with 5 groups, so the search runs past the 3-group sets (after the m-group
-# sets it settles any d <= 2m + 2).
+# The group-set search (`_group_set_distance`) and min_distance on an LrcCode
+# against the column-subset DFS (min_distance on its H), which shares no code
+# with either.  Corpus: the seeded constructor output at each q truncated to
+# 3..6 pairs, each with one copy whose random pair vector is replaced by a
+# random vector; and codes whose H is the group indicators over 6 random rows,
+# which reach d = 8 and 9 with 5 groups, so the search runs past the 3-group
+# sets (after the m-group sets it settles any d <= 2m + 2).
 _CROSS_CHECK_FIELDS = {4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
 _CROSS_CHECK_SEED = 6  # at q = 9, its first 3 pairs give d = 8
 # q = 7, seed 5: d = 8, yet every codeword inside 3 groups has weight 9
@@ -218,31 +222,34 @@ def _cross_check_codes(q):
 def test_group_set_distance_matches_dfs(q):
     for code in _cross_check_codes(q):
         for cap in [*range(1, 10), code.n]:
-            assert min_distance(code, cap) == min_distance(code.H, cap), (code, cap)
+            assert min_distance(code, cap) == _group_set_distance(code, cap) == min_distance(code.H, cap), (code, cap)
 
 
 def test_group_set_cross_check_corpus_reaches_every_exit():
-    found = [(min_distance(code, code.n), len(code.groups)) for q in _CROSS_CHECK_FIELDS for code in _cross_check_codes(q)]
+    found = [(_group_set_distance(code, code.n), len(code.groups)) for q in _CROSS_CHECK_FIELDS for code in _cross_check_codes(q)]
     assert any(d <= 6 for d, _ in found)  # settled by the 2-group sets or earlier
     assert (8, 3) in found  # settled by the whole code
     assert any(d >= 9 and L >= 5 for d, L in found)  # settled by the 4-group sets or later
 
 
-# The pair-span table (min_distance's d = 7 path) against the group-set search
-# and the DFS, on block codes of pair sequences: the lex and seeded 0 / 1
-# outputs at each q, their 3..6-pair truncations and one mutated copy of each
-# (a random pair vector replaced by a random vector), plus h1, h2 and the
-# d = 8 block code of the q = 9 seed-6 output cut to 3 pairs.
+# The pair-span table (min_distance's rule, `block_distance`) against the
+# group-set search and the DFS, on block codes of pair sequences: the lex and
+# seeded 0 / 1 outputs at q = 4, 5, 7, 8 and 9, their 3..6-pair truncations
+# and one mutated copy of each (a random pair vector replaced by a random
+# vector), plus h1, h2 and d = 8 block codes: seeded outputs cut to 3 pairs,
+# seed 6 at q = 9 and seeds 22 and 34 at q = 13.
 _TABLE_RUNS = (("lex", None), ("seeded", 0), ("seeded", 1))
 _TABLE_MUTATION_SEED = 3
+_TABLE_FIELDS = {**_CROSS_CHECK_FIELDS, 13: (13, 1)}
+_D8_SEEDS = {9: (_CROSS_CHECK_SEED,), 13: (22, 34)}
 
 
 @functools.lru_cache(maxsize=None)
 def _table_corpus(q):
-    field = field_create(*_CROSS_CHECK_FIELDS[q])
+    field = field_create(*_TABLE_FIELDS[q])
     rng = random.Random(_TABLE_MUTATION_SEED)
     seqs = []
-    for policy, seed in _TABLE_RUNS:
+    for policy, seed in _TABLE_RUNS if q in _CROSS_CHECK_FIELDS else ():
         seq, _ = run_algorithm1(field, policy, seed)
         seqs.append(seq)
         for L in range(3, min(6, seq.L) + 1):
@@ -250,8 +257,8 @@ def _table_corpus(q):
             seqs.append(VectorSequence(field, pairs))
             pairs[rng.randrange(L)][rng.randrange(2)] = tuple(rng.randrange(q) for _ in range(4))
             seqs.append(VectorSequence(field, pairs))
-    if q == 9:
-        seq, _ = run_algorithm1(field, "seeded", _CROSS_CHECK_SEED)
+    for seed in _D8_SEEDS.get(q, ()):
+        seq, _ = run_algorithm1(field, "seeded", seed)
         seqs.append(VectorSequence(field, seq.pairs[:3]))
     codes = [(s, code_from_parity_check(assemble_parity_check(s, check=False))) for s in seqs]
     fixtures = {4: "h1", 7: "h2"}
@@ -260,9 +267,35 @@ def _table_corpus(q):
     return [(s, code, min_distance(code.H, 8)) for s, code in codes]  # the DFS: d when d <= 8
 
 
-@pytest.mark.parametrize("q", sorted(_CROSS_CHECK_FIELDS))
+def _weight7_witness(code):
+    """The weight-7 codeword that `weight7_parts` reads from the block code's
+    pair-span table; None when H is not a block code, a condition fails or
+    the table has no weight-7 point."""
+    table = _block_table(code)
+    parts = table.weight7_parts() if table is not None and table.conditions().ok else None
+    if parts is None:
+        return None
+    field, word = code.field, np.zeros(code.n, dtype=np.int32)
+    for g, (a, b) in parts.items():
+        word[list(code.groups[g])] = (a, b, field.neg(field.add(a, b)))
+    return word
+
+
+def _weight8_word(seq):
+    """The weight-8 codeword of `block_distance`'s proof on groups 0, 1, 2:
+    u0(0) = x + y with x = A_1*u1(1) + B_1*u2(1) and y = A_2*u1(2) +
+    B_2*u2(2), from one solve."""
+    field, V = seq.field, seq.triples()
+    A1, B1, A2, B2 = solve_columns(field, np.concatenate([V[1, 1:], V[2, 1:]]).T, V[0, 0]).tolist()
+    word = np.zeros(3 * seq.L, dtype=np.int32)
+    word[:3] = (1, field.neg(1), 0)
+    for g, (a, b) in ((1, (A1, B1)), (2, (A2, B2))):
+        word[3 * g : 3 * g + 3] = (field.neg(a), field.neg(b), field.add(a, b))
+    return word
+
+
+@pytest.mark.parametrize("q", sorted(_TABLE_FIELDS))
 def test_table_distance_matches_group_sets_and_dfs(q):
-    from lrc7.codec import _group_set_distance, _weight7_witness
     from lrc7.construct import verify_conditions
     from lrc7.linalg import _matmul_codes
 
@@ -277,15 +310,19 @@ def test_table_distance_matches_group_sets_and_dfs(q):
             assert not _matmul_codes(code.field, w[None, :], code.H.array.T).any()
         if seq is not None:
             assert verify_conditions(seq).ok == (d is None or d >= 7), seq
+            assert block_distance(PairSpanTable.of(seq))[1] == (d if d is None or d >= 7 else None), seq
+        if d == 8:
+            w = _weight8_word(seq)
+            assert np.count_nonzero(w) == 8
+            assert not _matmul_codes(code.field, w[None, :], code.H.array.T).any()
 
 
-@pytest.mark.parametrize("q", sorted(_CROSS_CHECK_FIELDS))
+@pytest.mark.parametrize("q", sorted(_TABLE_FIELDS))
 def test_construct_certifies_as_the_built_code(q, capsys, monkeypatch):
     """`cli._certify` reads d from the sequence's own table; building the
     code and searching it, with the conditions read from the code's table,
     gives the same (n, k, d), or the same stderr line and exit code."""
     from lrc7 import cli
-    from lrc7.codec import _block_table
 
     for seq, code, _ in _table_corpus(q):
         if seq is None:
@@ -293,13 +330,10 @@ def test_construct_certifies_as_the_built_code(q, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_algorithm1", lambda *a, **kw: (seq, None))
         report = _block_table(code).conditions()
         for cap in (6, 7, 8):
-            d = min_distance(code, cap)
-            if d in (7, 8) or (d is None and cap < 8 and report.ok):
-                want, err = (code.n, code.k, d), ""
-            elif not report.ok:
-                want, err = None, f"verification failed: sequence conditions do not hold: {report}\n"
+            if report.ok:
+                want, err = (code.n, code.k, _group_set_distance(code, cap)), ""
             else:
-                want, err = None, f"verification failed: computed distance {d} not in {{7, 8}}\n"
+                want, err = None, f"verification failed: sequence conditions do not hold: {report}\n"
             assert cli._certify(seq, code.H, cap) == want, (seq, cap)
             assert capsys.readouterr().err == err
             assert main(["construct", "--q", str(q), "--distance-cap", str(cap)]) == (1 if want is None else 0)
@@ -312,8 +346,6 @@ _SPAN_ORDER_SEED = 15
 @pytest.mark.parametrize("name", ["h2", "lex7", "lex8"])
 def test_weight7_witness_does_not_depend_on_span_order(name, monkeypatch):
     """Every span row of the table permuted: the same weight-7 codeword."""
-    from lrc7.codec import _weight7_witness
-    from lrc7.construct import PairSpanTable
     from lrc7.linalg import _matmul_codes
 
     if name == "h2":
@@ -340,8 +372,6 @@ def test_weight7_witness_does_not_depend_on_span_order(name, monkeypatch):
 
 
 def test_block_table_is_built_once_per_code():
-    from lrc7.codec import _block_table
-
     code = code_from_parity_check(load_fixture("h2")[0])
     table = _block_table(code)
     assert table.seq.L == len(code.groups)
@@ -349,12 +379,22 @@ def test_block_table_is_built_once_per_code():
     assert _block_table(_sim_code("h2-two-checks")) is None  # L + 5 rows: no block code
 
 
+def test_block_distance_needs_three_pairs():
+    # one or two pairs meeting c1-c3 have no third group for the rule's words
+    field = field_create(7)
+    seq, _ = run_algorithm1(field)
+    for L in (1, 2):
+        report, d = block_distance(PairSpanTable.of(VectorSequence(field, seq.pairs[:L])))
+        assert report.ok and d is None
+
+
 def test_table_corpus_reaches_every_branch():
-    found = [(seq is None, d) for q in _CROSS_CHECK_FIELDS for seq, _, d in _table_corpus(q)]
+    found = [(seq is None, d) for q in _TABLE_FIELDS for seq, _, d in _table_corpus(q)]
     assert (True, 7) in found  # h1, h2
     assert any(d is not None and d <= 6 for _, d in found)  # a condition fails
     assert (False, 7) in found  # a weight-7 hit on the table
     assert (False, 8) in found  # the conditions hold, no weight-7 hit
+    assert {q for q in _TABLE_FIELDS for _, _, d in _table_corpus(q) if d == 8} == {9, 13}
 
 
 def test_oracle_budget():
@@ -745,8 +785,17 @@ _DRAW_CASES = [
 ]
 
 
+def _run_draws(seed, trials, q, k, failure_model, groups):
+    """The draws of trials 0, ..., trials - 1, joined from their stream units."""
+    msgs, E = zip(*(
+        _trial_draws(seed, u, min(_STREAM_TRIALS, trials - lo), q, k, *parse_failure_model(failure_model), groups)
+        for u, lo in enumerate(range(0, trials, _STREAM_TRIALS))
+    ))
+    return np.concatenate(msgs), np.concatenate(E)
+
+
 def _fast_draws(seed, trials, q, k, failure_model, groups):
-    msgs, E = _trial_draws(seed, 0, trials, q, k, *parse_failure_model(failure_model), groups)
+    msgs, E = _run_draws(seed, trials, q, k, failure_model, groups)
     return msgs.tolist(), E.tolist()
 
 
@@ -762,10 +811,11 @@ def test_trial_draws_from_an_offset_are_a_slice_of_the_run():
     groups = np.arange(18).reshape(6, 3)
     for q in (7, 3 * 2**30 + 1):
         for model in ("single-uniform", "multi-uniform(6)", "group-burst"):
-            msgs, E = _trial_draws(2**32, 0, 3000, q, 8, *parse_failure_model(model), groups)
-            for lo, hi in ((1024, 2048), (2048, 2100), (0, 1500)):
-                part_msgs, part_E = _trial_draws(2**32, lo, hi, q, 8, *parse_failure_model(model), groups)
-                assert (part_msgs == msgs[lo:hi]).all() and (part_E == E[lo:hi]).all()
+            msgs, E = _run_draws(2**32, 3000, q, 8, model, groups)
+            for u, B in ((1, 1024), (2, 52), (0, 1000)):
+                part_msgs, part_E = _trial_draws(2**32, u, B, q, 8, *parse_failure_model(model), groups)
+                lo = u * _STREAM_TRIALS
+                assert (part_msgs == msgs[lo : lo + B]).all() and (part_E == E[lo : lo + B]).all()
 
 
 @pytest.mark.parametrize("model", ("single-uniform", "group-burst", "multi-uniform(6)"))
@@ -831,7 +881,7 @@ def test_erasure_draws_are_uniform(name):
     n, L = code.n, len(groups)
 
     def erasures(model):
-        return _trial_draws(_CHI2_SEEDS[name], 0, trials, code.field.q, code.k, *parse_failure_model(model), groups)[1]
+        return _run_draws(_CHI2_SEEDS[name], trials, code.field.q, code.k, model, groups)[1]
 
     single = erasures("single-uniform")
     assert single.shape == (trials, 1) and _chi2_below_bound(np.bincount(single[:, 0], minlength=n))

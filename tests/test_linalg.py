@@ -14,13 +14,11 @@ from lrc7.linalg import (
     _matmul_codes,
     _solve_stack,
     kernel_basis,
-    load_matrix_csv,
     load_matrix_json,
     matmul,
     matrix_from_json_dict,
     matrix_to_json_dict,
     rank,
-    save_matrix_csv,
     save_matrix_json,
     small_rank,
     solve_columns,
@@ -376,11 +374,3 @@ def test_matrix_json_rejects_non_integer_entries(entries):
     # a true among integers once loaded as 1
     with pytest.raises(ValueError):
         matrix_from_json_dict({"p": 3, "e": 1, "modulus": [0, 1], "rows": 1, "cols": 2, "entries": entries})
-
-
-def test_matrix_csv_roundtrip(tmp_path):
-    f = field_create(7)
-    M = MatrixF(f, [[0, 1, 2], [3, 4, 5]])
-    path = tmp_path / "m.csv"
-    save_matrix_csv(path, M)
-    assert load_matrix_csv(path, f) == M
