@@ -61,10 +61,12 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--q", type=str, default="4,5,7,8,9", help="field orders (comma list)")
     ap.add_argument("--seeds", type=int, default=20, help="number of seeded runs per q")
-    ap.add_argument("--out", type=str, default=None, help="directory for the best run's artifacts")
+    ap.add_argument("--out", type=str, default=None, help="directory for the best run's artifacts (one --q only)")
     ns = ap.parse_args()
+    if ns.out is not None and "," in ns.q:
+        ap.error("--out takes a single --q")
     for q in (int(tok) for tok in ns.q.split(",")):
-        sweep(q, ns.seeds, ns.out if "," not in ns.q else None)
+        sweep(q, ns.seeds, ns.out)
     return 0
 
 

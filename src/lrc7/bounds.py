@@ -123,10 +123,7 @@ def dim_bound_eq3(n: int, r: int, q: int) -> int:
     """
     if n % (r + 1) != 0:
         raise ValueError(f"(r+1) = {r + 1} must divide n = {n}")
-    rn2 = r * n // 2 if (r * n) % 2 == 0 else None
-    if rn2 is None:
-        raise ValueError("r*n must be even")  # always true when (r+1) | n
-    inner = q + (q - 1) * q * (rn2 - r)
+    inner = q + (q - 1) * q * (r * n // 2 - r)  # r*n is even: r is, or (r+1) | n makes n even
     return r * n // (r + 1) - ceil_log(q, inner)
 
 
@@ -137,8 +134,7 @@ def wang_bound(n: int, r: int, q: int) -> tuple[float, int]:
     if n % (r + 1) != 0:
         raise ValueError(f"(r+1) = {r + 1} must divide n = {n}")
     s6 = 6 + 3 * (q - 1) * r * n + (r - 1) * r * (q - 1) * (q - 2) * n
-    if s6 % 6 != 0:
-        raise ValueError("inner count is not an integer")  # cannot happen when (r+1) | n
+    # 6 | s6: (r-1)r and rn are even, and r = 2 (mod 3) makes 3 | (r+1) | n
     s = s6 // 6
     m = r * n // (r + 1)
     real = m - math.log(s) / math.log(q)

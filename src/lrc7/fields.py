@@ -15,6 +15,13 @@ multiplication from the products a * x^i (each a shift of the previous one,
 reduced by the modulus), negation and inversion read off the others.
 Everything is exact integer arithmetic -- there is no floating point
 anywhere.
+
+The tables also decide whether a modulus of degree e > 1 gives a field.  A
+root in GF(p) splits off a linear factor, so such a modulus is refused
+before any table is built; otherwise the tables are built and the modulus
+is kept exactly when every nonzero code has an inverse, which holds just
+when the modulus is irreducible.  The default modulus is the first monic
+candidate kept, lower coefficients by ascending code.
 """
 
 from __future__ import annotations
@@ -58,53 +65,6 @@ def _digits(n: int, p: int, width: int) -> list[int]:
     return out
 
 
-def _poly_divmod(num: Sequence[int], den: Sequence[int], p: int):
-    """Quotient and remainder of little-endian coefficient lists over GF(p)."""
-    num = [c % p for c in num]
-    dd = len(den) - 1
-    inv_lead = pow(den[-1], p - 2, p)
-    quot = [0] * max(len(num) - dd, 1)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        f = (c * inv_lead) % p
-        quot[i - dd] = f
-        for j in range(dd + 1):
-            num[i - dd + j] = (num[i - dd + j] - f * den[j]) % p
-    rem = num[:dd] if dd > 0 else [0]
-    return quot, rem
-
-
-def _is_irreducible(modulus: Sequence[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg/2."""
-    deg = len(modulus) - 1
-    if deg == 1:
-        return True
-    if modulus[0] == 0:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for low in range(p**d):
-            den = _digits(low, p, d) + [1]
-            _, rem = _poly_divmod(modulus, den, p)
-            if all(c == 0 for c in rem):
-                return False
-    return True
-
-
-def _default_modulus(p: int, e: int) -> tuple[int, ...]:
-    """Smallest monic irreducible of degree e, ordering lower coefficients
-    by their integer encoding.  Deterministic, so unspecified moduli give
-    bit-reproducible fields."""
-    if e == 1:
-        return (0, 1)
-    for low in range(p**e):
-        cand = tuple(_digits(low, p, e)) + (1,)
-        if _is_irreducible(cand, p):
-            return cand
-    raise ArithmeticError(f"no irreducible polynomial of degree {e} over GF({p})")
-
-
 class FieldSpec:
     """Immutable description of GF(p^e) together with its arithmetic tables.
 
@@ -126,7 +86,7 @@ class FieldSpec:
         if q > MAX_FIELD_ORDER:
             raise ValueError(f"field order {q} exceeds the configured cap {MAX_FIELD_ORDER}")
         if modulus is None:
-            modulus = _default_modulus(p, e)
+            candidates = (tuple(_digits(low, p, e)) + (1,) for low in range(p**e))
         else:
             modulus = list(modulus)
             if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in modulus):
@@ -134,16 +94,20 @@ class FieldSpec:
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != e + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree e, given as e+1 coefficients")
-            if e == 1:
-                modulus = (0, 1)  # prime field: the modulus is ignored
-            elif not _is_irreducible(modulus, p):
-                raise ValueError(f"modulus {list(modulus)} is reducible over GF({p})")
+            candidates = [(0, 1) if e == 1 else modulus]  # prime field: the modulus is ignored
         self.p = p
         self.e = e
         self.q = q
-        self.modulus = tuple(modulus)
         self._ppow = tuple(p**i for i in range(e + 1))
-        self._build_tables()
+        for modulus in candidates:
+            self.modulus = modulus
+            if e > 1 and any(sum(c * a**i for i, c in enumerate(modulus)) % p == 0 for a in range(p)):
+                continue  # a root splits off a linear factor
+            self._build_tables()
+            if self._INV_NP[1:].all():  # a field: every nonzero code has an inverse
+                break
+        else:
+            raise ValueError(f"modulus {list(modulus)} is reducible over GF({p})")
 
     # -- construction of the tables -------------------------------------
 
@@ -271,7 +235,9 @@ def field_create(p: int, e: int = 1, modulus: Optional[Sequence[int]] = None) ->
     """Create a validated GF(p^e).
 
     ``modulus`` is given as e+1 little-endian coefficients and must be monic
-    and irreducible; when omitted, the deterministic default is used.
+    and irreducible (ValueError otherwise; it is ignored when e = 1).  When
+    omitted, the default is the first monic irreducible with its lower
+    coefficients by ascending code, (0, 1) when e = 1.
     """
     return FieldSpec(p, e, modulus)
 

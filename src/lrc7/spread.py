@@ -79,7 +79,7 @@ def _irreducible_quadratic(field: FieldSpec) -> tuple[int, int]:
         g0, g1 = idx % q, idx // q
         if all(add(add(mul(t, t), mul(g1, t)), g0) for t in range(q)):
             return g0, g1
-    raise ArithmeticError("no irreducible quadratic found")
+    # not reached: every GF(q) has an irreducible quadratic
 
 
 def _spread_bases(field: FieldSpec) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -351,6 +352,27 @@ def test_tables_match_schoolbook_for_every_modulus(p, e):
         _assert_tables_exhaustive(field_create(p, e, modulus))
     for modulus in reducible:
         with pytest.raises(ValueError, match="reducible"):
+            field_create(p, e, modulus)
+
+
+@pytest.mark.parametrize("p,e", [(p, e) for p, e in _prime_powers(1, MAX_FIELD_ORDER) if e > 1])
+def test_default_modulus_is_the_first_irreducible(p, e):
+    """The default is the schoolbook oracle's first irreducible, lower
+    coefficients by ascending code.  At q = 32, 81 and 256 root-free
+    reducible candidates come before it, and only the table check skips
+    them."""
+    assert field_create(p, e).modulus == _irreducible_moduli(p, e)[0][0]
+
+
+@pytest.mark.parametrize("p,e", [(2, 6), (3, 4)])
+def test_root_free_reducible_moduli_refused(p, e):
+    """Every reducible modulus is refused with its text, among them products
+    of root-free factors, which have no root for the first check to find."""
+    reducible = _irreducible_moduli(p, e)[1]
+    root_free = [m for m in reducible if all(sum(c * a**i for i, c in enumerate(m)) % p for a in range(p))]
+    assert root_free
+    for modulus in reducible:
+        with pytest.raises(ValueError, match=re.escape(f"modulus {list(modulus)} is reducible over GF({p})")):
             field_create(p, e, modulus)
 
 
