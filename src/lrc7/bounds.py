@@ -72,16 +72,6 @@ class CodeParams:
         if not is_prime_power(self.q):
             raise ValueError(f"q must be a prime power, got {self.q}")
 
-    @property
-    def L(self) -> Optional[int]:
-        """Number of repair groups when (r+1) divides n."""
-        return self.n // (self.r + 1) if self.n % (self.r + 1) == 0 else None
-
-    @property
-    def u(self) -> Optional[int]:
-        """Redundancy beyond the group checks: L*r - k (when L is defined)."""
-        return self.L * self.r - self.k if self.L is not None else None
-
 
 def singleton_like(n: int, k: int, r: int) -> int:
     """Distance cap n - k - ceil(k/r) + 2 for locality-r codes."""

@@ -192,6 +192,10 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     cap = ns.distance_cap
     try:
         M, extras = load_matrix_json(fixture_path(ns.matrix) if ns.matrix in fixture_names() else ns.matrix)
+        declared = extras.get("params")
+        ints = isinstance(declared, dict) and all(type(declared.get(key, 0)) is int for key in ("n", "k", "d", "r"))
+        if declared is not None and not ints:
+            raise ValueError("declared params must be an object whose n, k, d and r are JSON integers")
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: cannot load matrix: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
@@ -215,7 +219,6 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         "six_column_independence": six_independent,
         "classification": rep.classification,
     }
-    declared = extras.get("params")
     mismatches = {}
     if declared is not None:
         computed = {"n": n, "k": k, "d": payload["d"], "r": 2}

@@ -1,8 +1,8 @@
 """Turn a parity-check matrix into a working erasure code.
 
-An LrcCode bundles the parity-check matrix H, a kernel-derived generator G,
-the repair groups (disjoint triples, read from H's leading 0/1 indicator
-rows), and the parameters.  On top of it sit exact minimum distance (for
+An LrcCode bundles the parity-check matrix H, a kernel-derived generator G
+and the repair groups (disjoint triples, read from H's leading 0/1
+indicator rows).  On top of it sit exact minimum distance (for
 a pair sequence's block code that meets the three conditions, d = 7 or 8
 read from its pair-span table; for any other LrcCode, kernels enumerated
 over sets of repair groups; for a plain matrix, column-subset enumeration
@@ -23,7 +23,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .bounds import CodeParams
 from .construct import ConditionReport, PairSpanTable, VectorSequence
 from .fields import FieldSpec
 from .linalg import (
@@ -63,14 +62,13 @@ class LrcCode:
     rows are the groups' 0/1 indicators, so each erased symbol is minus the
     sum of its two group partners."""
 
-    __slots__ = ("H", "G", "params", "groups", "_group_of")
+    __slots__ = ("H", "G", "groups", "_group_of")
 
-    def __init__(self, H: MatrixF, G: MatrixF, params: CodeParams, groups):
+    def __init__(self, H: MatrixF, G: MatrixF, groups):
         self.H = H
         self.G = G
-        self.params = params
         self.groups = tuple(tuple(g) for g in groups)
-        self._group_of = np.empty(params.n, dtype=np.intp)  # group index of each position
+        self._group_of = np.empty(H.cols, dtype=np.intp)  # group index of each position
         for gi, g in enumerate(self.groups):
             self._group_of[list(g)] = gi
 
@@ -80,14 +78,11 @@ class LrcCode:
 
     @property
     def n(self) -> int:
-        return self.params.n
+        return self.H.cols
 
     @property
     def k(self) -> int:
-        return self.params.k
-
-    def group_index_of(self, pos: int) -> int:
-        return int(self._group_of[pos])
+        return self.G.rows
 
     def __repr__(self) -> str:
         return f"LrcCode(n={self.n}, k={self.k}, groups={len(self.groups)}, q={self.field.q})"
@@ -119,16 +114,15 @@ def _detect_groups(H: MatrixF) -> list[tuple[int, int, int]]:
 def code_from_parity_check(H: MatrixF) -> LrcCode:
     """Build the code: generator from the kernel, groups detected from the
     leading indicator rows."""
-    field = H.field
-    n = H.cols
-    k = n - rank(H)
+    k = H.cols - rank(H)
     if k == 0:
         raise ValueError("parity-check matrix has full column rank: the code is {0}")
-    G = MatrixF(field, kernel_basis(H))
+    if k == 1:  # locality r = 2 needs k >= r
+        raise ValueError("need 1 <= r <= k, got r=2, k=1")
+    G = MatrixF(H.field, kernel_basis(H))
     if matmul(G, H.transpose()).array.any():
         raise AssertionError("generator is not orthogonal to the parity checks")
-    params = CodeParams(n=n, k=k, d=None, r=2, q=field.q)
-    return LrcCode(H, G, params, _detect_groups(H))
+    return LrcCode(H, G, _detect_groups(H))
 
 
 # -- minimum distance ----------------------------------------------------------

@@ -4,7 +4,7 @@ An element of GF(p^e) is stored as an integer code in [0, q): the element
 with polynomial-basis coefficients (c0, c1, ..., c_{e-1}) has code
 sum(c_i * p**i).  Codes are canonical, so two elements are equal exactly
 when their codes are equal, and the code doubles as the serialization
-format used by the JSON/CSV exports.
+format used by the JSON exports.
 
 Every field gets dense q x q lookup tables for addition, subtraction and
 multiplication, plus negation and inversion tables; both the scalar
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -162,9 +162,6 @@ class FieldSpec:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self._INV[a]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, n: int) -> int:
         if n < 0:
             a, n = self.inv(a), -n
@@ -195,20 +192,6 @@ class FieldSpec:
         if (a == 0).any():
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self._INV_NP[a]
-
-    # -- polynomial-basis coefficients ----------------------------------------
-
-    def from_coeffs(self, coeffs: Iterable[int]) -> int:
-        """The code of the element with these little-endian coefficients."""
-        coeffs = list(coeffs)
-        if len(coeffs) > self.e:
-            raise ValueError(f"at most {self.e} coefficients expected")
-        if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in coeffs):
-            raise ValueError(f"coefficients must be integers, got {coeffs!r}")
-        return sum(int(c) % self.p * self._ppow[i] for i, c in enumerate(coeffs))
-
-    def coeffs(self, code: int) -> tuple[int, ...]:
-        return tuple(_digits(code, self.p, self.e))
 
     # -- value semantics ---------------------------------------------------
 

@@ -71,14 +71,6 @@ class MatrixF:
     def transpose(self) -> "MatrixF":
         return MatrixF(self.field, self.array.T)
 
-    @classmethod
-    def identity(cls, field: FieldSpec, n: int) -> "MatrixF":
-        return cls(field, np.eye(n, dtype=np.int32))
-
-    @classmethod
-    def zeros(cls, field: FieldSpec, m: int, n: int) -> "MatrixF":
-        return cls(field, np.zeros((m, n), dtype=np.int32))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixF):
             return NotImplemented
@@ -205,7 +197,7 @@ def _matmul_codes(field: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     below 509^2: no overflow short of 3*10^13 terms); an extension field
     takes one table lookup per inner index."""
     if field.e == 1:  # np.dot: a first matmul call alone adds 128 KiB of peak RSS
-        out = np.dot(A.astype(np.int64), B.astype(np.int64))
+        out = np.dot(A.astype(np.int64, copy=False), B.astype(np.int64, copy=False))
         out %= field.p
         return out.astype(np.int32)
     out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int32)

@@ -61,12 +61,6 @@ class Spread:
         self.field = field
         self.planes = tuple(planes)
 
-    def __len__(self) -> int:
-        return len(self.planes)
-
-    def __iter__(self):
-        return iter(self.planes)
-
     def __repr__(self) -> str:
         return f"Spread(q={self.field.q}, planes={len(self.planes)})"
 

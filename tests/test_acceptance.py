@@ -77,7 +77,7 @@ def test_criterion_2_spread_correctness():
     for q, (p, e) in {2: (2, 1), 3: (3, 1), **QS}.items():
         field = field_create(p, e)
         s = build_2_spread(field)
-        assert len(s) == q * q + 1, q
+        assert len(s.planes) == q * q + 1, q
         assert verify_spread(s), q  # exhaustive path: q <= 16
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, f"spread checks took {elapsed:.2f}s"

@@ -96,10 +96,8 @@ def test_eq2_holds():
     assert eq2_holds(10, 2, 7, 2) is None  # 3 does not divide 10
 
 
-def test_code_params_validation_and_derived():
-    p = CodeParams(18, 8, 7, 2, 7)
-    assert p.L == 6 and p.u == 4
-    assert CodeParams(10, 2, 7, 2, 4).L is None
+def test_code_params_validation():
+    assert CodeParams(18, 8, 7, 2, 7).k == 8
     with pytest.raises(ValueError):
         CodeParams(5, 6, 3, 2, 4)
     with pytest.raises(ValueError):

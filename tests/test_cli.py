@@ -303,6 +303,56 @@ def test_verify_rejects_a_file_that_is_no_object(top, tmp_path, capsys):
     assert stderr.startswith("error: cannot load matrix: matrix JSON must be an object")
 
 
+_H1_PARAMS = {"n": 9, "k": 2, "d": 7, "r": 2}
+
+
+def _h1_declaring(tmp_path, params):
+    """An h1 copy whose declared params are replaced."""
+    data = json.loads(fixture_path("h1").read_text())
+    data["params"] = params
+    path = tmp_path / "h1.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("key,value", [("n", 12), ("k", 3), ("d", 8), ("r", 3)])
+def test_verify_reports_a_declared_parameter_that_differs(key, value, tmp_path, capsys):
+    path = _h1_declaring(tmp_path, dict(_H1_PARAMS, **{key: value}))
+    code, stdout, stderr = run_cli(capsys, "verify", path)
+    assert code == 1
+    assert stdout.splitlines()[-1] == "declared parameters match: no"
+    assert stderr == "verification failed: declared parameters do not match\n"
+    code, stdout, _ = run_cli(capsys, "verify", path, "--format", "json")
+    assert code == 1
+    assert json.loads(stdout)["mismatches"] == {key: [value, _H1_PARAMS[key]]}
+
+
+@pytest.mark.parametrize("d,match", [(2, False), (3, False), (4, True), (7, True)])
+def test_verify_under_a_cap_needs_a_declared_d_above_it(d, match, tmp_path, capsys):
+    # --distance-cap 3 only establishes d >= 4: a declared d <= 3 contradicts it
+    path = _h1_declaring(tmp_path, dict(_H1_PARAMS, d=d))
+    code, stdout, stderr = run_cli(capsys, "verify", path, "--distance-cap", "3")
+    assert code == (0 if match else 1)
+    assert stdout.splitlines()[-1] == f"declared parameters match: {'yes' if match else 'no'}"
+    assert ("do not match" in stderr) is not match
+    code, stdout, _ = run_cli(capsys, "verify", path, "--distance-cap", "3", "--format", "json")
+    assert json.loads(stdout).get("mismatches") == (None if match else {"d": [d, ">=4"]})
+
+
+@pytest.mark.parametrize(
+    "params",
+    [dict(_H1_PARAMS, d="7"), dict(_H1_PARAMS, d=[7]), dict(_H1_PARAMS, d=True), dict(_H1_PARAMS, d=7.0),
+     dict(_H1_PARAMS, n=9.0), [1, 2], "n=9", 7],
+    ids=repr,
+)
+@pytest.mark.parametrize("cap", [[], ["--distance-cap", "3"]], ids=["uncapped", "cap3"])
+def test_verify_refuses_declared_params_that_are_no_json_integers(params, cap, tmp_path, capsys):
+    # a string d once raised TypeError under a cap, and a list of params verified
+    code, stdout, stderr = run_cli(capsys, "verify", _h1_declaring(tmp_path, params), *cap)
+    assert code == 1 and stdout == ""
+    assert stderr == "error: cannot load matrix: declared params must be an object whose n, k, d and r are JSON integers\n"
+
+
 def test_construct_low_distance_cap_is_inconclusive(tmp_path, capsys):
     # cap 5 only establishes d >= 6: reported, not failed, and d is left
     # out of the declared parameters, so the matrix still verifies

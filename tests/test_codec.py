@@ -11,7 +11,7 @@ import pytest
 
 from lrc7 import codec
 from lrc7.cli import main
-from lrc7.bounds import classify
+from lrc7.bounds import CodeParams, classify
 from lrc7.codec import (
     EnumerationBudgetError,
     GroupDetectionError,
@@ -83,7 +83,20 @@ def test_declared_fixture_params_match():
 def test_full_rank_matrix_rejected():
     f = field_create(7)
     with pytest.raises(ValueError, match="full column rank"):
-        code_from_parity_check(MatrixF.identity(f, 4))
+        code_from_parity_check(MatrixF(f, np.eye(4, dtype=np.int32)))
+
+
+def test_one_dimensional_code_rejected(tmp_path, capsys):
+    # locality 2 needs k >= 2: a (3, 1) code is refused by the API, and by
+    # verify and simulate with exit 1
+    H = MatrixF(field_create(5), [[1, 1, 1], [0, 1, 2]])
+    with pytest.raises(ValueError, match=re.escape("need 1 <= r <= k, got r=2, k=1")):
+        code_from_parity_check(H)
+    path = tmp_path / "k1.json"
+    path.write_text(json.dumps({"p": 5, "e": 1, "modulus": [0, 1], "rows": 2, "cols": 3, "entries": H.array.tolist()}))
+    for argv in (["verify", str(path)], ["simulate", str(path), "--trials", "5", "--failure-model", "single-uniform"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: need 1 <= r <= k, got r=2, k=1\n"
 
 
 def test_group_detection_failure():
@@ -116,7 +129,7 @@ def test_distance_cap_reporting(h1_code):
 def test_classification_of_fixtures(h1_code, h2_code):
     for code in (h1_code, h2_code):
         d = min_distance(code)
-        params = type(code.params)(n=code.n, k=code.k, d=d, r=2, q=code.field.q)
+        params = CodeParams(n=code.n, k=code.k, d=d, r=2, q=code.field.q)
         assert classify(params) == "almost-optimal"
 
 
@@ -631,8 +644,9 @@ def test_simulator_refuses_a_seed_that_is_no_non_negative_int(h1_code, seed, mon
 def test_simulator_mixed_pattern_routing(h1_code):
     stats = simulate_repairs(h1_code, trials=300, failure_model="multi-uniform(2)", seed=6)
     assert stats.success_rate == 1.0
+    group_of = {j: gi for gi, g in enumerate(h1_code.groups) for j in g}
     for rec in stats.records:
-        groups_touched = {h1_code.group_index_of(j) for j in rec.erased}
+        groups_touched = {group_of[j] for j in rec.erased}
         if len(groups_touched) == 2:
             assert rec.mode == "local" and rec.helpers == 4
         else:
@@ -666,7 +680,7 @@ def _symbols_read(code, word, pos, value):
     """Group partners of pos whose value changes repair_local's result."""
     f = code.field
     count = 0
-    for j in code.groups[code.group_index_of(pos)]:
+    for j in next(g for g in code.groups if pos in g):
         if word[j] is not None and j != pos:
             moved = list(word)
             moved[j] = f.add(word[j], 1)
@@ -696,13 +710,14 @@ def _stream_v2_draws(seed, trials, q, k, failure_model, groups):
 
 def _reference_simulation(code, trials, failure_model, seed):
     n = code.n
+    group_of = {j: gi for gi, g in enumerate(code.groups) for j in g}
     records = []
     msgs, E = _stream_v2_draws(seed, trials, code.field.q, code.k, failure_model, np.array(code.groups))
     for t, (message, erased) in enumerate(zip(msgs, E)):
         codeword = encode(code, message)
         erased = tuple(erased)
         word = [None if j in erased else c for j, c in enumerate(codeword)]
-        if len({code.group_index_of(j) for j in erased}) == len(erased):
+        if len({group_of[j] for j in erased}) == len(erased):
             ok, helpers = True, 0
             for j in erased:
                 value = repair_local(code, word, j)

@@ -105,7 +105,7 @@ def test_trace_rounds_match_rank_oracle(field, policy, seed):
     the family ends empty."""
     q = field.q
     seq, trace = run_algorithm1(field, policy, seed)
-    family = {pl.id: set(plane_points(pl)) for pl in build_2_spread(field)}
+    family = {pl.id: set(plane_points(pl)) for pl in build_2_spread(field).planes}
     triples = seq.triples().tolist()
     for i, rd in enumerate(trace.rounds):
         reps = triples[i]

@@ -33,7 +33,7 @@ def spreads():
 
 def test_spread_sizes(spreads):
     for q, s in spreads.items():
-        assert len(s) == q * q + 1
+        assert len(s.planes) == q * q + 1
 
 
 @pytest.mark.parametrize("q", sorted(FIELD_ARGS))
@@ -99,7 +99,7 @@ def test_overlapping_plane_fails_verification(q, spread_at):
     p0, p1 = s.planes[0], s.planes[1]
     overlap = Plane(s.field, p0.basis[0], p1.basis[0], 1)
     broken = Spread(s.field, (p0, overlap) + s.planes[2:])
-    assert len(broken) == q * q + 1
+    assert len(broken.planes) == q * q + 1
     assert not verify_spread(broken)
 
 
@@ -150,13 +150,13 @@ def test_plane_requires_independent_basis():
 
 def test_plane_ids_are_enumeration_order(spreads):
     for s in spreads.values():
-        assert [pl.id for pl in s.planes] == list(range(len(s)))
+        assert [pl.id for pl in s.planes] == list(range(len(s.planes)))
 
 
 def test_large_q_structural_path(spread_at):
     """A q = 17 spread verifies through the same seen-mask check as small q."""
     s = spread_at[17]
-    assert len(s) == 17 * 17 + 1
+    assert len(s.planes) == 17 * 17 + 1
     assert verify_spread(s)
 
 
@@ -214,7 +214,7 @@ def test_dependent_basis_fails_verification_without_raising(q, case, spread_at):
     bad = Plane(field, b1, b2, 3)
     bad.basis = basis  # past the constructor's rank check
     broken = Spread(field, s.planes[:3] + (bad,) + s.planes[4:])
-    assert len(broken) == q * q + 1
+    assert len(broken.planes) == q * q + 1
     assert verify_spread(broken) is False
 
 
