@@ -305,28 +305,20 @@ def _received_codes(code: LrcCode, word: Received) -> tuple[np.ndarray, list[int
     return _codes(code.field, [0 if x is None else x for x in word]), erased
 
 
-def _local_rule(code: LrcCode, pos: int, erased) -> tuple[int, int]:
-    """The two group partners of pos, whose sum is minus the symbol at pos
-    (the group's indicator row).
-
-    Raises LocalRepairError when a partner is erased too.
-    """
-    partners = tuple(j for j in code.groups[code._group_of[pos]] if j != pos)
-    if any(j in erased for j in partners):
-        raise LocalRepairError(f"position {pos}: a group partner is also erased; use repair_global")
-    return partners
-
-
 def _repair_local_info(code: LrcCode, word: Received, pos: int) -> tuple[int, int]:
-    """(repaired code, helpers read); raises LocalRepairError on partner loss
-    and ValueError unless pos is an int (not a bool) in [0, n)."""
+    """(repaired code, helpers read): minus the sum of the two group
+    partners of pos (the group's indicator row).  Raises LocalRepairError
+    when a partner is erased too and ValueError unless pos is an int (not a
+    bool) in [0, n)."""
     if isinstance(pos, bool) or not isinstance(pos, (int, np.integer)) or not 0 <= pos < code.n:
         raise ValueError(f"position must be an int in [0, {code.n}), got {pos!r}")
     field = code.field
     codes, erased = _received_codes(code, word)
     if word[pos] is not None:
         raise ValueError(f"position {pos} is not erased")
-    a, b = _local_rule(code, pos, set(erased))
+    a, b = (j for j in code.groups[code._group_of[pos]] if j != pos)
+    if a in erased or b in erased:
+        raise LocalRepairError(f"position {pos}: a group partner is also erased; use repair_global")
     return field.neg(field.add(int(codes[a]), int(codes[b]))), 2
 
 
@@ -385,7 +377,8 @@ class TrialRecord:
 class RepairStats:
     """Simulator output as arrays over the trials: the erased positions
     (trials, f), whether each trial was local, whether it succeeded and the
-    symbols it read.  `records` builds the TrialRecords on first read."""
+    symbols it read.  `records` builds the TrialRecords on first read, and
+    `summary_dict` sums the arrays into the run's counters and rates."""
 
     erasures: np.ndarray
     local: np.ndarray
@@ -414,51 +407,26 @@ class RepairStats:
     def write_jsonl(self, fh) -> None:
         """Write each record as the line json.dumps(asdict(record),
         sort_keys=True) gives, from the arrays, 65,536 trials at a time."""
-        for lo in range(0, self.trials, 1 << 16):
-            rows = zip(range(lo, self.trials), *(a[lo : lo + (1 << 16)].tolist() for a in self._arrays()))
+        for lo in range(0, self.ok.size, 1 << 16):
+            rows = zip(range(lo, self.ok.size), *(a[lo : lo + (1 << 16)].tolist() for a in self._arrays()))
             fh.writelines(f'{{"erased": {e}, "helpers": {h}, "mode": "{("global", "local")[loc]}", '
                           f'"success": {str(ok).lower()}, "trial": {t}}}\n' for t, e, loc, ok, h in rows)
 
-    # the counters, as sums over the arrays
-    trials = property(lambda self: self.ok.size)
-    successes = property(lambda self: int(self.ok.sum()))
-    local_trials = property(lambda self: int(self.local.sum()))
-    erased_symbols = property(lambda self: self.erasures.size)
-    locally_repaired_symbols = property(lambda self: self.local_trials * self.erasures.shape[1])
-    helpers_total = property(lambda self: int(self.helpers.sum()))
-
-    @property
-    def success_rate(self) -> float:
-        return self.successes / self.trials
-
-    @property
-    def local_symbol_fraction(self) -> float:
-        return self.locally_repaired_symbols / self.erased_symbols
-
-    @property
-    def mean_helpers_per_trial(self) -> float:
-        return self.helpers_total / self.trials
-
-    @property
-    def mean_helpers_per_symbol(self) -> float:
-        return self.helpers_total / self.erased_symbols
-
-    def wilson_ci_95(self) -> tuple[float, float]:
-        return wilson_interval(self.successes, self.trials)
-
     def summary_dict(self) -> dict:
-        lo, hi = self.wilson_ci_95()
+        trials, successes, erased = self.ok.size, int(self.ok.sum()), self.erasures.size
+        local_trials, helpers = int(self.local.sum()), int(self.helpers.sum())
+        local_erased = local_trials * self.erasures.shape[1]
         return {
-            "trials": self.trials,
-            "successes": self.successes,
-            "success_rate": self.success_rate,
-            "success_wilson_ci_95": [lo, hi],
-            "local_trials": self.local_trials,
-            "erased_symbols": self.erased_symbols,
-            "locally_repaired_symbols": self.locally_repaired_symbols,
-            "local_symbol_fraction": self.local_symbol_fraction,
-            "mean_helpers_per_trial": self.mean_helpers_per_trial,
-            "mean_helpers_per_symbol": self.mean_helpers_per_symbol,
+            "trials": trials,
+            "successes": successes,
+            "success_rate": successes / trials,
+            "success_wilson_ci_95": list(wilson_interval(successes, trials)),
+            "local_trials": local_trials,
+            "erased_symbols": erased,
+            "locally_repaired_symbols": local_erased,
+            "local_symbol_fraction": local_erased / erased,
+            "mean_helpers_per_trial": helpers / trials,
+            "mean_helpers_per_symbol": helpers / erased,
         }
 
 
@@ -560,9 +528,9 @@ def _trial_draws(seed: int, u: int, B: int, q: int, k: int, kind: str, f: Option
 def _repair_block(code: LrcCode, groups: np.ndarray, words: np.ndarray, E: np.ndarray):
     """(local, ok, helpers) for codewords words[t] with positions E[t]
     erased.  A local trial compares each erased symbol with minus the sum
-    of its two group partners (`_local_rule`) in one gather; the global
-    trials are solved in stacks, one elimination of [H over the erased
-    columns | -syndrome] per trial (`linalg._solve_stack`)."""
+    of its two group partners (as `_repair_local_info`) in one gather; the
+    global trials are solved in stacks, one elimination of [H over the
+    erased columns | -syndrome] per trial (`linalg._solve_stack`)."""
     field, H, (T, f) = code.field, code.H.array, E.shape
     touched = np.sort(code._group_of[E], axis=1)
     local = (touched[:, 1:] != touched[:, :-1]).all(axis=1)

@@ -1,16 +1,16 @@
 """Greedy construction of vector-pair sequences over a 2-spread.
 
 The constructor keeps one candidate point set per spread plane (its q + 1
-projective points) in a mutable `_Survivors` state: an owner array over the
-PG(3, q) point index and a count of the points each plane has left.  Each
-round of `run_algorithm1` (`_round`) picks a surviving plane and three of
-its points, scales representatives u1, u2, u0 with u0 = u1 - u2, drops the
-plane, and removes every surviving point that lies in a plane spanned by
-one new and one earlier representative.  Planes left with fewer than three
-points are discarded; the loop ends when no plane is left.  Each round's
-trace keeps the removed points as one (m, 4) int32 array of canonical
-codes and the count removed from each plane as one (h, 2) int32 array, so
-a run holds no Python object per removed point or cut plane.
+projective points) as an owner array over the PG(3, q) point index and a
+count of the points each plane has left.  Each round of `run_algorithm1`
+picks a surviving plane and three of its points, scales representatives
+u1, u2, u0 with u0 = u1 - u2, drops the plane, and removes every surviving
+point that lies in a plane spanned by one new and one earlier
+representative.  Planes left with fewer than three points are discarded;
+the loop ends when no plane is left.  Each round's trace keeps the removed
+points as one (m, 4) int32 array of canonical codes and the count removed
+from each plane as one (h, 2) int32 array, so a run holds no Python object
+per removed point or cut plane.
 `replay_trace` reproduces a run by re-running its header.
 
 The resulting pairs (u1, u2) satisfy three conditions that make the
@@ -433,7 +433,7 @@ class PairSpanTable:
         on = lead[spans]
         low = on < after[:, None, None]
         while low.any():
-            on = np.where(low, nxt[on], on)
+            on[low] = nxt[on[low]]
             low = on < after[:, None, None]
         first = np.minimum(first, on.min(axis=2))
         t = first // 3
@@ -488,69 +488,6 @@ def verify_conditions(seq: VectorSequence) -> ConditionReport:
 # -- the greedy loop -----------------------------------------------------------
 
 
-class _Survivors:
-    """The candidate point sets, one per spread plane not yet ruled out,
-    changed in place round by round.
-
-    plane_points[t] holds the PG(3, q) indices (see `spread.point_index`)
-    of plane t's q + 1 points, read from the spread's basis array.  owner[x]
-    is the plane id of point x, or -1 once x is removed.  left[t] is the
-    number of points plane t still has: 0 once t is chosen or discarded,
-    and never 1 or 2.  reps holds the representatives u0, u1, u2 of every
-    round so far, three rows a round.  mark is all False between rounds.
-    """
-
-    def __init__(self, field: FieldSpec):
-        self.field = field
-        B = _spread_bases(field)
-        self.plane_points = span_point_index(field, B[:, 0], B[:, 1])
-        self.owner = np.full(self.plane_points.size, -1, dtype=np.int32)
-        self.owner[self.plane_points] = np.arange(len(B), dtype=np.int32)[:, None]
-        self.mark = np.zeros(self.owner.size, dtype=bool)
-        self.left = np.full(len(B), field.q + 1)
-        self.reps = np.zeros((0, 4), dtype=np.int32)
-
-    def points_of(self, plane_id: int) -> list[tuple[int, ...]]:
-        """The surviving points of one plane, ascending: their indices sorted as
-        ints (np.sort maps 0.1 MiB more of numpy's code into a run)."""
-        idx = self.plane_points[plane_id]
-        return list(map(tuple, point_codes(self.field.q, sorted(idx[self.owner[idx] >= 0].tolist())).tolist()))
-
-    def drop(self, planes) -> None:
-        self.owner[self.plane_points[planes]] = -1
-        self.left[planes] = 0
-
-
-def _round(family: _Survivors, policy: str, rng) -> TraceRound:
-    """One round: pick a surviving plane (the least id under 'lex', else
-    `rng.choice`) and a triple among its points (`choose_triple`), append
-    the triple to family.reps, drop the plane, remove every surviving point
-    on a span of one new and one earlier representative, and discard the
-    planes left with fewer than three points."""
-    field, ids = family.field, np.flatnonzero(family.left).tolist()
-    plane_id = ids[0] if policy == "lex" else rng.choice(ids)
-    u0, u1, u2 = choose_triple(field, family.points_of(plane_id), policy, rng)
-    chosen = tuple(sorted(canonical_rep(field, v) for v in (u0, u1, u2)))
-    family.drop([plane_id])
-    cur, old = np.array([u0, u1, u2], dtype=np.int32), family.reps
-    family.reps = np.concatenate([old, cur])
-    spans = span_point_index(field, np.repeat(cur, len(old), axis=0), np.tile(old, (3, 1))).ravel()
-    owner, mark = family.owner, family.mark
-    mark[spans[owner[spans] >= 0]] = True
-    gone = np.flatnonzero(mark)  # ascending index: ascending tuples
-    mark[gone] = False
-    pids = owner[gone]
-    owner[gone] = -1
-    cut = np.bincount(pids, minlength=family.left.size)
-    family.left -= cut
-    hit = np.flatnonzero(cut)
-    discarded = hit[family.left[hit] < 3]
-    family.drop(discarded)
-    removed = point_codes(field.q, gone[np.argsort(pids, kind="stable")]).astype(np.int32)
-    cuts = np.stack([hit, cut[hit]], axis=1).astype(np.int32)
-    return TraceRound(plane_id, chosen, cuts, removed, tuple(discarded.tolist()))
-
-
 def run_algorithm1(field: FieldSpec, policy: str = "lex", seed: Optional[int] = None):
     """Run the greedy choose/trim loop to exhaustion.
 
@@ -559,6 +496,17 @@ def run_algorithm1(field: FieldSpec, policy: str = "lex", seed: Optional[int] = 
     sequence conditions whenever L >= 3; smaller q runs to completion but
     only after emitting a warning.  The seed is a non-negative int or None
     (0 under 'seeded'); 'lex' ignores it.
+
+    Each round picks a surviving plane (the least id under 'lex', else
+    `rng.choice`) and a triple among its points (`choose_triple`), appends
+    the triple to reps, drops the plane, removes every surviving point on a
+    span of one new and one earlier representative, and discards the planes
+    left with fewer than three points.  Between rounds: plane_points[t]
+    holds the PG(3, q) indices (see `spread.point_index`) of spread plane
+    t's q + 1 points; owner[x] is the plane id of point x, or -1 once x is
+    removed; left[t] is the number of points plane t still has, 0 once t is
+    chosen or discarded and never 1 or 2; reps holds the representatives
+    u0, u1, u2 of every round so far, three rows a round; mark is all False.
     """
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
         # random.Random uses abs(seed): a negative seed would build its positive twin's code
@@ -577,12 +525,42 @@ def run_algorithm1(field: FieldSpec, policy: str = "lex", seed: Optional[int] = 
     else:
         seed = None
         rng = None
-    family = _Survivors(field)
+    B = _spread_bases(field)
+    plane_points = span_point_index(field, B[:, 0], B[:, 1])
+    owner = np.full(plane_points.size, -1, dtype=np.int32)
+    owner[plane_points] = np.arange(len(B), dtype=np.int32)[:, None]
+    mark = np.zeros(owner.size, dtype=bool)
+    left = np.full(len(B), field.q + 1)
+    reps = np.zeros((0, 4), dtype=np.int32)
     rounds: list[TraceRound] = []
-    while family.left.any():
-        rounds.append(_round(family, policy, rng))
+    while left.any():
+        ids = np.flatnonzero(left).tolist()
+        plane_id = ids[0] if policy == "lex" else rng.choice(ids)
+        idx = plane_points[plane_id]
+        # the plane's surviving points, ascending: their indices sorted as ints
+        # (np.sort maps 0.1 MiB more of numpy's code into a run)
+        points = point_codes(field.q, sorted(idx[owner[idx] >= 0].tolist())).tolist()
+        u0, u1, u2 = choose_triple(field, points, policy, rng)
+        chosen = tuple(sorted(canonical_rep(field, v) for v in (u0, u1, u2)))
+        owner[idx], left[plane_id] = -1, 0
+        cur = np.array([u0, u1, u2], dtype=np.int32)
+        spans = span_point_index(field, np.repeat(cur, len(reps), axis=0), np.tile(reps, (3, 1))).ravel()
+        reps = np.concatenate([reps, cur])
+        mark[spans[owner[spans] >= 0]] = True
+        gone = np.flatnonzero(mark)  # ascending index: ascending tuples
+        mark[gone] = False
+        pids = owner[gone]
+        owner[gone] = -1
+        cut = np.bincount(pids, minlength=left.size)
+        left -= cut
+        hit = np.flatnonzero(cut)
+        discarded = hit[left[hit] < 3]
+        owner[plane_points[discarded]], left[discarded] = -1, 0
+        removed = point_codes(field.q, gone[np.argsort(pids, kind="stable")]).astype(np.int32)
+        cuts = np.stack([hit, cut[hit]], axis=1).astype(np.int32)
+        rounds.append(TraceRound(plane_id, chosen, cuts, removed, tuple(discarded.tolist())))
     trace = ConstructionTrace(field.p, field.e, field.modulus, field.q, policy, seed, tuple(rounds))
-    return VectorSequence(field, family.reps.reshape(-1, 3, 4)[:, 1:]), trace
+    return VectorSequence(field, reps.reshape(-1, 3, 4)[:, 1:]), trace
 
 
 def replay_trace(trace: ConstructionTrace) -> VectorSequence:

@@ -592,29 +592,30 @@ def test_parse_failure_model():
 
 
 def test_single_uniform_all_local(h1_code):
-    stats = simulate_repairs(h1_code, trials=400, failure_model="single-uniform", seed=1)
-    assert stats.success_rate == 1.0
-    assert stats.local_symbol_fraction == 1.0
-    assert stats.mean_helpers_per_symbol == 2.0
-    assert stats.mean_helpers_per_trial == 2.0
+    summary = simulate_repairs(h1_code, trials=400, failure_model="single-uniform", seed=1).summary_dict()
+    assert summary["success_rate"] == 1.0
+    assert summary["local_symbol_fraction"] == 1.0
+    assert summary["mean_helpers_per_symbol"] == 2.0
+    assert summary["mean_helpers_per_trial"] == 2.0
 
 
 def test_multi_uniform_six_always_recovers(h1_code):
     stats = simulate_repairs(h1_code, trials=300, failure_model="multi-uniform(6)", seed=2)
-    assert stats.success_rate == 1.0
+    assert stats.summary_dict()["success_rate"] == 1.0
 
 
 def test_multi_uniform_seven_sometimes_fails(h1_code):
-    stats = simulate_repairs(h1_code, trials=2000, failure_model="multi-uniform(7)", seed=3)
-    assert stats.success_rate < 1.0
-    lo, hi = stats.wilson_ci_95()
-    assert 0.0 <= lo <= stats.success_rate <= hi <= 1.0
+    summary = simulate_repairs(h1_code, trials=2000, failure_model="multi-uniform(7)", seed=3).summary_dict()
+    assert summary["success_rate"] < 1.0
+    lo, hi = summary["success_wilson_ci_95"]
+    assert 0.0 <= lo <= summary["success_rate"] <= hi <= 1.0
 
 
 def test_group_burst_recovers_globally(h2_code):
     stats = simulate_repairs(h2_code, trials=150, failure_model="group-burst", seed=4)
-    assert stats.success_rate == 1.0
-    assert stats.local_trials == 0
+    summary = stats.summary_dict()
+    assert summary["success_rate"] == 1.0
+    assert summary["local_trials"] == 0
     assert all(rec.mode == "global" for rec in stats.records)
     assert all(rec.helpers == 15 for rec in stats.records)  # n - 3 read
 
@@ -643,7 +644,7 @@ def test_simulator_refuses_a_seed_that_is_no_non_negative_int(h1_code, seed, mon
 
 def test_simulator_mixed_pattern_routing(h1_code):
     stats = simulate_repairs(h1_code, trials=300, failure_model="multi-uniform(2)", seed=6)
-    assert stats.success_rate == 1.0
+    assert stats.summary_dict()["success_rate"] == 1.0
     group_of = {j: gi for gi, g in enumerate(h1_code.groups) for j in g}
     for rec in stats.records:
         groups_touched = {group_of[j] for j in rec.erased}
@@ -738,17 +739,24 @@ def _reference_simulation(code, trials, failure_model, seed):
     )
 
 
-def _counters(records):
-    """RepairStats' counters, summed over a list of TrialRecords."""
+def _summary(records):
+    """RepairStats.summary_dict(), counted from a list of TrialRecords."""
+    trials, successes = len(records), sum(r.success for r in records)
     local = [r for r in records if r.mode == "local"]
-    return (
-        len(records),
-        sum(r.success for r in records),
-        len(local),
-        sum(len(r.erased) for r in records),
-        sum(len(r.erased) for r in local),
-        sum(r.helpers for r in records),
-    )
+    erased, local_erased = sum(len(r.erased) for r in records), sum(len(r.erased) for r in local)
+    helpers = sum(r.helpers for r in records)
+    return {
+        "trials": trials,
+        "successes": successes,
+        "success_rate": successes / trials,
+        "success_wilson_ci_95": list(wilson_interval(successes, trials)),
+        "local_trials": len(local),
+        "erased_symbols": erased,
+        "locally_repaired_symbols": local_erased,
+        "local_symbol_fraction": local_erased / erased,
+        "mean_helpers_per_trial": helpers / trials,
+        "mean_helpers_per_symbol": helpers / erased,
+    }
 
 
 _SIM_CASES = [(name, model) for name in _SIM_SEEDS for model in _SIM_MODELS]
@@ -767,14 +775,13 @@ def test_simulator_matches_per_trial_reference(name, model):
     fast, slow = _simulated(name, model)
     assert fast == slow
     assert fast.records == slow.records
-    counters = (fast.trials, fast.successes, fast.local_trials, fast.erased_symbols,
-                fast.locally_repaired_symbols, fast.helpers_total)
-    assert counters == _counters(slow.records)
+    # all ten keys in order, the rates and the Wilson interval included
+    assert list(fast.summary_dict().items()) == list(_summary(slow.records).items())
 
 
 def test_simulator_reference_corpus_covers_every_path():
     stats = [_simulated(name, model)[0] for name, model in _SIM_CASES]
-    assert any(s.successes < s.trials for s in stats)  # some pattern cannot be repaired
+    assert any(d["successes"] < d["trials"] for d in map(RepairStats.summary_dict, stats))  # some pattern cannot be repaired
     records = [r for s in stats for r in s.records]
     assert all(r.helpers == 2 * len(r.erased) for r in records if r.mode == "local")  # the two partners
     assert _sim_code("h2-two-checks").H.rows == len(_sim_code("h2-two-checks").groups) + 5  # no block code
@@ -854,7 +861,7 @@ def test_simulator_builds_records_only_when_read(monkeypatch, tmp_path):
     monkeypatch.setattr(codec, "TrialRecord", lambda *a: built.append(a) or TrialRecord(*a))
     stats = simulate_repairs(_sim_code("h2"), 300, "multi-uniform(2)", 5)
     stats.summary_dict()
-    assert stats.successes == 300 and built == []
+    assert stats.summary_dict()["successes"] == 300 and built == []
     for out in (["--out", str(tmp_path / "s.json")], ["--jsonl", str(tmp_path / "t.jsonl")]):
         assert main(["simulate", "h2", "--trials", "300", "--failure-model", "group-burst", *out]) == 0
     assert built == []
@@ -869,7 +876,7 @@ def test_jsonl_lines_are_json_dumps_of_the_records():
         fh = io.StringIO()
         stats.write_jsonl(fh)
         assert fh.getvalue() == "".join(json.dumps(dataclasses.asdict(r), sort_keys=True) + "\n" for r in stats.records)
-    assert 0 < stats.successes < 500
+    assert 0 < stats.summary_dict()["successes"] < 500
 
 
 def test_trial_draws_cross_block_boundaries():
