@@ -22,17 +22,16 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import fields as dc_fields
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .bounds import BoundsReport, bounds_report, dim_bound_eq3
+from .bounds import bounds_report, dim_bound_eq3
 from .codec import (
+    FIXTURES,
     GroupDetectionError,
     _STREAM_VERSION,
     block_distance,
     code_from_parity_check,
-    fixture_names,
     fixture_path,
     min_distance,
     parse_failure_model,
@@ -122,6 +121,9 @@ def _certify(seq: VectorSequence, H: MatrixF, cap: int) -> Optional[tuple[int, i
 def cmd_construct(ns: argparse.Namespace) -> int:
     q, policy, seed, cap = ns.q, ns.policy, ns.seed, ns.distance_cap
     modulus = ns.modulus or None
+    if seed is not None and policy == "lex":
+        # run_algorithm1 drops a lex seed: the artifacts' config would name a seed the trace does not
+        raise ValueError("--seed applies only to --policy seeded")
     cfg = _config(command="construct", q=q, modulus=modulus, policy=policy, seed=seed, out=ns.out,
                   format=ns.format, distance_cap=cap)
     field = FieldSpec(*factor_prime_power(q), modulus)
@@ -191,7 +193,7 @@ def cmd_construct(ns: argparse.Namespace) -> int:
 def cmd_verify(ns: argparse.Namespace) -> int:
     cap = ns.distance_cap
     try:
-        M, extras = load_matrix_json(fixture_path(ns.matrix) if ns.matrix in fixture_names() else ns.matrix)
+        M, extras = load_matrix_json(fixture_path(ns.matrix) if ns.matrix in FIXTURES else ns.matrix)
         declared = extras.get("params")
         ints = isinstance(declared, dict) and all(type(declared.get(key, 0)) is int for key in ("n", "k", "d", "r"))
         if declared is not None and not ints:
@@ -258,31 +260,25 @@ def cmd_bounds(ns: argparse.Namespace) -> int:
     combos: list[dict] = [{}]
     for name, vals in supplied.items():
         combos = [dict(c, **{name: v}) for c in combos for v in vals]
-    reports = [bounds_report(**combo) for combo in combos]
+    rows = [bounds_report(**combo).to_json_dict() for combo in combos]
     if grid or ns.format == "csv":
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=[f.name for f in dc_fields(BoundsReport)])
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
         writer.writeheader()
-        for rep in reports:
-            writer.writerow({key: ("" if v is None else v) for key, v in rep.to_json_dict().items()})
+        writer.writerows({key: ("" if v is None else v) for key, v in row.items()} for row in rows)
         text = buf.getvalue()
-        if ns.out:
-            Path(ns.out).write_text(text)
-        else:
-            print(text, end="")
-        return EXIT_OK
-    rows = reports[0].to_json_dict()
-    if ns.format == "json":
-        if ns.out:
-            write_json(ns.out, rows)
-        else:
-            print(json_text(rows))
+    elif ns.format == "json":
+        text = json_text(rows[0]) + "\n"
     else:
-        if rows["wang_k_max"] is not None:
-            rows["wang_k_max"] = f"{rows['wang_k_max']:.6f}"
-        width = max(len(name) for name in rows)
-        for name, val in rows.items():
-            print(f"{name:<{width}}  {'-' if val is None else val}")
+        row = rows[0]
+        if row["wang_k_max"] is not None:
+            row["wang_k_max"] = f"{row['wang_k_max']:.6f}"
+        width = max(len(name) for name in row)
+        text = "".join(f"{name:<{width}}  {'-' if val is None else val}\n" for name, val in row.items())
+    if ns.out:
+        Path(ns.out).write_text(text)
+    else:
+        print(text, end="")
     return EXIT_OK
 
 
@@ -293,7 +289,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     cfg = _config(command="simulate", input=ns.matrix, trials=ns.trials, failure_model=ns.failure_model,
                   seed=ns.seed, stream=_STREAM_VERSION, out=ns.out)
     try:
-        M, _ = load_matrix_json(fixture_path(ns.matrix) if ns.matrix in fixture_names() else ns.matrix)
+        M, _ = load_matrix_json(fixture_path(ns.matrix) if ns.matrix in FIXTURES else ns.matrix)
         code = code_from_parity_check(M)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

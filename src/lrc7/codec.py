@@ -14,7 +14,6 @@ simulator.
 from __future__ import annotations
 
 import importlib.resources
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,8 +33,8 @@ from .linalg import (
     _matmul_codes,
     _solve_stack,
     kernel_basis,
+    load_matrix_json,
     matmul,
-    matrix_from_json_dict,
     rank,
     solve_columns,
 )
@@ -561,17 +560,15 @@ def _repair_block(code: LrcCode, groups: np.ndarray, words: np.ndarray, E: np.nd
 # -- bundled example matrices -----------------------------------------------------
 
 
-def fixture_names() -> tuple[str, ...]:
-    return ("h1", "h2")
+FIXTURES = ("h1", "h2")
 
 
 def fixture_path(name: str):
-    if name not in fixture_names():
-        raise KeyError(f"unknown fixture {name!r}; available: {fixture_names()}")
+    if name not in FIXTURES:
+        raise KeyError(f"unknown fixture {name!r}; available: {FIXTURES}")
     return importlib.resources.files("lrc7") / "fixtures" / f"{name}.json"
 
 
 def load_fixture(name: str) -> tuple[MatrixF, dict]:
     """Load a bundled parity-check matrix plus its declared parameters."""
-    data = json.loads(fixture_path(name).read_text())
-    return matrix_from_json_dict(data)
+    return load_matrix_json(fixture_path(name))

@@ -98,14 +98,7 @@ class VectorSequence:
     def from_json_dict(cls, d: dict) -> "VectorSequence":
         """The sequence `to_json_dict` wrote; its q must be the JSON integer
         p**e of its header."""
-        if not isinstance(d, dict):
-            raise ValueError(f"sequence JSON must be an object, got {type(d).__name__}")
-        try:
-            field, q, pairs = field_from_header(d), d["q"], d["pairs"]
-        except KeyError as exc:
-            raise ValueError(f"sequence JSON is missing key {exc}") from exc
-        if type(q) is not int or q != field.q:
-            raise ValueError(f"sequence q must be the JSON integer p**e = {field.q}, got {q!r}")
+        field, _, pairs = field_from_header(d, "sequence", "q", "pairs")
         return cls(field, pairs)
 
     def save_json(self, path) -> None:
@@ -197,10 +190,7 @@ def _round_from_json(i: int, rd: dict) -> TraceRound:
 class ConstructionTrace:
     """Everything needed to reproduce a run bit-exactly."""
 
-    p: int
-    e: int
-    modulus: tuple[int, ...]
-    q: int
+    field: FieldSpec
     policy: str
     seed: Optional[int]
     rounds: tuple[TraceRound, ...]
@@ -219,29 +209,22 @@ class ConstructionTrace:
             {"plane_id": rd.plane_id, "points": rd.points, "removals": r, "discarded": rd.discarded}
             for rd, r in zip(self.rounds, removals)
         ]
-        return {**field_header(self), "q": self.q, "policy": self.policy, "seed": self.seed, "rounds": rounds}
+        return {**field_header(self.field), "q": self.field.q, "policy": self.policy, "seed": self.seed, "rounds": rounds}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ConstructionTrace":
         """The trace `to_json_dict` or `save_json` wrote.  The header, like
         each round, must hold JSON integers as written: a q of 4.9 or a seed
         of "1" is refused, not coerced."""
-        if not isinstance(d, dict):
-            raise ValueError(f"trace JSON must be an object, got {type(d).__name__}")
-        try:
-            field, q, policy, seed, rounds = field_from_header(d), d["q"], d["policy"], d["seed"], d["rounds"]
-        except KeyError as exc:
-            raise ValueError(f"trace JSON is missing key {exc}") from exc
+        field, _, policy, seed, rounds = field_from_header(d, "trace", "q", "policy", "seed", "rounds")
         if not isinstance(rounds, (list, tuple)):
             raise ValueError(f"trace rounds must be a list, got {type(rounds).__name__}")
         rounds = tuple(_round_from_json(i, rd) for i, rd in enumerate(rounds, start=1))
-        if type(q) is not int or q != field.q:
-            raise ValueError(f"trace q must be the JSON integer p**e = {field.q}, got {q!r}")
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
         if seed is not None and (type(seed) is not int or seed < 0):
             raise ValueError(f"trace seed must be null or a non-negative JSON integer, got {seed!r}")
-        return cls(field.p, field.e, field.modulus, q, policy, seed, rounds)
+        return cls(field, policy, seed, rounds)
 
     def save_json(self, path, **extra) -> None:
         """Write the bytes of ``json_text({**self.to_json_dict(), **extra})``
@@ -534,8 +517,8 @@ def run_algorithm1(field: FieldSpec, policy: str = "lex", seed: Optional[int] = 
     reps = np.zeros((0, 4), dtype=np.int32)
     rounds: list[TraceRound] = []
     while left.any():
-        ids = np.flatnonzero(left).tolist()
-        plane_id = ids[0] if policy == "lex" else rng.choice(ids)
+        ids = np.flatnonzero(left)
+        plane_id = int(ids[0]) if policy == "lex" else int(rng.choice(ids))
         idx = plane_points[plane_id]
         # the plane's surviving points, ascending: their indices sorted as ints
         # (np.sort maps 0.1 MiB more of numpy's code into a run)
@@ -559,7 +542,7 @@ def run_algorithm1(field: FieldSpec, policy: str = "lex", seed: Optional[int] = 
         removed = point_codes(field.q, gone[np.argsort(pids, kind="stable")]).astype(np.int32)
         cuts = np.stack([hit, cut[hit]], axis=1).astype(np.int32)
         rounds.append(TraceRound(plane_id, chosen, cuts, removed, tuple(discarded.tolist())))
-    trace = ConstructionTrace(field.p, field.e, field.modulus, field.q, policy, seed, tuple(rounds))
+    trace = ConstructionTrace(field, policy, seed, tuple(rounds))
     return VectorSequence(field, reps.reshape(-1, 3, 4)[:, 1:]), trace
 
 
@@ -571,10 +554,9 @@ def replay_trace(trace: ConstructionTrace) -> VectorSequence:
     the re-run, or the mismatch in round count; otherwise returns the
     re-run's VectorSequence.  A q < 4 replay warns of nothing.
     """
-    field = FieldSpec(trace.p, trace.e, trace.modulus)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        seq, again = run_algorithm1(field, trace.policy, trace.seed)
+        seq, again = run_algorithm1(trace.field, trace.policy, trace.seed)
     for i, (rd, want) in enumerate(zip(trace.rounds, again.rounds), start=1):
         if rd != want:
             raise ReplayError(f"round {i}: the recorded round differs from the re-run")

@@ -228,22 +228,33 @@ def field_create(p: int, e: int = 1, modulus: Optional[Sequence[int]] = None) ->
 # -- JSON ------------------------------------------------------------------
 
 
-def field_header(field) -> dict:
-    """The ``p``/``e``/``modulus`` header that every JSON format opens with.
-
-    Takes a FieldSpec, or any record carrying the same three attributes.
-    """
+def field_header(field: FieldSpec) -> dict:
+    """The ``p``/``e``/``modulus`` header that every JSON format opens with."""
     return {"p": field.p, "e": field.e, "modulus": list(field.modulus)}
 
 
-def field_from_header(d: dict) -> FieldSpec:
-    """Rebuild the field named by a JSON header (see `field_header`).  p, e
-    and the modulus entries must be JSON integers as written: 2.7, "2" or
-    true is refused, not coerced."""
-    p, e, modulus = d["p"], d["e"], d["modulus"]
-    if not (isinstance(modulus, list) and set(map(type, [p, e, *modulus])) <= {int}):
-        raise ValueError("field header p, e and modulus must hold JSON integers")
-    return FieldSpec(p, e, modulus)
+def field_from_header(d, kind: str, *keys: str) -> tuple:
+    """Read a JSON object of the format named `kind` (sequence, trace or
+    matrix): returns the field its header names (see `field_header`) and
+    then ``d[key]`` for each of `keys`.
+
+    p, e and the modulus entries must be JSON integers as written: 2.7, "2"
+    or true is refused, not coerced.  When "q" is among the keys, it must
+    be the JSON integer p**e.  Any other check of the keys is the caller's.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{kind} JSON must be an object, got {type(d).__name__}")
+    try:
+        p, e, modulus = d["p"], d["e"], d["modulus"]
+        if not (isinstance(modulus, list) and set(map(type, [p, e, *modulus])) <= {int}):
+            raise ValueError("field header p, e and modulus must hold JSON integers")
+        field = FieldSpec(p, e, modulus)
+        values = [d[key] for key in keys]
+    except KeyError as exc:
+        raise ValueError(f"{kind} JSON is missing key {exc}") from exc
+    if "q" in keys and (type(d["q"]) is not int or d["q"] != field.q):
+        raise ValueError(f"{kind} q must be the JSON integer p**e = {field.q}, got {d['q']!r}")
+    return (field, *values)
 
 
 def json_text(obj) -> str:

@@ -285,14 +285,7 @@ def matrix_to_json_dict(M: MatrixF, extra: Optional[dict] = None) -> dict:
 
 def matrix_from_json_dict(d: dict) -> tuple[MatrixF, dict]:
     """Parse the matrix format; returns the matrix and any extra keys."""
-    if not isinstance(d, dict):
-        raise ValueError(f"matrix JSON must be an object, got {type(d).__name__}")
-    try:
-        field = field_from_header(d)
-        entries = d["entries"]
-        rows, cols = d["rows"], d["cols"]
-    except KeyError as exc:
-        raise ValueError(f"matrix JSON is missing key {exc}") from exc
+    field, entries, rows, cols = field_from_header(d, "matrix", "entries", "rows", "cols")
     if type(rows) is not int or type(cols) is not int:
         raise ValueError("declared rows/cols must be JSON integers")
     M = MatrixF(field, entries)

@@ -458,11 +458,24 @@ def test_bounds_grid_csv(capsys):
 
 
 def test_bounds_grid_to_file(tmp_path, capsys):
-    dest = tmp_path / "grid.csv"
-    code, stdout, _ = run_cli(capsys, "bounds", "--q", "4,7", "--d", "7", "--r", "2", "--out", str(dest))
-    assert code == 0
-    assert dest.exists()
-    rows = list(csv.DictReader(dest.open()))
+    """Under every format, --out writes the bytes the same command prints
+    without it, and prints nothing (the text table was once printed, with
+    no file written)."""
+    point = ("--q", "4", "--n", "9", "--k", "2", "--d", "7", "--r", "2")
+    cases = {
+        "grid": ("--q", "4,7", "--d", "7", "--r", "2"),
+        "text": point,
+        "json": (*point, "--format", "json"),
+        "csv": (*point, "--format", "csv"),
+    }
+    for name, args in cases.items():
+        dest = tmp_path / f"{name}.out"
+        code, stdout, _ = run_cli(capsys, "bounds", *args)
+        assert code == 0
+        code, printed, _ = run_cli(capsys, "bounds", *args, "--out", str(dest))
+        assert code == 0 and printed == "", name
+        assert dest.read_bytes() == stdout.encode(), name
+    rows = list(csv.DictReader((tmp_path / "grid.out").open()))
     assert [row["q"] for row in rows] == ["4", "7"]
 
 
@@ -571,6 +584,17 @@ def test_construct_negative_seed_is_a_usage_error(tmp_path, capsys):
     assert code == 2
     assert stdout == ""
     assert stderr == "error: seed must be a non-negative int or None, got -5\n"
+    assert not out.exists()
+
+
+def test_construct_seed_under_lex_is_a_usage_error(tmp_path, capsys):
+    # the lex run ignores the seed, so the artifacts' config would name a
+    # seed that the trace header (seed null) does not
+    out = tmp_path / "run"
+    code, stdout, stderr = run_cli(capsys, "construct", "--q", "4", "--seed", "3", "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: --seed applies only to --policy seeded\n"
     assert not out.exists()
 
 

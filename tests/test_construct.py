@@ -23,7 +23,7 @@ from lrc7.construct import (
     verify_conditions,
 )
 from lrc7.fields import factor_prime_power, field_create, json_text
-from lrc7.linalg import MatrixF, rank, small_rank
+from lrc7.linalg import MatrixF, matrix_from_json_dict, matrix_to_json_dict, rank, small_rank
 from lrc7.spread import build_2_spread, canonical_rep, point_codes, span_point_index
 
 GF4 = field_create(2, 2)
@@ -31,6 +31,7 @@ GF5 = field_create(5)
 GF7 = field_create(7)
 GF8 = field_create(2, 3)
 GF9 = field_create(3, 2)
+GF512 = field_create(2, 9)  # modulus x^9 + x + 1
 
 
 def plane_points(pl) -> list[tuple[int, ...]]:
@@ -360,12 +361,27 @@ def _without(key):
         (lambda d: {**d, "q": 5}, r"sequence q must be the JSON integer p\*\*e = 4, got 5"),
         (lambda d: {**d, "q": 4.0}, r"sequence q must be the JSON integer p\*\*e = 4, got 4.0"),
         (lambda d: {**d, "q": True}, r"sequence q must be the JSON integer p\*\*e = 4, got True"),
+        (lambda d: [d], "trace JSON must be an object, got list"),
+        (_without("modulus"), "trace JSON is missing key 'modulus'"),
+        (_without("rounds"), "trace JSON is missing key 'rounds'"),
+        (lambda d: {**d, "q": 5}, r"trace q must be the JSON integer p\*\*e = 4, got 5"),
+        (lambda d: {**d, "q": 4.0}, r"trace q must be the JSON integer p\*\*e = 4, got 4.0"),
+        (lambda d: {**d, "q": True}, r"trace q must be the JSON integer p\*\*e = 4, got True"),
+        (lambda d: [d], "matrix JSON must be an object, got list"),
+        (_without("modulus"), "matrix JSON is missing key 'modulus'"),
+        (_without("entries"), "matrix JSON is missing key 'entries'"),
     ],
 )
 def test_sequence_json_with_a_bad_header_is_refused(edit, message):
-    d = edit(VectorSequence(GF4, [PAIR]).to_json_dict())
+    """The sequence, trace and matrix formats share one header reader; the
+    message's first word names the format each case edits."""
+    written, read = {
+        "sequence": (VectorSequence(GF4, [PAIR]).to_json_dict, VectorSequence.from_json_dict),
+        "trace": (_q4_trace_json, ConstructionTrace.from_json_dict),
+        "matrix": (lambda: matrix_to_json_dict(MatrixF(GF4, [[0, 1], [2, 3]])), matrix_from_json_dict),
+    }[message.split()[0]]
     with pytest.raises(ValueError, match=message):
-        VectorSequence.from_json_dict(d)
+        read(edit(written()))
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +458,7 @@ def test_replay_detects_tampering():
     rounds = list(trace.rounds)
     bad = rounds[1]
     rounds[1] = dataclasses.replace(bad, cut=np.empty((0, 2), np.int32), removed=np.empty((0, 4), np.int32))
-    tampered = ConstructionTrace(
-        trace.p, trace.e, trace.modulus, trace.q, trace.policy, trace.seed, tuple(rounds)
-    )
+    tampered = dataclasses.replace(trace, rounds=tuple(rounds))
     with pytest.raises(ReplayError):
         replay_trace(tampered)
 
@@ -810,7 +824,7 @@ _PLANE_IDS = sorted(
 )
 
 
-def _hand_trace(rng, q: int) -> ConstructionTrace:
+def _hand_trace(rng, field) -> ConstructionTrace:
     """0 to 8 random rounds with no removals, one cut plane or several; some
     cut planes lost no point; codes of 1 to 3 digits, up to 511."""
     rounds = []
@@ -829,8 +843,7 @@ def _hand_trace(rng, q: int) -> ConstructionTrace:
                 discarded=tuple(rng.choice(_PLANE_IDS, size=int(rng.integers(0, 3))).tolist()),
             )
         )
-    modulus = (1, 1, 0, 0, 0, 0, 0, 0, 0, 1)
-    return ConstructionTrace(p=2, e=9, modulus=modulus, q=q, policy="lex", seed=None, rounds=tuple(rounds))
+    return ConstructionTrace(field=field, policy="lex", seed=None, rounds=tuple(rounds))
 
 
 # extra keys: a string holding the removals stub, and the stub itself in a
@@ -845,7 +858,7 @@ _EXTRAS = (
 @pytest.mark.parametrize("seed", range(12))
 @pytest.mark.parametrize("q", [512, 7])  # q = 7: most codes lie past q, as in a tampered file
 def test_trace_writer_on_hand_built_rounds(seed, q, tmp_path):
-    trace = _hand_trace(np.random.default_rng(seed), q)
+    trace = _hand_trace(np.random.default_rng(seed), GF512 if q == 512 else GF7)
     path = tmp_path / "trace.json"
     for extra in _EXTRAS:
         trace.save_json(path, **extra)
@@ -878,7 +891,7 @@ _random_rounds = st.lists(
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(rounds=_random_rounds)
 def test_trace_writer_on_random_rounds(rounds, tmp_path):
-    trace = ConstructionTrace(p=2, e=9, modulus=(1, 1, 0, 0, 0, 0, 0, 0, 0, 1), q=512, policy="lex", seed=None, rounds=tuple(rounds))
+    trace = ConstructionTrace(field=GF512, policy="lex", seed=None, rounds=tuple(rounds))
     path = tmp_path / "trace.json"
     trace.save_json(path)
     assert path.read_bytes() == _slow_trace_bytes(trace)
@@ -894,7 +907,7 @@ def test_trace_writer_refuses_an_extra_key_of_its_own(key, tmp_path):
 
 
 def test_trace_writer_with_no_rounds(tmp_path):
-    trace = ConstructionTrace(p=5, e=1, modulus=(0, 1), q=5, policy="seeded", seed=2**70, rounds=())
+    trace = ConstructionTrace(field=GF5, policy="seeded", seed=2**70, rounds=())
     path = tmp_path / "trace.json"
     for extra in ({"zz": [{}]}, *_EXTRAS[1:]):  # zz: a key after "rounds"
         trace.save_json(path, **extra)
