@@ -8,21 +8,10 @@ in a decision.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .fields import factor_prime_power
-
 Real = Union[Fraction, float]
-
-
-def is_prime_power(m: int) -> bool:
-    try:
-        factor_prime_power(m)
-    except ValueError:
-        return False
-    return True
 
 
 def ceil_log(q: int, x: int) -> int:
@@ -57,22 +46,6 @@ def _check_params(n: Optional[int], k: Optional[int], d: Optional[int], r: Optio
         raise ValueError(f"need q >= 2, got q={q}")
 
 
-@dataclass(frozen=True)
-class CodeParams:
-    """Code parameters (n, k, d, r) over GF(q); d may be unknown (None)."""
-
-    n: int
-    k: int
-    d: Optional[int]
-    r: int
-    q: int
-
-    def __post_init__(self):
-        _check_params(self.n, self.k, self.d, self.r)
-        if not is_prime_power(self.q):
-            raise ValueError(f"q must be a prime power, got {self.q}")
-
-
 def singleton_like(n: int, k: int, r: int) -> int:
     """Distance cap n - k - ceil(k/r) + 2 for locality-r codes."""
     return n - k - -(-k // r) + 2
@@ -85,22 +58,23 @@ def eq2_holds(n: int, k: int, d: int, r: int) -> Optional[bool]:
     return n - k - n // (r + 1) == d - 2 - (d - 2) // (r + 1)
 
 
-def classify(p: CodeParams) -> str:
+def classify(n: int, k: int, d: Optional[int], r: int) -> str:
     """One of 'optimal', 'almost-optimal', 'infeasible', 'neither'.
 
     A code meeting the distance cap exactly is optimal, except that when
     (r+1) | n and d - 2 = r (mod r+1) no such code exists at all, which is
     reported as infeasible.  Falling short of the cap by exactly one is
-    almost-optimal.  The verdict does not depend on q.
+    almost-optimal.
     """
-    if p.d is None:
+    if d is None:
         raise ValueError("classification needs the minimum distance")
-    cap = singleton_like(p.n, p.k, p.r)
-    if p.d == cap:
-        if p.n % (p.r + 1) == 0 and (p.d - 2) % (p.r + 1) == p.r:
+    _check_params(n, k, d, r)
+    cap = singleton_like(n, k, r)
+    if d == cap:
+        if n % (r + 1) == 0 and (d - 2) % (r + 1) == r:
             return "infeasible"
         return "optimal"
-    if p.d == cap - 1:
+    if d == cap - 1:
         return "almost-optimal"
     return "neither"
 
@@ -173,43 +147,15 @@ def prior_length_bounds(d: int, r: int, q: int) -> tuple[Real, Real]:
     return guru, chen
 
 
-def cor1_distance_cap(n: int, k: int, q: int, r: int = 2) -> Optional[int]:
-    """Distance cap 7 for the pattern r=2, n=3L > q+4, k=2(L-2); None when
-    n <= q+4 (no cap asserted)."""
-    if r != 2 or n % 3 != 0:
-        raise ValueError("the cap applies to r=2 codes with n = 3L")
+def cor1_distance_cap(n: int, k: int, q: int) -> Optional[int]:
+    """Distance cap 7 for locality-2 codes with n=3L > q+4, k=2(L-2); None
+    when n <= q+4 (no cap asserted)."""
+    if n % 3 != 0:
+        raise ValueError("the cap applies to codes with n = 3L")
     L = n // 3
     if k != 2 * (L - 2):
         raise ValueError(f"the cap applies when k = 2(L-2) = {2 * (L - 2)}, got k={k}")
     return 7 if n > q + 4 else None
-
-
-@dataclass(frozen=True)
-class BoundsReport:
-    """Every bound computable from one parameter set.
-
-    Fields are None when the defining precondition (divisibility, the
-    parameter pattern, or a missing input) does not hold.
-    """
-
-    n: Optional[int]
-    k: Optional[int]
-    d: Optional[int]
-    r: Optional[int]
-    q: Optional[int]
-    singleton_d_max: Optional[int]
-    eq2_holds: Optional[bool]
-    eq3_k_max: Optional[int]
-    eq5_n_max: Optional[int]
-    wang_k_max: Optional[float]
-    wang_k_max_floor: Optional[int]
-    guruswami_n_max: Optional[float]
-    chen_n_max: Optional[float]
-    cor1_d_max: Optional[int]
-    classification: Optional[str]
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def bounds_report(
@@ -218,11 +164,14 @@ def bounds_report(
     d: Optional[int] = None,
     r: Optional[int] = None,
     q: Optional[int] = None,
-) -> BoundsReport:
-    """Assemble a BoundsReport from whatever parameters are supplied.
+) -> dict:
+    """Every bound computable from whatever parameters are supplied, keyed
+    n, k, d, r, q, then one key per bound.
 
-    Raises ValueError when the supplied parameters break 1 <= k <= n,
-    1 <= d <= n, 1 <= r <= k or q >= 2.
+    A bound is None when its defining precondition (divisibility, the
+    parameter pattern, or a missing input) does not hold.  Raises ValueError
+    when the supplied parameters break 1 <= k <= n, 1 <= d <= n,
+    1 <= r <= k or q >= 2.
     """
     _check_params(n, k, d, r, q)
     singleton = singleton_like(n, k, r) if None not in (n, k, r) else None
@@ -239,24 +188,23 @@ def bounds_report(
         guru, chen = float(g), float(c)
     cor1 = None
     if None not in (n, k, q) and r == 2 and n % 3 == 0 and k == 2 * (n // 3 - 2):
-        cor1 = cor1_distance_cap(n, k, q, r)
-    cls = None
-    if None not in (n, k, d, r, q):
-        cls = classify(CodeParams(n=n, k=k, d=d, r=r, q=q))
-    return BoundsReport(
-        n=n,
-        k=k,
-        d=d,
-        r=r,
-        q=q,
-        singleton_d_max=singleton,
-        eq2_holds=eq2,
-        eq3_k_max=eq3,
-        eq5_n_max=eq5,
-        wang_k_max=wang,
-        wang_k_max_floor=wang_floor,
-        guruswami_n_max=guru,
-        chen_n_max=chen,
-        cor1_d_max=cor1,
-        classification=cls,
-    )
+        cor1 = cor1_distance_cap(n, k, q)
+    # the verdict does not read q, but a report names one only for a full point
+    cls = classify(n, k, d, r) if None not in (n, k, d, r, q) else None
+    return {
+        "n": n,
+        "k": k,
+        "d": d,
+        "r": r,
+        "q": q,
+        "singleton_d_max": singleton,
+        "eq2_holds": eq2,
+        "eq3_k_max": eq3,
+        "eq5_n_max": eq5,
+        "wang_k_max": wang,
+        "wang_k_max_floor": wang_floor,
+        "guruswami_n_max": guru,
+        "chen_n_max": chen,
+        "cor1_d_max": cor1,
+        "classification": cls,
+    }

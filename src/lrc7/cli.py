@@ -18,7 +18,6 @@ import csv
 import errno
 import functools
 import io
-import json
 import os
 import sys
 import warnings
@@ -28,7 +27,6 @@ from typing import Optional, Sequence
 from .bounds import bounds_report, dim_bound_eq3
 from .codec import (
     FIXTURES,
-    GroupDetectionError,
     _STREAM_VERSION,
     block_distance,
     code_from_parity_check,
@@ -76,6 +74,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _out_path(text: str) -> str:
+    """An output path; '' is refused, since it names no file."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _failure_model(text: str) -> str:
     """Validate a --failure-model spec at parsing; the raw text is kept."""
     try:
@@ -119,14 +124,16 @@ def _certify(seq: VectorSequence, H: MatrixF, cap: int) -> Optional[tuple[int, i
 
 
 def cmd_construct(ns: argparse.Namespace) -> int:
-    q, policy, seed, cap = ns.q, ns.policy, ns.seed, ns.distance_cap
-    modulus = ns.modulus or None
+    q, modulus, policy, seed, cap = ns.q, ns.modulus, ns.policy, ns.seed, ns.distance_cap
     if seed is not None and policy == "lex":
         # run_algorithm1 drops a lex seed: the artifacts' config would name a seed the trace does not
         raise ValueError("--seed applies only to --policy seeded")
     cfg = _config(command="construct", q=q, modulus=modulus, policy=policy, seed=seed, out=ns.out,
                   format=ns.format, distance_cap=cap)
     field = FieldSpec(*factor_prime_power(q), modulus)
+    if modulus is not None and modulus != list(field.modulus):
+        # a prime field drops its modulus and GF(p^e) reduces it mod p: config.modulus would not be the field's
+        raise ValueError(f"--modulus must be the modulus the run uses, {list(field.modulus)} for GF({q})")
     if ns.out is not None:
         _check_out_dir(ns.out)
     with warnings.catch_warnings(record=True) as caught:
@@ -167,18 +174,18 @@ def cmd_construct(ns: argparse.Namespace) -> int:
             "d": shown,
             "r": 2,
             "q": q,
-            "classification": rep.classification,
+            "classification": rep["classification"],
             "attains_dim_bound": attained,
         }
         if ns.format == "json":
             print(json_text(payload))
         else:
             print(f"({n}, {k}, {shown}, 2)_{q}  L={seq.L}  policy={policy}" + (f" seed={seed}" if seed is not None else ""))
-            print(f"classification: {rep.classification or '-'}")
+            print(f"classification: {rep['classification'] or '-'}")
             print(f"attains dimension bound: {'yes' if attained else 'no'}")
         params = {"n": n, "k": k, "r": 2} if d is None else {"n": n, "k": k, "d": d, "r": 2}
         artifacts["matrix.json"] = writer(lambda: matrix_to_json_dict(H, {"params": params}))
-        artifacts["bounds.json"] = writer(rep.to_json_dict)
+        artifacts["bounds.json"] = writer(lambda: rep)
     if ns.out is not None:
         outdir = Path(ns.out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -198,12 +205,12 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         ints = isinstance(declared, dict) and all(type(declared.get(key, 0)) is int for key in ("n", "k", "d", "r"))
         if declared is not None and not ints:
             raise ValueError("declared params must be an object whose n, k, d and r are JSON integers")
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot load matrix: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     try:
         code = code_from_parity_check(M)
-    except (GroupDetectionError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     d = min_distance(code, cap=cap)
@@ -219,7 +226,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         "q": q,
         "groups": [list(g) for g in code.groups],
         "six_column_independence": six_independent,
-        "classification": rep.classification,
+        "classification": rep["classification"],
     }
     mismatches = {}
     if declared is not None:
@@ -239,7 +246,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         print(f"({n}, {k}, {payload['d']}, 2)_{q}  groups={len(code.groups)}")
         shown_six = "unknown" if six_independent is None else "yes" if six_independent else "no"
         print(f"six-column independence: {shown_six}")
-        print(f"classification: {rep.classification or '-'}")
+        print(f"classification: {rep['classification'] or '-'}")
         if declared is not None:
             print(f"declared parameters match: {'no' if mismatches else 'yes'}")
     if mismatches:
@@ -260,7 +267,7 @@ def cmd_bounds(ns: argparse.Namespace) -> int:
     combos: list[dict] = [{}]
     for name, vals in supplied.items():
         combos = [dict(c, **{name: v}) for c in combos for v in vals]
-    rows = [bounds_report(**combo).to_json_dict() for combo in combos]
+    rows = [bounds_report(**combo) for combo in combos]
     if grid or ns.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
@@ -275,7 +282,7 @@ def cmd_bounds(ns: argparse.Namespace) -> int:
             row["wang_k_max"] = f"{row['wang_k_max']:.6f}"
         width = max(len(name) for name in row)
         text = "".join(f"{name:<{width}}  {'-' if val is None else val}\n" for name, val in row.items())
-    if ns.out:
+    if ns.out is not None:
         Path(ns.out).write_text(text)
     else:
         print(text, end="")
@@ -291,16 +298,16 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     try:
         M, _ = load_matrix_json(fixture_path(ns.matrix) if ns.matrix in FIXTURES else ns.matrix)
         code = code_from_parity_check(M)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     # outside the try: its ValueErrors are usage errors, which main exits 2 on
     stats = simulate_repairs(code, trials=ns.trials, failure_model=ns.failure_model, seed=ns.seed)
     summary = {"config": cfg, **stats.summary_dict()}
     # the files first: an unwritable one exits 2 with nothing on stdout
-    if ns.out:
+    if ns.out is not None:
         write_json(ns.out, summary)
-    if ns.jsonl:
+    if ns.jsonl is not None:
         with open(ns.jsonl, "w") as fh:
             stats.write_jsonl(fh)
     print(json_text(summary))
@@ -321,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--modulus", type=_int_list, default=None, help="comma-separated modulus coefficients, low degree first")
     p_con.add_argument("--policy", choices=("lex", "seeded"), default="lex")
     p_con.add_argument("--seed", type=int, default=None)
-    p_con.add_argument("--out", type=str, default=None, help="directory for sequence/trace/matrix/bounds JSON")
+    p_con.add_argument("--out", type=_out_path, default=None, help="directory for sequence/trace/matrix/bounds JSON")
     p_con.add_argument("--format", choices=("text", "json"), default="text")
     p_con.add_argument("--distance-cap", type=_positive_int, default=8)
 
@@ -336,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for flag in ("n", "k", "d", "r", "q"):
         p_bnd.add_argument(f"--{flag}", type=_int_list, default=None, help="int, comma list, or lo..hi range")
     p_bnd.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_bnd.add_argument("--out", type=str, default=None)
+    p_bnd.add_argument("--out", type=_out_path, default=None)
 
     p_sim = sub.add_parser("simulate", help="run the erasure-repair simulator")
     p_sim.set_defaults(run=cmd_simulate)
@@ -345,8 +352,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--failure-model", type=_failure_model, required=True,
                        help="single-uniform | multi-uniform(f) | group-burst")
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--out", type=str, default=None)
-    p_sim.add_argument("--jsonl", type=str, default=None, help="per-trial JSON-lines output path")
+    p_sim.add_argument("--out", type=_out_path, default=None)
+    p_sim.add_argument("--jsonl", type=_out_path, default=None, help="per-trial JSON-lines output path")
     return parser
 
 

@@ -2,18 +2,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from lrc7.bounds import (
-    CodeParams,
     bounds_report,
     ceil_log,
     classify,
     cor1_distance_cap,
     dim_bound_eq3,
     eq2_holds,
-    is_prime_power,
     length_bound_eq5,
     prior_length_bounds,
     singleton_like,
@@ -38,27 +34,26 @@ def test_singleton_like_values():
 
 
 def test_classify_h1_h2_parameters():
-    assert classify(CodeParams(9, 2, 7, 2, 4)) == "almost-optimal"
-    assert classify(CodeParams(18, 8, 7, 2, 7)) == "almost-optimal"
+    assert classify(9, 2, 7, 2) == "almost-optimal"
+    assert classify(18, 8, 7, 2) == "almost-optimal"
 
 
 def test_classify_optimal_and_neither():
     # cap = 9 - 2 - 1 + 2 = 8; d = 5 falls short by more than one
-    assert classify(CodeParams(9, 2, 5, 2, 4)) == "neither"
+    assert classify(9, 2, 5, 2) == "neither"
     # cap = 10 - 2 - 1 + 2 = 9 met exactly; 3 does not divide 10
-    assert classify(CodeParams(10, 2, 9, 2, 16)) == "optimal"
+    assert classify(10, 2, 9, 2) == "optimal"
     # cap met exactly with (r+1) | n but residue (9-2) mod 3 = 1 != 2
-    assert classify(CodeParams(12, 3, 9, 2, 16)) == "optimal"
+    assert classify(12, 3, 9, 2) == "optimal"
 
 
 def test_classify_distance_cap_met_with_residue_condition():
     # (d-2) mod (r+1) == r together with (r+1) | n and the cap met exactly is
     # flagged infeasible; build one artificially through the formula pieces.
-    p = CodeParams(9, 2, 8, 2, 4)
     cap = singleton_like(9, 2, 2)
     assert cap == 8
     # 8 - 2 = 6 = 0 mod 3, so the residue clause does NOT fire: optimal
-    assert classify(p) == "optimal"
+    assert classify(9, 2, 8, 2) == "optimal"
 
 
 def test_infeasible_parameter_sets_are_arithmetically_empty():
@@ -75,21 +70,6 @@ def test_infeasible_parameter_sets_are_arithmetically_empty():
     assert hits == []
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(1, 60),
-    st.integers(1, 60),
-    st.integers(1, 60),
-    st.integers(1, 6),
-    st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 25]),
-    st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 25]),
-)
-def test_classify_is_q_free(n, k, d, r, q1, q2):
-    if not (1 <= k <= n and 1 <= d <= n and r <= k):
-        return
-    assert classify(CodeParams(n, k, d, r, q1)) == classify(CodeParams(n, k, d, r, q2))
-
-
 def test_eq2_holds():
     assert eq2_holds(9, 2, 7, 2) is True  # 9-2-3 = 4 = 5 - floor(5/3)
     assert eq2_holds(9, 3, 7, 2) is False
@@ -97,15 +77,18 @@ def test_eq2_holds():
 
 
 def test_code_params_validation():
-    assert CodeParams(18, 8, 7, 2, 7).k == 8
-    with pytest.raises(ValueError):
-        CodeParams(5, 6, 3, 2, 4)
-    with pytest.raises(ValueError):
-        CodeParams(9, 2, 10, 2, 4)
-    with pytest.raises(ValueError):
-        CodeParams(9, 2, 7, 3, 4)  # r > k
-    with pytest.raises(ValueError):
-        CodeParams(9, 2, 7, 2, 6)  # q not a prime power
+    assert bounds_report(n=18, k=8, d=7, r=2, q=7)["k"] == 8
+    for n, k, d, r, match in [
+        (5, 6, 3, 2, "need 1 <= k <= n, got k=6, n=5"),
+        (9, 2, 10, 2, "need 1 <= d <= n, got d=10, n=9"),
+        (9, 2, 7, 3, "need 1 <= r <= k, got r=3, k=2"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            classify(n, k, d, r)
+        with pytest.raises(ValueError, match=match):
+            bounds_report(n=n, k=k, d=d, r=r, q=4)
+    with pytest.raises(ValueError, match="classification needs the minimum distance"):
+        classify(9, 2, None, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +194,7 @@ def test_length_cap_chain_at_d7_r2():
 
 
 # ---------------------------------------------------------------------------
-# the distance-7 cap and prime powers
+# the distance-7 cap
 # ---------------------------------------------------------------------------
 
 
@@ -223,13 +206,6 @@ def test_cor1_distance_cap():
         cor1_distance_cap(10, 2, 4)
     with pytest.raises(ValueError):
         cor1_distance_cap(9, 3, 4)
-    with pytest.raises(ValueError):
-        cor1_distance_cap(9, 2, 4, r=3)
-
-
-def test_is_prime_power():
-    assert all(is_prime_power(m) for m in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 81, 121))
-    assert not any(is_prime_power(m) for m in (1, 6, 10, 12, 15, 100))
 
 
 def test_ceil_log():
@@ -249,38 +225,40 @@ def test_ceil_log():
 
 def test_bounds_report_full():
     rep = bounds_report(n=9, k=2, d=7, r=2, q=4)
-    assert rep.singleton_d_max == 8
-    assert rep.eq2_holds is True
-    assert rep.eq3_k_max == 2
-    assert rep.eq5_n_max == 23
-    assert rep.wang_k_max_floor == 3
-    assert rep.guruswami_n_max == 128.0
-    assert rep.chen_n_max == 85.0
-    assert rep.cor1_d_max == 7
-    assert rep.classification == "almost-optimal"
-    d = rep.to_json_dict()
-    assert d["eq3_k_max"] == 2 and d["classification"] == "almost-optimal"
+    assert rep["singleton_d_max"] == 8
+    assert rep["eq2_holds"] is True
+    assert rep["eq3_k_max"] == 2
+    assert rep["eq5_n_max"] == 23
+    assert rep["wang_k_max_floor"] == 3
+    assert rep["guruswami_n_max"] == 128.0
+    assert rep["chen_n_max"] == 85.0
+    assert rep["cor1_d_max"] == 7
+    assert rep["classification"] == "almost-optimal"
+    assert list(rep) == [
+        "n", "k", "d", "r", "q", "singleton_d_max", "eq2_holds", "eq3_k_max", "eq5_n_max", "wang_k_max",
+        "wang_k_max_floor", "guruswami_n_max", "chen_n_max", "cor1_d_max", "classification",
+    ]
 
 
 def test_bounds_report_rejects_n_below_one():
     for n in (0, -1):
         with pytest.raises(ValueError, match=f"need n >= 1, got n={n}"):
             bounds_report(n=n, r=2, q=4)
-    assert bounds_report(n=1, q=4).n == 1
+    assert bounds_report(n=1, q=4)["n"] == 1
 
 
 def test_bounds_report_rejects_q_below_two():
     for q in (1, 0, -3):
         with pytest.raises(ValueError, match=f"need q >= 2, got q={q}"):
             bounds_report(d=7, r=2, q=q)
-    assert bounds_report(q=2).eq5_n_max is not None
+    assert bounds_report(q=2)["eq5_n_max"] is not None
 
 
 def test_bounds_report_partial():
     rep = bounds_report(q=7)
-    assert rep.eq5_n_max == 59
-    assert rep.singleton_d_max is None
-    assert rep.classification is None
+    assert rep["eq5_n_max"] == 59
+    assert rep["singleton_d_max"] is None
+    assert rep["classification"] is None
     rep = bounds_report(n=10, k=2, d=7, r=2, q=4)  # (r+1) does not divide n
-    assert rep.eq3_k_max is None and rep.eq2_holds is None
-    assert rep.singleton_d_max == singleton_like(10, 2, 2) == 9
+    assert rep["eq3_k_max"] is None and rep["eq2_holds"] is None
+    assert rep["singleton_d_max"] == singleton_like(10, 2, 2) == 9

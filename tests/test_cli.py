@@ -106,9 +106,21 @@ def test_construct_rejects_non_prime_power(capsys):
 
 
 def test_construct_explicit_modulus(capsys):
-    code, stdout, _ = run_cli(capsys, "construct", "--q", "4", "--modulus", "1,1,1", "--format", "json")
-    assert code == 0
-    assert json.loads(stdout)["d"] == 7
+    for q, modulus in [("4", "1,1,1"), ("7", "0,1")]:
+        code, stdout, _ = run_cli(capsys, "construct", "--q", q, "--modulus", modulus, "--format", "json")
+        assert code == 0
+        assert json.loads(stdout)["d"] == 7
+
+
+@pytest.mark.parametrize("q,modulus,used", [("7", "3,1", "[0, 1]"), ("4", "5,1,1", "[1, 1, 1]")])
+def test_construct_modulus_the_run_does_not_use_is_a_usage_error(q, modulus, used, tmp_path, capsys):
+    # a prime field drops its modulus and GF(p^e) reduces it mod p: the
+    # files' config.modulus would contradict their field headers
+    out = tmp_path / "run"
+    code, stdout, stderr = run_cli(capsys, "construct", "--q", q, "--modulus", modulus, "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: --modulus must be the modulus the run uses, {used} for GF({q})\n"
+    assert not out.exists()
 
 
 def test_construct_deterministic_outputs(tmp_path, capsys):
@@ -211,6 +223,27 @@ def test_unwritable_output_is_a_usage_error(argv, tmp_path, capsys, monkeypatch)
     assert stderr.count("\n") == 1
     assert "Traceback" not in stderr
     assert constructed == []  # the target is checked before the constructor runs
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--q", "4", "--out", ""],
+        ["bounds", "--q", "4", "--out", ""],
+        ["simulate", "h1", "--trials", "5", "--failure-model", "single-uniform", "--out", ""],
+        ["simulate", "h1", "--trials", "5", "--failure-model", "single-uniform", "--jsonl", ""],
+    ],
+    ids=["construct-out", "bounds-out", "simulate-out", "simulate-jsonl"],
+)
+def test_empty_output_path_is_refused_at_parsing(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[-2]}: must not be empty" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +519,20 @@ def test_bounds_requires_some_parameter(capsys):
 
 
 def test_bounds_invalid_combination(capsys):
-    code, _, stderr = run_cli(capsys, "bounds", "--n", "9", "--k", "2", "--d", "7", "--r", "2", "--q", "6")
-    assert code == 2
-    assert "prime power" in stderr
+    """One parameter rule: q = 6 is no field order, but bounds refuses only
+    n < 1, q < 2 and k, d or r out of range, with or without k."""
+    point = ("--n", "9", "--d", "7", "--r", "2", "--q", "6")
+    code, stdout, stderr = run_cli(capsys, "bounds", *point, "--k", "2")
+    assert code == 0 and stderr == ""
+    rows = dict(line.split(None, 1) for line in stdout.splitlines())
+    assert rows.pop("k") == "2"
+    assert rows.pop("classification") == "almost-optimal"
+    assert rows.pop("singleton_d_max") == "8"
+    assert rows.pop("eq2_holds") == "True"
+    code, stdout, _ = run_cli(capsys, "bounds", *point)
+    assert code == 0
+    without_k = dict(line.split(None, 1) for line in stdout.splitlines())
+    assert len(rows) == 11 and rows == {key: without_k[key] for key in rows}
 
 
 @pytest.mark.parametrize("n", ["0", "-2"])

@@ -11,7 +11,7 @@ import pytest
 
 from lrc7 import codec
 from lrc7.cli import main
-from lrc7.bounds import CodeParams, classify
+from lrc7.bounds import classify
 from lrc7.codec import (
     EnumerationBudgetError,
     GroupDetectionError,
@@ -129,8 +129,7 @@ def test_distance_cap_reporting(h1_code):
 def test_classification_of_fixtures(h1_code, h2_code):
     for code in (h1_code, h2_code):
         d = min_distance(code)
-        params = CodeParams(n=code.n, k=code.k, d=d, r=2, q=code.field.q)
-        assert classify(params) == "almost-optimal"
+        assert classify(code.n, code.k, d, 2) == "almost-optimal"
 
 
 def test_weight7_support_columns_are_dependent(h1_code):
