@@ -16,7 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from lrc7.cli import main as lrc7_main  # noqa: E402
+from lrc7.cli import _out_path, main as lrc7_main  # noqa: E402
 from lrc7.construct import guaranteed_min_rounds, run_algorithm1, verify_conditions  # noqa: E402
 from lrc7.fields import FieldSpec, factor_prime_power  # noqa: E402
 
@@ -50,7 +50,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--q", type=str, default="4,5,7,8,9", help="field orders (comma list)")
     ap.add_argument("--seeds", type=int, default=20, help="number of seeded runs per q")
-    ap.add_argument("--out", type=str, default=None, help="directory for the best run's artifacts (one --q only)")
+    ap.add_argument("--out", type=_out_path, default=None, help="directory for the best run's artifacts (one --q only)")
     ns = ap.parse_args()
     if ns.out is not None and "," in ns.q:
         ap.error("--out takes a single --q")

@@ -24,7 +24,7 @@ import warnings
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .bounds import bounds_report, dim_bound_eq3
+from .bounds import bounds_report
 from .codec import (
     FIXTURES,
     _STREAM_VERSION,
@@ -35,7 +35,7 @@ from .codec import (
     parse_failure_model,
     simulate_repairs,
 )
-from .construct import PairSpanTable, VectorSequence, assemble_parity_check, run_algorithm1
+from .construct import POLICIES, PairSpanTable, VectorSequence, assemble_parity_check, run_algorithm1
 from .fields import FieldSpec, factor_prime_power, json_text, write_json
 from .linalg import MatrixF, load_matrix_json, matrix_to_json_dict, rank
 
@@ -141,15 +141,6 @@ def cmd_construct(ns: argparse.Namespace) -> int:
         seq, trace = run_algorithm1(field, policy=policy, seed=seed)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    # each file is built only when --out writes it, from its payload or,
-    # for the trace, by its own writer
-    def writer(build):
-        return lambda path: write_json(path, {**build(), "config": cfg})
-
-    artifacts = {
-        "sequence.json": writer(seq.to_json_dict),
-        "trace.json": lambda path: trace.save_json(path, config=cfg),
-    }
     if seq.L < 3:
         # short runs happen only without the q >= 4 guarantee; report and stop
         message = f"construction stopped after L = {seq.L} < 3 rounds; no code assembled"
@@ -164,7 +155,7 @@ def cmd_construct(ns: argparse.Namespace) -> int:
             return EXIT_VERIFICATION
         n, k, d = certified
         rep = bounds_report(n=n, k=k, d=d, r=2, q=q)
-        attained = k == dim_bound_eq3(n, 2, q)
+        attained = k == rep["eq3_k_max"]
         shown = _shown_distance(d, cap)
         payload = {
             "config": cfg,
@@ -183,14 +174,15 @@ def cmd_construct(ns: argparse.Namespace) -> int:
             print(f"({n}, {k}, {shown}, 2)_{q}  L={seq.L}  policy={policy}" + (f" seed={seed}" if seed is not None else ""))
             print(f"classification: {rep['classification'] or '-'}")
             print(f"attains dimension bound: {'yes' if attained else 'no'}")
-        params = {"n": n, "k": k, "r": 2} if d is None else {"n": n, "k": k, "d": d, "r": 2}
-        artifacts["matrix.json"] = writer(lambda: matrix_to_json_dict(H, {"params": params}))
-        artifacts["bounds.json"] = writer(lambda: rep)
     if ns.out is not None:
         outdir = Path(ns.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        for name, save in artifacts.items():
-            save(outdir / name)
+        write_json(outdir / "sequence.json", {**seq.to_json_dict(), "config": cfg})
+        trace.save_json(outdir / "trace.json", config=cfg)
+        if seq.L >= 3:
+            params = {"n": n, "k": k, "r": 2} if d is None else {"n": n, "k": k, "d": d, "r": 2}
+            write_json(outdir / "matrix.json", {**matrix_to_json_dict(H, {"params": params}), "config": cfg})
+            write_json(outdir / "bounds.json", {**rep, "config": cfg})
     return EXIT_OK
 
 
@@ -264,10 +256,20 @@ def cmd_bounds(ns: argparse.Namespace) -> int:
         print("error: provide at least one of --n/--k/--d/--r/--q", file=sys.stderr)
         return EXIT_USAGE
     grid = any(len(vals) > 1 for vals in supplied.values())
+    if grid and ns.format == "json":
+        raise ValueError("a grid prints CSV; --format json takes a single point")
     combos: list[dict] = [{}]
     for name, vals in supplied.items():
         combos = [dict(c, **{name: v}) for c in combos for v in vals]
-    rows = [bounds_report(**combo) for combo in combos]
+    # a grid leaves out the combinations the parameter rule refuses
+    rows, refused = [], []
+    for combo in combos:
+        try:
+            rows.append(bounds_report(**combo))
+        except ValueError as exc:
+            refused.append(exc)
+    if not rows:
+        raise refused[0]
     if grid or ns.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
@@ -326,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_con.set_defaults(run=cmd_construct)
     p_con.add_argument("--q", type=int, required=True, help="field order (prime power)")
     p_con.add_argument("--modulus", type=_int_list, default=None, help="comma-separated modulus coefficients, low degree first")
-    p_con.add_argument("--policy", choices=("lex", "seeded"), default="lex")
+    p_con.add_argument("--policy", choices=POLICIES, default="lex")
     p_con.add_argument("--seed", type=int, default=None)
     p_con.add_argument("--out", type=_out_path, default=None, help="directory for sequence/trace/matrix/bounds JSON")
     p_con.add_argument("--format", choices=("text", "json"), default="text")

@@ -361,6 +361,7 @@ def repair_global(code: LrcCode, word: Received) -> tuple[int, ...]:
 _SIM_BLOCK_BYTES = 1 << 22  # one block's messages and codewords in `simulate_repairs`, in whole stream units
 _STREAM_TRIALS = 1024  # trials per unit of the seeded stream; trial t is drawn in unit t // _STREAM_TRIALS
 _STREAM_VERSION = 2  # the stream `_trial_draws` defines, recorded in `lrc7 simulate`'s config
+_Z95 = 1.959963984540054  # the two-sided 95% normal quantile, for `wilson_interval`
 
 
 @dataclass(frozen=True)
@@ -429,14 +430,14 @@ class RepairStats:
         }
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if trials == 0:
         return 0.0, 1.0
     phat = successes / trials
-    denom = 1 + z * z / trials
-    center = (phat + z * z / (2 * trials)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
+    denom = 1 + _Z95 * _Z95 / trials
+    center = (phat + _Z95 * _Z95 / (2 * trials)) / denom
+    half = _Z95 * math.sqrt(phat * (1 - phat) / trials + _Z95 * _Z95 / (4 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .fields import FieldSpec, field_from_header, field_header, json_key_order, json_text, write_json
 from .linalg import MatrixF, _codes, solve_pair
-from .spread import _spread_bases, canonical_rep, point_codes, point_index, span_point_index
+from .spread import _spread_bases, point_codes, point_index, span_point_index
 
 POLICIES = ("lex", "seeded")
 
@@ -226,27 +226,23 @@ class ConstructionTrace:
             raise ValueError(f"trace seed must be null or a non-negative JSON integer, got {seed!r}")
         return cls(field, policy, seed, rounds)
 
-    def save_json(self, path, **extra) -> None:
-        """Write the bytes of ``json_text({**self.to_json_dict(), **extra})``
-        and a final newline, with no Python object per removed point.  An
-        extra key that is one of the trace's own raises ValueError.
+    def save_json(self, path, config: Optional[dict] = None) -> None:
+        """Write the bytes of ``json_text`` of `to_json_dict()`, plus config
+        when given, and a final newline, with no Python object per removed
+        point.
 
-        `json_text` writes the keys up to "rounds" with each round's removals
-        as ``{}``.  "rounds" ends that text and holds only ints otherwise, so
-        its last L ``"removals": {}`` are the rounds' own.  Each is filled by
-        one bytes ``%`` of the round's plane ids, each followed by its
-        points' codes, with the planes in the order ``sort_keys`` gives their
-        texts ("10" before "2", "-" first); the keys after "rounds" follow.
+        `json_text` writes the trace with each round's removals as ``{}``.
+        "config" sorts first and only "seed" (an int or null) follows the
+        int-only "rounds", so the text's last L ``"removals": {}`` are the
+        rounds' own.  Each is filled by one bytes ``%`` of the round's plane
+        ids, each followed by its points' codes, with the planes in the
+        order ``sort_keys`` gives their texts ("10" before "2", "-" first).
         """
         payload = self._json_dict([{}] * self.L)
-        clash = sorted(payload.keys() & extra.keys())
-        if clash:
-            raise ValueError(f"extra key {clash[0]!r} collides with the trace format")
-        payload.update(extra)
-        head = json_text({k: v for k, v in payload.items() if k <= "rounds"})
-        tail = json_text({k: v for k, v in payload.items() if k > "rounds"})[1:-2]  # no braces; "seed" at least
+        if config is not None:
+            payload["config"] = config
         opening = b'"removals": {'
-        parts = head[:-2].encode().rsplit(opening + b"}", self.L)
+        parts = (json_text(payload) + "\n").encode().rsplit(opening + b"}", self.L)
         point = b"\n          [" + b",".join([b"\n            %d"] * 4) + b"\n          ]"
         plane = {0: b'\n        "%d": []'}  # the text of a plane with m removed points, by m
         with open(path, "wb") as fh:
@@ -266,7 +262,6 @@ class ConstructionTrace:
                         plane[k] = b'\n        "%d": [' + b",".join([point] * k) + b"\n        ]"
                     fh.write(b",".join(map(plane.__getitem__, m)) % tuple(values) + b"\n      ")
                 fh.write(b"}" + part)
-            fh.write(f",{tail}\n}}\n".encode())
 
     @classmethod
     def load_json(cls, path) -> "ConstructionTrace":
@@ -276,30 +271,15 @@ class ConstructionTrace:
 # -- choosing a triple -------------------------------------------------------
 
 
-def choose_triple(field: FieldSpec, points, policy: str = "lex", rng: Optional[random.Random] = None):
-    """Pick three of a plane's points (canonical code tuples) and scale
-    representatives.
+def choose_triple(field: FieldSpec, points):
+    """Scale representatives of three distinct points of one plane.
 
-    The selected points keep their input order as <v1>, <v2>, <v3>; then
+    The points (code tuples) are <v1>, <v2>, <v3> in the order given; then
     v3 = alpha*v1 + beta*v2 with alpha, beta nonzero, and the returned
     vectors are u1 = alpha*v1, u2 = -beta*v2, u0 = u1 - u2 (a representative
     of <v3>).  Returns (u0, u1, u2) as code tuples.
-
-    Policy 'lex' selects the three canonically smallest points, 'seeded'
-    samples three with the supplied rng.
     """
-    pts = list(dict.fromkeys(tuple(map(int, p)) for p in points))
-    if len(pts) < 3:
-        raise ValueError(f"need at least 3 points, got {len(pts)}")
-    if policy == "lex":
-        chosen = set(sorted(range(len(pts)), key=lambda i: pts[i])[:3])
-    elif policy == "seeded":
-        if rng is None:
-            raise ValueError("policy 'seeded' requires an rng")
-        chosen = set(rng.sample(range(len(pts)), 3))
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
-    v1, v2, v3 = [pts[i] for i in sorted(chosen)]
+    v1, v2, v3 = points
     alpha, beta = solve_pair(field, v1, v2, v3)
     if alpha == 0 or beta == 0:
         raise ValueError("chosen points are not in general position in the plane")
@@ -480,11 +460,13 @@ def run_algorithm1(field: FieldSpec, policy: str = "lex", seed: Optional[int] = 
     only after emitting a warning.  The seed is a non-negative int or None
     (0 under 'seeded'); 'lex' ignores it.
 
-    Each round picks a surviving plane (the least id under 'lex', else
-    `rng.choice`) and a triple among its points (`choose_triple`), appends
-    the triple to reps, drops the plane, removes every surviving point on a
-    span of one new and one earlier representative, and discards the planes
-    left with fewer than three points.  Between rounds: plane_points[t]
+    Each round picks a surviving plane and three of its surviving points,
+    ascending: the least plane id and its three least points under 'lex',
+    `rng.choice` of the planes and `rng.sample` of its points under
+    'seeded'.  It appends their representatives (`choose_triple`) to reps,
+    drops the plane, removes every surviving point on a span of one new and
+    one earlier representative, and discards the planes left with fewer
+    than three points.  Between rounds: plane_points[t]
     holds the PG(3, q) indices (see `spread.point_index`) of spread plane
     t's q + 1 points; owner[x] is the plane id of point x, or -1 once x is
     removed; left[t] is the number of points plane t still has, 0 once t is
@@ -522,9 +504,10 @@ def run_algorithm1(field: FieldSpec, policy: str = "lex", seed: Optional[int] = 
         idx = plane_points[plane_id]
         # the plane's surviving points, ascending: their indices sorted as ints
         # (np.sort maps 0.1 MiB more of numpy's code into a run)
-        points = point_codes(field.q, sorted(idx[owner[idx] >= 0].tolist())).tolist()
-        u0, u1, u2 = choose_triple(field, points, policy, rng)
-        chosen = tuple(sorted(canonical_rep(field, v) for v in (u0, u1, u2)))
+        alive = sorted(idx[owner[idx] >= 0].tolist())
+        pick = (0, 1, 2) if policy == "lex" else sorted(rng.sample(range(len(alive)), 3))
+        chosen = tuple(map(tuple, point_codes(field.q, [alive[i] for i in pick]).tolist()))
+        u0, u1, u2 = choose_triple(field, chosen)
         owner[idx], left[plane_id] = -1, 0
         cur = np.array([u0, u1, u2], dtype=np.int32)
         spans = span_point_index(field, np.repeat(cur, len(reps), axis=0), np.tile(reps, (3, 1))).ravel()

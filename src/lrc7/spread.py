@@ -16,22 +16,6 @@ from .fields import FieldSpec
 from .linalg import small_rank
 
 
-def canonical_rep(field: FieldSpec, codes) -> tuple[int, ...]:
-    """Scale a nonzero vector so its first nonzero coordinate is 1.
-
-    Each one-dimensional subspace has exactly one such representative.
-    """
-    codes = tuple(int(x) for x in codes)
-    for x in codes:
-        if x:
-            if x == 1:
-                return codes
-            iv = field.inv(x)
-            mul = field.mul
-            return tuple(mul(iv, y) for y in codes)
-    raise ValueError("the zero vector spans no projective point")
-
-
 class Plane:
     """A two-dimensional subspace of GF(q)^4 with its index in the spread."""
 

@@ -557,6 +557,25 @@ def test_bounds_rejects_k_above_n(capsys):
     assert stderr == "error: need 1 <= k <= n, got k=20, n=9\n"
 
 
+def test_bounds_grid_leaves_out_refused_points(capsys):
+    """A grid prints the rows of the combinations the parameter rule takes
+    (d <= n here) and exits 2 only when it takes none."""
+    code, stdout, stderr = run_cli(capsys, "bounds", "--q", "4,5", "--n", "5..9", "--k", "3", "--d", "5..9", "--r", "2")
+    assert code == 0 and stderr == ""
+    rows = list(csv.DictReader(io.StringIO(stdout)))
+    want = [(n, d, q) for n in range(5, 10) for d in range(5, n + 1) for q in (4, 5)]
+    assert [(int(row["n"]), int(row["d"]), int(row["q"])) for row in rows] == want
+    code, stdout, stderr = run_cli(capsys, "bounds", "--q", "4,5", "--n", "5", "--d", "6..7")
+    assert code == 2 and stdout == ""
+    assert stderr == "error: need 1 <= d <= n, got d=6, n=5\n"
+
+
+def test_bounds_grid_refuses_json(capsys):
+    code, stdout, stderr = run_cli(capsys, "bounds", "--q", "4,5", "--d", "7", "--r", "2", "--format", "json")
+    assert code == 2 and stdout == ""
+    assert stderr == "error: a grid prints CSV; --format json takes a single point\n"
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

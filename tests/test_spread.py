@@ -10,7 +10,6 @@ from lrc7.spread import (
     Spread,
     _spread_bases,
     build_2_spread,
-    canonical_rep,
     point_codes,
     point_index,
     span_point_index,
@@ -18,6 +17,18 @@ from lrc7.spread import (
 )
 
 FIELD_ARGS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
+
+
+def canonical_rep(field, codes) -> tuple[int, ...]:
+    """The oracle for `point_codes`/`point_index`: a nonzero vector scaled,
+    one scalar field operation at a time, so its first nonzero coordinate
+    is 1."""
+    codes = tuple(int(x) for x in codes)
+    lead = next((x for x in codes if x), None)
+    if lead is None:
+        raise ValueError("the zero vector spans no projective point")
+    iv = field.inv(lead)
+    return tuple(field.mul(iv, y) for y in codes)
 
 
 def plane_points(pl: Plane) -> list[tuple[int, ...]]:
