@@ -8,7 +8,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Every
 command is deterministic given its full flag set (including --seed), and
-every file written embeds the run configuration.
+every file written embeds the flags that determine its content.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from .codec import (
     parse_failure_model,
     simulate_repairs,
 )
-from .construct import POLICIES, PairSpanTable, VectorSequence, assemble_parity_check, run_algorithm1
+from .construct import POLICIES, PairSpanTable, assemble_parity_check, run_algorithm1
 from .fields import FieldSpec, factor_prime_power, json_text, write_json
-from .linalg import MatrixF, load_matrix_json, matrix_to_json_dict, rank
+from .linalg import load_matrix_json, matrix_to_json_dict, rank
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -45,8 +45,10 @@ EXIT_USAGE = 2
 
 
 def _config(**flags) -> dict:
-    """The flag set of one invocation, embedded in every output file; flags
-    left unset (None) drop out."""
+    """The flags of one invocation that determine its output, embedded in
+    every output file; flags left unset (None) drop out.  Output paths and
+    --format are no such flags: they change where and how a result is
+    shown, not the result."""
     return {name: value for name, value in flags.items() if value is not None}
 
 
@@ -105,31 +107,15 @@ def _check_out_dir(path: str) -> None:
     raise OSError(code, os.strerror(code), path)
 
 
-def _shown_distance(d: Optional[int], cap: int) -> int | str:
-    """d, or '>=cap+1' when a search capped at cap found no dependency."""
-    return d if d is not None else f">={cap + 1}"
-
-
 # -- construct -----------------------------------------------------------------
 
 
-def _certify(seq: VectorSequence, H: MatrixF, cap: int) -> Optional[tuple[int, int, Optional[int]]]:
-    """(n, k, d) of seq's block code H, with d read from seq's pair-span
-    table (`block_distance`), or None once stderr says why it fails."""
-    report, d = block_distance(PairSpanTable.of(seq))
-    if not report.ok:
-        print(f"verification failed: sequence conditions do not hold: {report}", file=sys.stderr)
-        return None
-    return H.cols, H.cols - rank(H), d if d <= cap else None
-
-
 def cmd_construct(ns: argparse.Namespace) -> int:
-    q, modulus, policy, seed, cap = ns.q, ns.modulus, ns.policy, ns.seed, ns.distance_cap
+    q, modulus, policy, seed = ns.q, ns.modulus, ns.policy, ns.seed
     if seed is not None and policy == "lex":
         # run_algorithm1 drops a lex seed: the artifacts' config would name a seed the trace does not
         raise ValueError("--seed applies only to --policy seeded")
-    cfg = _config(command="construct", q=q, modulus=modulus, policy=policy, seed=seed, out=ns.out,
-                  format=ns.format, distance_cap=cap)
+    cfg = _config(command="construct", q=q, modulus=modulus, policy=policy, seed=seed)
     field = FieldSpec(*factor_prime_power(q), modulus)
     if modulus is not None and modulus != list(field.modulus):
         # a prime field drops its modulus and GF(p^e) reduces it mod p: config.modulus would not be the field's
@@ -149,20 +135,21 @@ def cmd_construct(ns: argparse.Namespace) -> int:
         else:
             print(message)
     else:
-        H = assemble_parity_check(seq, check=False)
-        certified = _certify(seq, H, cap)
-        if certified is None:
+        # d (7 or 8) from the sequence's own table: no code is built or searched
+        report, d = block_distance(PairSpanTable.of(seq))
+        if not report.ok:
+            print(f"verification failed: sequence conditions do not hold: {report}", file=sys.stderr)
             return EXIT_VERIFICATION
-        n, k, d = certified
+        H = assemble_parity_check(seq, check=False)
+        n, k = H.cols, H.cols - rank(H)
         rep = bounds_report(n=n, k=k, d=d, r=2, q=q)
         attained = k == rep["eq3_k_max"]
-        shown = _shown_distance(d, cap)
         payload = {
             "config": cfg,
             "L": seq.L,
             "n": n,
             "k": k,
-            "d": shown,
+            "d": d,
             "r": 2,
             "q": q,
             "classification": rep["classification"],
@@ -171,16 +158,16 @@ def cmd_construct(ns: argparse.Namespace) -> int:
         if ns.format == "json":
             print(json_text(payload))
         else:
-            print(f"({n}, {k}, {shown}, 2)_{q}  L={seq.L}  policy={policy}" + (f" seed={seed}" if seed is not None else ""))
+            print(f"({n}, {k}, {d}, 2)_{q}  L={seq.L}  policy={policy}" + (f" seed={seed}" if seed is not None else ""))
             print(f"classification: {rep['classification'] or '-'}")
             print(f"attains dimension bound: {'yes' if attained else 'no'}")
     if ns.out is not None:
         outdir = Path(ns.out)
         outdir.mkdir(parents=True, exist_ok=True)
         write_json(outdir / "sequence.json", {**seq.to_json_dict(), "config": cfg})
-        trace.save_json(outdir / "trace.json", config=cfg)
+        trace.save_json(outdir / "trace.json")
         if seq.L >= 3:
-            params = {"n": n, "k": k, "r": 2} if d is None else {"n": n, "k": k, "d": d, "r": 2}
+            params = {"n": n, "k": k, "d": d, "r": 2}
             write_json(outdir / "matrix.json", {**matrix_to_json_dict(H, {"params": params}), "config": cfg})
             write_json(outdir / "bounds.json", {**rep, "config": cfg})
     return EXIT_OK
@@ -213,7 +200,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     payload = {
         "n": n,
         "k": k,
-        "d": _shown_distance(d, cap),
+        "d": d if d is not None else f">={cap + 1}",  # a search capped at cap found no dependency
         "r": 2,
         "q": q,
         "groups": [list(g) for g in code.groups],
@@ -296,7 +283,7 @@ def cmd_bounds(ns: argparse.Namespace) -> int:
 
 def cmd_simulate(ns: argparse.Namespace) -> int:
     cfg = _config(command="simulate", input=ns.matrix, trials=ns.trials, failure_model=ns.failure_model,
-                  seed=ns.seed, stream=_STREAM_VERSION, out=ns.out)
+                  seed=ns.seed, stream=_STREAM_VERSION)
     try:
         M, _ = load_matrix_json(fixture_path(ns.matrix) if ns.matrix in FIXTURES else ns.matrix)
         code = code_from_parity_check(M)
@@ -332,7 +319,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--seed", type=int, default=None)
     p_con.add_argument("--out", type=_out_path, default=None, help="directory for sequence/trace/matrix/bounds JSON")
     p_con.add_argument("--format", choices=("text", "json"), default="text")
-    p_con.add_argument("--distance-cap", type=_positive_int, default=8)
 
     p_ver = sub.add_parser("verify", help="recompute parameters of a stored matrix")
     p_ver.set_defaults(run=cmd_verify)

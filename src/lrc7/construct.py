@@ -226,23 +226,19 @@ class ConstructionTrace:
             raise ValueError(f"trace seed must be null or a non-negative JSON integer, got {seed!r}")
         return cls(field, policy, seed, rounds)
 
-    def save_json(self, path, config: Optional[dict] = None) -> None:
-        """Write the bytes of ``json_text`` of `to_json_dict()`, plus config
-        when given, and a final newline, with no Python object per removed
-        point.
+    def save_json(self, path) -> None:
+        """Write the bytes of ``json_text`` of `to_json_dict()` and a final
+        newline, with no Python object per removed point.
 
         `json_text` writes the trace with each round's removals as ``{}``.
-        "config" sorts first and only "seed" (an int or null) follows the
-        int-only "rounds", so the text's last L ``"removals": {}`` are the
-        rounds' own.  Each is filled by one bytes ``%`` of the round's plane
-        ids, each followed by its points' codes, with the planes in the
-        order ``sort_keys`` gives their texts ("10" before "2", "-" first).
+        Only "seed" (an int or null) follows the int-only "rounds", so the
+        text's last L ``"removals": {}`` are the rounds' own.  Each is
+        filled by one bytes ``%`` of the round's plane ids, each followed by
+        its points' codes, with the planes in the order ``sort_keys`` gives
+        their texts ("10" before "2", "-" first).
         """
-        payload = self._json_dict([{}] * self.L)
-        if config is not None:
-            payload["config"] = config
         opening = b'"removals": {'
-        parts = (json_text(payload) + "\n").encode().rsplit(opening + b"}", self.L)
+        parts = (json_text(self._json_dict([{}] * self.L)) + "\n").encode().rsplit(opening + b"}", self.L)
         point = b"\n          [" + b",".join([b"\n            %d"] * 4) + b"\n          ]"
         plane = {0: b'\n        "%d": []'}  # the text of a plane with m removed points, by m
         with open(path, "wb") as fh:
@@ -421,9 +417,9 @@ class PairSpanTable:
         three groups sum to 0.
         """
         L, field = self.seq.L, self.seq.field
-        on_rep = np.zeros(self.plane_of.size, dtype=bool)
-        on_rep[self.reps[self.reps >= 0]] = True
-        hit = (self.plane_of[self.spans] < L) & ~on_rep[self.spans]
+        w7 = self.plane_of < L  # a point of some plane P_t and none of the representatives
+        w7[self.reps[self.reps >= 0]] = False
+        hit = w7[self.spans]
         found = hit.any(axis=2)
         if not found.any():
             return None

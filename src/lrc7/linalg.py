@@ -193,13 +193,15 @@ def _solve_stack(field: FieldSpec, A: np.ndarray, b: np.ndarray) -> tuple[np.nda
 
 def _matmul_codes(field: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A @ B over the field on raw code arrays.  Over GF(p) the codes are the
-    residues, so it is one exact int64 product reduced mod p (each term is
-    below 509^2: no overflow short of 3*10^13 terms); an extension field
-    takes one table lookup per inner index."""
+    residues, so it is one exact integer product reduced mod p: each term is
+    below (p - 1)^2, so int32 holds the sum while the inner dimension times
+    that stays below 2^31, and int64 short of 3*10^13 terms; an extension
+    field takes one table lookup per inner index."""
     if field.e == 1:  # np.dot: a first matmul call alone adds 128 KiB of peak RSS
-        out = np.dot(A.astype(np.int64, copy=False), B.astype(np.int64, copy=False))
+        dtype = np.int32 if A.shape[1] * (field.p - 1) ** 2 < 2**31 else np.int64
+        out = np.dot(A.astype(dtype, copy=False), B.astype(dtype, copy=False))
         out %= field.p
-        return out.astype(np.int32)
+        return out.astype(np.int32, copy=False)
     out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int32)
     for t in range(A.shape[1]):
         out = field.arr_add(out, field.arr_mul(A[:, t][:, None], B[t][None, :]))

@@ -45,15 +45,15 @@ def test_construct_q4_writes_artifacts(tmp_path, capsys):
 
 
 def test_construct_trace_under_an_awkward_out_path(tmp_path, capsys):
-    """config.out is user text: quotes, backslashes, non-ASCII and a newline,
-    plus text shaped like the trace's own lines, are written as the stdlib
-    writes them, and the trace still replays to the sequence."""
+    """An --out path of quotes, backslashes, non-ASCII, a newline and text
+    shaped like the trace's own lines is no part of the trace: it is written
+    as the stdlib writes it, and still replays to the sequence."""
     out = tmp_path / 'q"4\\\u00e9\u4e2d}\n    },\n      "removals": {}\n  "rounds": ['
     code, _, _ = run_cli(capsys, "construct", "--q", "4", "--out", str(out))
     assert code == 0
     raw = (out / "trace.json").read_bytes()
     data = json.loads(raw)
-    assert data["config"]["out"] == str(out)
+    assert "config" not in data
     assert raw == (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
     assert replay_trace(ConstructionTrace.load_json(out / "trace.json")) == VectorSequence.load_json(out / "sequence.json")
 
@@ -95,7 +95,6 @@ def test_construct_small_q_json_format_prints_one_json_object(capsys):
     assert code == 0
     payload = json.loads(stdout)
     assert (payload["q"], payload["L"]) == (3, 2)
-    assert payload["config"]["format"] == "json"
     assert payload["message"] == "construction stopped after L = 2 < 3 rounds; no code assembled"
 
 
@@ -133,6 +132,32 @@ def test_construct_deterministic_outputs(tmp_path, capsys):
     assert first == second
 
 
+def test_construct_files_depend_only_on_the_determining_flags(tmp_path, capsys):
+    # --out and --format change where and how the result is shown, not the files
+    runs = [("a", "text"), ("a-much-longer-name", "text"), ("b", "json")]
+    files = []
+    for name, fmt in runs:
+        out = tmp_path / name
+        assert run_cli(capsys, "construct", "--q", "7", "--out", str(out), "--format", fmt)[0] == 0
+        files.append({f: (out / f).read_bytes() for f in ("sequence.json", "trace.json", "matrix.json", "bounds.json")})
+    assert files[0] == files[1] == files[2]
+    assert json.loads(files[0]["matrix.json"])["config"] == {"command": "construct", "q": 7, "policy": "lex"}
+
+
+def test_construct_has_no_distance_cap(capsys, monkeypatch):
+    # d is 7 or 8, read exactly from the pair-span table: there is no search to cap
+    def no_work(*args, **kwargs):
+        raise AssertionError("a usage error must stop before any construction")
+
+    monkeypatch.setattr(cli, "run_algorithm1", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--q", "4", "--distance-cap", "5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --distance-cap 5" in err
+    assert "Traceback" not in err
+
+
 def _c3_failing_run(*args, **kwargs):
     """The seeded q = 5 output with u1(0) replaced by u1(1) + u2(2): c1 and
     c2 still hold, c3 fails, and the block code has d = 6."""
@@ -143,15 +168,13 @@ def _c3_failing_run(*args, **kwargs):
     return VectorSequence(field, pairs), trace
 
 
-@pytest.mark.parametrize("cap", [[], ["--distance-cap", "5"]], ids=["default-cap", "cap-5"])
-def test_construct_reports_failed_sequence_conditions(cap, tmp_path, capsys, monkeypatch):
-    # at cap 5 the search finds no dependency (d = 6 > 5); the conditions still fail the run
+def test_construct_reports_failed_sequence_conditions(tmp_path, capsys, monkeypatch):
     bad, _ = _c3_failing_run()
     rep = verify_conditions(bad)
     assert (rep.c1_ok, rep.c2_ok, rep.c3_ok) == (True, True, False)
     monkeypatch.setattr(cli, "run_algorithm1", _c3_failing_run)
     out = tmp_path / "run"
-    code, stdout, stderr = run_cli(capsys, "construct", "--q", "5", "--out", str(out), *cap)
+    code, stdout, stderr = run_cli(capsys, "construct", "--q", "5", "--out", str(out))
     assert code == 1
     assert stdout == ""
     assert stderr == f"verification failed: sequence conditions do not hold: {rep}\n"
@@ -170,12 +193,10 @@ def _d8_run(*args, **kwargs):
     "argv, exit_code, shown",
     [
         (["--q", "7"], 0, "(18, 8, 7, 2)_7"),
-        (["--q", "7", "--distance-cap", "5"], 0, "(18, 8, >=6, 2)_7"),
-        (["--q", "7", "--distance-cap", "6"], 0, "(18, 8, >=7, 2)_7"),
         (["--q", "5", "c3-fails"], 1, ""),
         (["--q", "9", "d8"], 0, "(9, 2, 8, 2)_9"),
     ],
-    ids=["default-cap", "cap-5", "cap-6", "c3-fails", "d8"],
+    ids=["default-cap", "c3-fails", "d8"],
 )
 def test_construct_builds_one_pair_span_table(argv, exit_code, shown, capsys, monkeypatch):
     # the sequence's one table gives the conditions, worked out once, and d
@@ -386,22 +407,6 @@ def test_verify_refuses_declared_params_that_are_no_json_integers(params, cap, t
     assert stderr == "error: cannot load matrix: declared params must be an object whose n, k, d and r are JSON integers\n"
 
 
-def test_construct_low_distance_cap_is_inconclusive(tmp_path, capsys):
-    # cap 5 only establishes d >= 6: reported, not failed, and d is left
-    # out of the declared parameters, so the matrix still verifies
-    out = tmp_path / "run"
-    code, stdout, _ = run_cli(capsys, "construct", "--q", "4", "--distance-cap", "5", "--out", str(out))
-    assert code == 0
-    assert stdout.startswith("(12, 4, >=6, 2)_4")
-    params = json.loads((out / "matrix.json").read_text())["params"]
-    assert params == {"n": 12, "k": 4, "r": 2}
-    code, stdout, _ = run_cli(capsys, "construct", "--q", "4", "--distance-cap", "5", "--format", "json")
-    assert code == 0
-    assert json.loads(stdout)["d"] == ">=6"
-    code, _, _ = run_cli(capsys, "verify", str(out / "matrix.json"))
-    assert code == 0
-
-
 def test_verify_with_low_distance_cap_is_inconclusive_not_wrong(capsys):
     # cap 3 only establishes d >= 4: no independence claim, declared d = 7
     # is consistent with the evidence, exit 0
@@ -426,11 +431,7 @@ def test_verify_text_reports_inconclusive_independence_as_unknown(capsys):
     assert "six-column independence: yes" in stdout.splitlines()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["construct", "--q", "4", "--distance-cap", "5"], ["verify", "h1", "--distance-cap", "3"]],
-    ids=["construct", "verify"],
-)
+@pytest.mark.parametrize("argv", [["verify", "h1", "--distance-cap", "3"]], ids=["verify"])
 def test_text_output_shows_missing_classification_as_dash(argv, capsys):
     # without d the bounds report has no classification; JSON gives null
     code, stdout, _ = run_cli(capsys, *argv)
@@ -442,7 +443,7 @@ def test_text_output_shows_missing_classification_as_dash(argv, capsys):
     assert json.loads(stdout)["classification"] is None
 
 
-@pytest.mark.parametrize("argv", [["construct", "--q", "4"], ["verify", "h1"]], ids=["construct", "verify"])
+@pytest.mark.parametrize("argv", [["verify", "h1"]], ids=["verify"])
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_distance_cap_below_one_is_rejected_at_parsing(argv, cap, capsys, monkeypatch):
     def no_work(*args, **kwargs):
@@ -602,6 +603,17 @@ def test_simulate_single_uniform(tmp_path, capsys):
     lines = [json.loads(line) for line in jsonl_path.read_text().splitlines()]
     assert len(lines) == 200
     assert all(line["mode"] == "local" and line["helpers"] == 2 for line in lines)
+
+
+def test_simulate_out_writes_what_it_prints(tmp_path, capsys):
+    # the summary does not record --out: stdout is the same with or without it
+    argv = ("simulate", "h2", "--trials", "50", "--failure-model", "group-burst", "--seed", "4")
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, printed, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "s.json"))
+    assert code == 0
+    assert printed == plain
+    assert (tmp_path / "s.json").read_text() == plain
 
 
 def test_simulate_multi_uniform_h2(capsys):

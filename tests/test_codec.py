@@ -331,9 +331,9 @@ def test_table_distance_matches_group_sets_and_dfs(q):
 
 @pytest.mark.parametrize("q", sorted(_TABLE_FIELDS))
 def test_construct_certifies_as_the_built_code(q, capsys, monkeypatch):
-    """`cli._certify` reads d from the sequence's own table; building the
-    code and searching it, with the conditions read from the code's table,
-    gives the same (n, k, d), or the same stderr line and exit code."""
+    """`construct` reads d from the sequence's own table; building the code
+    and searching it, with the conditions read from the code's table, gives
+    the same (n, k, d), or the same stderr line and exit code."""
     from lrc7 import cli
 
     for seq, code, _ in _table_corpus(q):
@@ -341,15 +341,15 @@ def test_construct_certifies_as_the_built_code(q, capsys, monkeypatch):
             continue
         monkeypatch.setattr(cli, "run_algorithm1", lambda *a, **kw: (seq, None))
         report = _block_table(code).conditions()
-        for cap in (6, 7, 8):
-            if report.ok:
-                want, err = (code.n, code.k, _group_set_distance(code, cap)), ""
-            else:
-                want, err = None, f"verification failed: sequence conditions do not hold: {report}\n"
-            assert cli._certify(seq, code.H, cap) == want, (seq, cap)
-            assert capsys.readouterr().err == err
-            assert main(["construct", "--q", str(q), "--distance-cap", str(cap)]) == (1 if want is None else 0)
-            assert capsys.readouterr().err == err
+        rc = main(["construct", "--q", str(q), "--format", "json"])
+        out, err = capsys.readouterr()
+        if report.ok:
+            assert rc == 0 and err == ""
+            got = json.loads(out)
+            assert (got["n"], got["k"], got["d"]) == (code.n, code.k, _group_set_distance(code, 8)), seq
+        else:
+            assert (rc, out) == (1, ""), seq
+            assert err == f"verification failed: sequence conditions do not hold: {report}\n"
 
 
 _SPAN_ORDER_SEED = 15

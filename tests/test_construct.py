@@ -803,10 +803,9 @@ def test_trace_file_is_the_stdlib_encoding(F, policy, seed, tmp_path):
     assert data == (json.dumps(json.loads(data), indent=2, sort_keys=True) + "\n").encode()
 
 
-def _slow_trace_bytes(trace, config=None) -> bytes:
+def _slow_trace_bytes(trace) -> bytes:
     """The oracle for `save_json`: the payload through the C encoder."""
-    extra = {} if config is None else {"config": config}
-    return (json_text({**trace.to_json_dict(), **extra}) + "\n").encode()
+    return (json_text(trace.to_json_dict()) + "\n").encode()
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16, 27])
@@ -814,9 +813,8 @@ def _slow_trace_bytes(trace, config=None) -> bytes:
 def test_trace_writer_matches_the_payload(q, policy, seed, tmp_path):
     _, trace = run_algorithm1(field_create(*factor_prime_power(q)), policy, seed)
     path = tmp_path / "trace.json"
-    for config in (None, {"command": "construct", "q": q, "out": str(tmp_path)}):
-        trace.save_json(path, config)
-        assert path.read_bytes() == _slow_trace_bytes(trace, config)
+    trace.save_json(path)
+    assert path.read_bytes() == _slow_trace_bytes(trace)
 
 
 # plane ids on both sides of every digit-count boundary, and negative ones,
@@ -849,22 +847,13 @@ def _hand_trace(rng, field) -> ConstructionTrace:
     return ConstructionTrace(field=field, policy="lex", seed=None, rounds=tuple(rounds))
 
 
-# configs: a string holding the removals stub, and the stub itself, both in
-# a key before "rounds"
-_CONFIGS = (
-    {"out": 'a"b\\c\u00e9\n"removals": {}'},
-    {"removals": {}},
-)
-
-
 @pytest.mark.parametrize("seed", range(12))
 @pytest.mark.parametrize("q", [512, 7])  # q = 7: most codes lie past q, as in a tampered file
 def test_trace_writer_on_hand_built_rounds(seed, q, tmp_path):
     trace = _hand_trace(np.random.default_rng(seed), GF512 if q == 512 else GF7)
     path = tmp_path / "trace.json"
-    for config in _CONFIGS:
-        trace.save_json(path, config)
-        assert path.read_bytes() == _slow_trace_bytes(trace, config)
+    trace.save_json(path)
+    assert path.read_bytes() == _slow_trace_bytes(trace)
 
 
 _int32 = st.integers(-(2**31), 2**31 - 1)
@@ -902,9 +891,8 @@ def test_trace_writer_on_random_rounds(rounds, tmp_path):
 def test_trace_writer_with_no_rounds(tmp_path):
     trace = ConstructionTrace(field=GF5, policy="seeded", seed=2**70, rounds=())
     path = tmp_path / "trace.json"
-    for config in (None, *_CONFIGS):
-        trace.save_json(path, config)
-        assert path.read_bytes() == _slow_trace_bytes(trace, config)
+    trace.save_json(path)
+    assert path.read_bytes() == _slow_trace_bytes(trace)
 
 
 def test_sequence_json_roundtrip(tmp_path):

@@ -1,8 +1,7 @@
 """Golden-output net: CLI stdout and every written file, byte for byte.
 
 Each case runs `lrc7.cli.main` in process inside an empty directory, with
-relative output paths (the `config` block of each artifact embeds `out`),
-and compares the exit code and the sha256 of stdout and of every file left
+relative output paths, and compares the exit code and the sha256 of stdout and of every file left
 behind with `tests/golden.json`.  A refactor that changes any byte fails
 here.  The `algorithm1-*` cases do the same for `run_algorithm1` at q = 16
 and 27, beyond the CLI cases: the sha256 of the sequence and trace JSON.

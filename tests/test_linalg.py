@@ -291,16 +291,19 @@ def test_matmul_codes_matches_a_scalar_triple_loop(q, m, k, n):
 
 
 def test_matmul_codes_accumulates_past_int32():
-    # 10^4 terms of up to 508^2 sum past 2^31: an int32 accumulator wraps
-    field, k = field_create(509), 10**4
+    # 8,321 terms of 508^2 are the most an int32 sum holds exactly; 8,322 and
+    # 10^4 sum past 2^31, where an int32 accumulator wraps
+    field = field_create(509)
     rng = np.random.default_rng(509)
-    A = rng.integers(0, 509, (2, k)).astype(np.int32)
-    B = rng.integers(0, 509, (k, 2)).astype(np.int32)
-    A[0], B[:, 0] = 508, 508
-    assert 508**2 * k > 2**31
-    out = _matmul_codes(field, A, B)
-    assert out[0, 0] == k % 509  # 508 = -1 mod 509
-    assert out.tolist() == _slow_matmul(field, A, B)
+    for k in (8321, 8322, 10**4):
+        A = rng.integers(0, 509, (2, k)).astype(np.int32)
+        B = rng.integers(0, 509, (k, 2)).astype(np.int32)
+        A[0], B[:, 0] = 508, 508
+        assert (508**2 * k < 2**31) == (k == 8321)
+        out = _matmul_codes(field, A, B)
+        assert out.dtype == np.int32
+        assert out[0, 0] == k % 509  # 508 = -1 mod 509
+        assert out.tolist() == _slow_matmul(field, A, B)
 
 
 def test_matmul_refuses_mixed_fields():
